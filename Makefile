@@ -6,7 +6,7 @@ DUNE ?= dune
 # Fixed seed so the property/fuzz suites are reproducible in CI.
 SMOKE_SEED ?= 42
 
-.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke bench-fast bench-cache check ci clean
+.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke bench-fast bench-cache check ci clean
 
 all: build
 
@@ -170,6 +170,19 @@ rewrite-smoke: build
 	@rm -f rewrite_smoke_on.out rewrite_smoke_off.out
 	@echo "rewrite-smoke: cost arbitration on/off outputs identical"
 
+# Benchmark smoke: a short frontier-sssp run of the repository
+# benchmark (perfbench/). Every answer the run checks against its
+# reference implementation must match, so a kernel change that breaks
+# oracle answers fails CI even when the test suite misses it.
+perfbench-smoke: build
+	@set -e; \
+	OUT=$$(sh perfbench/run.sh --workload frontier-sssp --seed 1 --seconds 3 --trace 0); \
+	LINE=$$(echo "$$OUT" | tail -1); \
+	echo "$$LINE"; \
+	echo "$$LINE" | grep -q '"correct": true' || { echo "FAIL: perfbench answers disagree with the oracle"; exit 1; }; \
+	echo "$$LINE" | grep -Eq '"failed": 0[,}]' || { echo "FAIL: perfbench reported failed operations"; exit 1; }; \
+	echo "perfbench-smoke: answers correct, no failures"
+
 bench-fast: build
 	$(DUNE) exec bench/main.exe -- --fast
 
@@ -178,7 +191,7 @@ bench-fast: build
 bench-cache: build
 	$(DUNE) exec bench/main.exe -- ext-cache --json BENCH_cache.json
 
-check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke
+check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 # The minimal CI gate: compile, full test suite, formatting, trace
 # smoke (NDJSON + bench-record validation with the fault path traced),
@@ -187,8 +200,9 @@ check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-sm
 # (semi-naive on/off equivalence + bench records), and the columnar
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (rule-engine bit-identity + cost-arbitration on/off
-# output equivalence).
-ci: build test fmt-check trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke
+# output equivalence), and the benchmark smoke (oracle-checked answers
+# from a short frontier-sssp run).
+ci: build test fmt-check trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:
 	$(DUNE) clean

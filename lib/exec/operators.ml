@@ -799,7 +799,9 @@ let new_accumulator distinct =
     seen = (if distinct then Some (Row_tbl.create 8) else None);
   }
 
-let accumulate acc (v : Value.t) =
+(* Only SUM and AVG read the running sum, so only they add: MIN, MAX
+   and COUNT accept any comparable input, strings and bools included. *)
+let accumulate (kind : Ast.agg_kind) acc (v : Value.t) =
   let fresh =
     match acc.seen with
     | None -> true
@@ -814,29 +816,14 @@ let accumulate acc (v : Value.t) =
   if fresh then begin
     if not (Value.is_null v) then begin
       acc.count <- acc.count + 1;
-      acc.sum <- (if Value.is_null acc.sum then v else Value.add acc.sum v);
+      (match kind with
+      | Ast.Sum | Ast.Avg ->
+        acc.sum <- (if Value.is_null acc.sum then v else Value.add acc.sum v)
+      | Ast.Count | Ast.Count_star | Ast.Min | Ast.Max -> ());
       if Value.is_null acc.min || Value.compare v acc.min < 0 then acc.min <- v;
       if Value.is_null acc.max || Value.compare v acc.max > 0 then acc.max <- v
     end
   end
-
-(* Unboxed accumulator for the typed columnar aggregation loop. Only
-   the fields matching the argument column's type are meaningful; the
-   invariant "tcount = 0 iff no non-null input seen" mirrors the boxed
-   accumulator's Null-sum/min/max state (count, sum, min and max always
-   move together for non-COUNT-star aggregates). *)
-type tacc = {
-  mutable tcount : int;
-  mutable isum : int;
-  mutable imin : int;
-  mutable imax : int;
-  mutable fsum : float;
-  mutable fmin : float;
-  mutable fmax : float;
-}
-
-let new_tacc () =
-  { tcount = 0; isum = 0; imin = 0; imax = 0; fsum = 0.0; fmin = 0.0; fmax = 0.0 }
 
 let finalize (kind : Ast.agg_kind) acc : Value.t =
   match kind with
@@ -848,39 +835,341 @@ let finalize (kind : Ast.agg_kind) acc : Value.t =
     if acc.count = 0 then Value.Null
     else Value.Float (Value.to_float acc.sum /. float_of_int acc.count)
 
-let aggregate ?cache ?guards ?(columnar = false) ~(stats : Stats.t) ~keys
-    ~(aggs : Logical.agg list) (input : Relation.t) schema : Relation.t =
-  Stats.timed stats Stats.Op_aggregate @@ fun () ->
-  let aggs = Array.of_list aggs in
-  stats.Stats.rows_aggregated <-
-    stats.Stats.rows_aggregated + Relation.cardinality input;
+(* Two-phase columnar aggregation. Phase 1 ({!group_ids}) numbers the
+   groups of the evaluated key columns; phase 2 ({!agg_column} and
+   {!boxed_columns}) folds each aggregate's argument column into
+   per-group cells indexed by those numbers. Grouping follows
+   {!Value.equal} on every column shape, so the result is the row
+   path's: same groups, same first-appearance order, same first-seen
+   key values. *)
+
+(* Hash code of a NULL key slot; any constant works, since cell
+   equality separates it from a colliding value. *)
+let null_code = 0x2F0B3A55
+
+(* Multiplier mixing per-column codes into a row hash. *)
+let hash_mul = 0x2545F4914F6CDD1D
+
+(* Float hash code through normalized bits: all NaNs one code, both
+   zeros one code, so codes agree wherever [Float.compare] does. *)
+let float_code f =
+  if f = 0.0 then 0
+  else if f <> f then 0x7FF8000000000000
+  else Int64.to_int (Int64.bits_of_float f)
+
+(* Boxed hash code agreeing with {!Value.equal}: a numeric hashes by
+   its float image, so [Int 3] and [Float 3.0] share a code. Unlike
+   {!Value.hash} it makes no C call. *)
+let value_code (v : Value.t) =
+  match v with
+  | Value.Null -> null_code
+  | Value.Int i -> float_code (float_of_int i)
+  | Value.Float f -> float_code f
+  | Value.Str s -> Hashtbl.hash s
+  | Value.Bool b -> Bool.to_int b
+
+(** Per-column hash code and cell equality for grouping. Equality is
+    {!Value.equal} restricted to the column: ints and bools natively,
+    floats under [Float.compare], strings by [String.equal], boxed
+    cells by {!Value.equal} itself (so [Int 3] and [Float 3.0] are one
+    key). NULL slots, masked or inline [Value.Null], equal each other
+    and nothing else. *)
+let key_cell_fns (c : Colbatch.col) : (int -> int) * (int -> int -> bool) =
+  let code, eq =
+    match c.Colbatch.data with
+    | Colbatch.D_int a -> ((fun r -> a.(r)), fun r s -> a.(r) = a.(s))
+    | Colbatch.D_bool a ->
+      ((fun r -> Bool.to_int a.(r)), fun r s -> Bool.equal a.(r) a.(s))
+    | Colbatch.D_float a ->
+      ((fun r -> float_code a.(r)), fun r s -> Float.compare a.(r) a.(s) = 0)
+    | Colbatch.D_str a ->
+      ((fun r -> Hashtbl.hash a.(r)), fun r s -> String.equal a.(r) a.(s))
+    | Colbatch.D_value a ->
+      ( (fun r -> value_code a.(r)),
+        fun r s ->
+          let x = a.(r) and y = a.(s) in
+          x == y || Value.equal x y )
+  in
+  match c.Colbatch.nulls with
+  | None -> (code, eq)
+  | Some m ->
+    ( (fun r -> if m.(r) then null_code else code r),
+      fun r s -> if m.(r) then m.(s) else (not m.(s)) && eq r s )
+
+(** Phase 1: the group of every row of [key_cols] (all of length [n]),
+    numbered in first-appearance order, and each group's first row.
+    [tick k] counts [k] rows against the guards, once per 4096-row
+    block. With no key columns there is exactly one group, even over an
+    empty input (the global aggregate's default row).
+
+    The open-addressing table is sized by the groups seen so far, not
+    by [n], and doubles at half load; each group keeps its hash, so
+    regrowth never rereads key cells. A row equal to its predecessor
+    takes its group without hashing: join outputs arrive clustered by
+    probe row, so most rows of a GROUP BY over a join take this path. *)
+let group_ids ~tick key_cols n : int array * int array =
+  let gid = Array.make n 0 in
+  let nkc = Array.length key_cols in
+  if nkc = 0 then begin
+    tick n;
+    (gid, [| 0 |])
+  end
+  else begin
+    let fns = Array.map key_cell_fns key_cols in
+    (* One and two keys (the common shapes) are unrolled instead of
+       looping over the closure arrays per row. *)
+    let keys_equal, mix =
+      match fns with
+      | [| (c0, e0) |] -> (e0, fun r -> c0 r * hash_mul)
+      | [| (c0, e0); (c1, e1) |] ->
+        ( (fun r s -> e0 r s && e1 r s),
+          fun r -> ((c0 r * hash_mul) + c1 r) * hash_mul )
+      | _ ->
+        ( (fun r s ->
+            let rec all i = i = nkc || (snd fns.(i) r s && all (i + 1)) in
+            all 0),
+          fun r ->
+            let h = ref 0 in
+            for i = 0 to nkc - 1 do
+              h := (!h + fst fns.(i) r) * hash_mul
+            done;
+            !h )
+    in
+    let slots = ref (Array.make 64 (-1)) in
+    let rep = ref (Array.make 32 0) in
+    let ghash = ref (Array.make 32 0) in
+    let ng = ref 0 in
+    let grow () =
+      let cap = 2 * Array.length !slots in
+      let sl = Array.make cap (-1) in
+      for e = 0 to !ng - 1 do
+        let i = ref (!ghash.(e) land (cap - 1)) in
+        while sl.(!i) <> -1 do
+          i := (!i + 1) land (cap - 1)
+        done;
+        sl.(!i) <- e
+      done;
+      let extend a =
+        let b = Array.make (cap / 2) 0 in
+        Array.blit a 0 b 0 !ng;
+        b
+      in
+      slots := sl;
+      rep := extend !rep;
+      ghash := extend !ghash
+    in
+    for r = 0 to n - 1 do
+      if r land 4095 = 0 then tick (min 4096 (n - r));
+      if r > 0 && keys_equal (r - 1) r then gid.(r) <- gid.(r - 1)
+      else begin
+        let h = mix r in
+        let h = h lxor (h lsr 29) in
+        let sl = !slots in
+        let hmask = Array.length sl - 1 in
+        let idx = ref (h land hmask) in
+        let g = ref (-1) in
+        while !g < 0 do
+          let e = sl.(!idx) in
+          if e = -1 then begin
+            let e = !ng in
+            sl.(!idx) <- e;
+            !rep.(e) <- r;
+            !ghash.(e) <- h;
+            ng := e + 1;
+            g := e;
+            if 2 * !ng >= Array.length sl then grow ()
+          end
+          else if keys_equal !rep.(e) r then g := e
+          else idx := (!idx + 1) land hmask
+        done;
+        gid.(r) <- !g
+      end
+    done;
+    (gid, Array.sub !rep 0 !ng)
+  end
+
+(* NULL mask of a typed aggregate column: exactly the groups that saw
+   no non-NULL input, where the boxed [finalize] returns Null. *)
+let empty_groups cnt =
+  if Array.exists (fun c -> c = 0) cnt then Some (Array.map (fun c -> c = 0) cnt)
+  else None
+
+(** Phase 2 for an aggregate with unboxed cells, or [None] when it
+    needs the boxed {!accumulator}: COUNT over any column, and
+    non-DISTINCT SUM/AVG/MIN/MAX over an int or float column. The
+    struct-of-arrays cells replicate [accumulate] exactly: NULLs are
+    skipped, the first value seeds sum, min and max, and min/max
+    replace only on a strict comparison. *)
+let agg_column (a : Logical.agg) (arg : Colbatch.col option) gid ng :
+    Colbatch.col option =
+  let n = Array.length gid in
+  let counts live =
+    let cnt = Array.make ng 0 in
+    for r = 0 to n - 1 do
+      if live r then cnt.(gid.(r)) <- cnt.(gid.(r)) + 1
+    done;
+    Some { Colbatch.data = Colbatch.D_int cnt; nulls = None }
+  in
+  match a.agg_kind, arg with
+  | Ast.Count_star, _ -> counts (fun _ -> true)
+  | Ast.Count, Some c when not a.agg_distinct -> (
+    match c.Colbatch.nulls, c.Colbatch.data with
+    | Some m, _ -> counts (fun r -> not m.(r))
+    | None, Colbatch.D_value v -> counts (fun r -> not (Value.is_null v.(r)))
+    | None, _ -> counts (fun _ -> true))
+  | (Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), Some { Colbatch.data = D_int v; nulls }
+    when not a.agg_distinct ->
+    let cnt = Array.make ng 0 and acc = Array.make ng 0 in
+    for r = 0 to n - 1 do
+      if match nulls with None -> true | Some m -> not m.(r) then begin
+        let g = gid.(r) and x = v.(r) in
+        (if cnt.(g) = 0 then acc.(g) <- x
+         else
+           match a.agg_kind with
+           | Ast.Min -> if x < acc.(g) then acc.(g) <- x
+           | Ast.Max -> if x > acc.(g) then acc.(g) <- x
+           | _ -> acc.(g) <- acc.(g) + x);
+        cnt.(g) <- cnt.(g) + 1
+      end
+    done;
+    let data =
+      match a.agg_kind with
+      | Ast.Avg ->
+        Colbatch.D_float
+          (Array.mapi (fun g s -> float_of_int s /. float_of_int cnt.(g)) acc)
+      | _ -> Colbatch.D_int acc
+    in
+    Some { Colbatch.data; nulls = empty_groups cnt }
+  | (Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), Some { Colbatch.data = D_float v; nulls }
+    when not a.agg_distinct ->
+    let cnt = Array.make ng 0 and acc = Array.make ng 0.0 in
+    for r = 0 to n - 1 do
+      if match nulls with None -> true | Some m -> not m.(r) then begin
+        let g = gid.(r) and x = v.(r) in
+        (if cnt.(g) = 0 then acc.(g) <- x
+         else
+           match a.agg_kind with
+           | Ast.Min -> if Float.compare x acc.(g) < 0 then acc.(g) <- x
+           | Ast.Max -> if Float.compare x acc.(g) > 0 then acc.(g) <- x
+           | _ -> acc.(g) <- acc.(g) +. x);
+        cnt.(g) <- cnt.(g) + 1
+      end
+    done;
+    let data =
+      match a.agg_kind with
+      | Ast.Avg ->
+        Colbatch.D_float (Array.mapi (fun g s -> s /. float_of_int cnt.(g)) acc)
+      | _ -> Colbatch.D_float acc
+    in
+    Some { Colbatch.data; nulls = empty_groups cnt }
+  | _ -> None
+
+(** Phase 2 for the aggregates [agg_column] leaves boxed (arguments of
+    mixed, string or bool columns, and DISTINCT): the per-group
+    {!accumulator}. [boxed.(i)] is [Some (agg, arg)] for each such
+    aggregate, and the result holds its finished column at the same
+    index. The rows are fed row-major across these aggregates, so a
+    {!Value.add} type error surfaces at the same row as on the row
+    path. *)
+let boxed_columns (boxed : (Logical.agg * Colbatch.col) option array) gid ng :
+    Colbatch.col option array =
+  let cells =
+    Array.map
+      (Option.map (fun ((a : Logical.agg), c) ->
+           (a, c, Array.init ng (fun _ -> new_accumulator a.agg_distinct))))
+      boxed
+  in
+  for r = 0 to Array.length gid - 1 do
+    let g = gid.(r) in
+    Array.iter
+      (function
+        | Some ((a : Logical.agg), c, accs) ->
+          accumulate a.agg_kind accs.(g) (Colbatch.get c r)
+        | None -> ())
+      cells
+  done;
+  Array.map
+    (Option.map (fun ((a : Logical.agg), _, accs) ->
+         Colbatch.of_values (Array.map (finalize a.agg_kind) accs)))
+    cells
+
+(** Columnar hash aggregation: vectorize the key and argument
+    expressions over the whole batch, number the groups (phase 1), fold
+    every aggregate into per-group cells (phase 2), and emit keys as a
+    gather at each group's first row beside the aggregate columns. *)
+let columnar_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
+    (input : Relation.t) schema : Relation.t =
+  let batch = Relation.columnar input in
+  let n = Colbatch.length batch in
+  let eval e = (compiled_kernel ?cache ~stats e) batch in
+  let key_cols = Array.of_list (List.map eval keys) in
+  let arg_cols =
+    Array.map
+      (fun (a : Logical.agg) ->
+        match a.agg_kind with
+        | Ast.Count_star -> None
+        | _ -> Some (eval a.agg_arg))
+      aggs
+  in
+  let gprobe = Guards.probe () in
+  let gid, rep = group_ids ~tick:(Guards.tick_n guards gprobe ~stats) key_cols n in
+  let ng = Array.length rep in
+  let typed = Array.mapi (fun i a -> agg_column a arg_cols.(i) gid ng) aggs in
+  let boxed =
+    boxed_columns
+      (Array.mapi
+         (fun i t ->
+           match t, arg_cols.(i) with
+           | None, Some c -> Some (aggs.(i), c)
+           | _ -> None)
+         typed)
+      gid ng
+  in
+  let agg_cols =
+    Array.mapi
+      (fun i t ->
+        match t, boxed.(i) with
+        | Some c, _ | None, Some c -> c
+        | None, None -> assert false (* COUNT star is always typed *))
+      typed
+  in
+  let kbatch = Colbatch.gather (Colbatch.make ~len:n key_cols) rep in
+  Relation.of_batch schema
+    (Colbatch.hstack kbatch (Colbatch.make ~len:ng agg_cols))
+
+(** Row-at-a-time hash aggregation over boxed key rows. *)
+let row_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
+    (input : Relation.t) schema : Relation.t =
   let groups : (Row.t * accumulator array) Row_tbl.t =
     Row_tbl.create (max 16 (Relation.cardinality input / 4))
   in
   let order = ref [] in
-  (* Set by the typed columnar fast path, which emits a finished
-     columnar relation directly and bypasses [groups]/[order]. *)
-  let direct : Relation.t option ref = ref None in
   let gprobe = Guards.probe () in
-  (* The accumulation step shared by both paths: identical grouping
-     (first-appearance order), DISTINCT and NULL handling by
-     construction. [key_of row_idx] and [arg_of i row_idx] differ only
-     in where the boxed values come from (row array vs evaluated
-     columns). *)
-  let accumulate_all n key_of arg_of =
-    for row_idx = 0 to n - 1 do
+  let key_fns =
+    Array.of_list (List.map (fun e -> compiled_val ?cache ~stats e) keys)
+  in
+  let agg_args =
+    Array.map
+      (fun (a : Logical.agg) ->
+        match a.agg_kind with
+        | Ast.Count_star -> fun _ -> Value.Null  (* unused *)
+        | _ -> compiled_val ?cache ~stats a.agg_arg)
+      aggs
+  in
+  Relation.iter
+    (fun row ->
       Guards.tick guards gprobe ~stats;
-      let key = key_of row_idx in
-      let _, accs =
+      let key = Array.map (fun f -> f row) key_fns in
+      let accs =
         match Row_tbl.find_opt groups key with
-        | Some entry -> entry
+        | Some (_, accs) -> accs
         | None ->
           let accs =
             Array.map (fun (a : Logical.agg) -> new_accumulator a.agg_distinct) aggs
           in
           Row_tbl.replace groups key (key, accs);
           order := key :: !order;
-          (key, accs)
+          accs
       in
       Array.iteri
         (fun i (a : Logical.agg) ->
@@ -888,353 +1177,31 @@ let aggregate ?cache ?guards ?(columnar = false) ~(stats : Stats.t) ~keys
           | Ast.Count_star ->
             (* COUNT star counts rows regardless of nulls *)
             accs.(i).count <- accs.(i).count + 1
-          | _ -> accumulate accs.(i) (arg_of i row_idx))
-        aggs
-    done
-  in
-  (if columnar then begin
-     (* Vectorize the key and argument expressions over the whole
-        batch, then run the (inherently row-at-a-time) grouping loop
-        over the evaluated columns. *)
-     let batch = Relation.columnar input in
-     let n = Colbatch.length batch in
-     let key_cols =
-       Array.of_list
-         (List.map (fun e -> (compiled_kernel ?cache ~stats e) batch) keys)
-     in
-     let arg_cols =
-       Array.map
-         (fun (a : Logical.agg) ->
-           match a.agg_kind with
-           | Ast.Count_star -> None  (* unused *)
-           | _ -> Some ((compiled_kernel ?cache ~stats a.agg_arg) batch))
-         aggs
-     in
-     (* Typed grouping fast path: when every key column is typed and
-        null-free (at most two of them) and every aggregate argument is
-        an int or float column with no DISTINCT, group by unboxed key
-        codes and accumulate into unboxed cells, converting to boxed
-        accumulators only once per group at the end. Key-code equality
-        is engineered to coincide with {!Value.equal} on these inputs:
-        within one typed column no cross-type equality can occur, and
-        float codes go through normalized bits (all NaNs one code, both
-        zeros one code) so code equality is exactly [Float.compare]
-        equality. *)
-     let typed_keys_ok =
-       Array.length key_cols <= 2
-       && Array.for_all
-            (fun (c : Colbatch.col) ->
-              c.Colbatch.nulls = None
-              &&
-              match c.Colbatch.data with
-              | Colbatch.D_value _ -> false
-              | _ -> true)
-            key_cols
-     in
-     let typed_aggs_ok =
-       let ok = ref true in
-       Array.iteri
-         (fun i (a : Logical.agg) ->
-           if a.agg_distinct then ok := false
-           else
-             match a.agg_kind, arg_cols.(i) with
-             | Ast.Count_star, _ -> ()
-             | _, Some { Colbatch.data = Colbatch.D_int _ | Colbatch.D_float _; _ }
-               -> ()
-             | _ -> ok := false)
-         aggs;
-       !ok
-     in
-     if typed_keys_ok && typed_aggs_ok then begin
-       Guards.tick_n guards gprobe ~stats n;
-       let nag = Array.length aggs in
-       (* Per-aggregate unboxed update, replicating [accumulate]'s
-          null-skip, first-value seeding and strict-compare
-          replacement exactly. *)
-       let updaters =
-         Array.mapi
-           (fun i (a : Logical.agg) ->
-             match a.agg_kind with
-             | Ast.Count_star -> fun (t : tacc) _ -> t.tcount <- t.tcount + 1
-             | _ -> (
-               match arg_cols.(i) with
-               | Some { Colbatch.data = Colbatch.D_int arr; nulls } ->
-                 let masked =
-                   match nulls with
-                   | Some m -> fun r -> m.(r)
-                   | None -> fun _ -> false
-                 in
-                 fun (t : tacc) r ->
-                   if not (masked r) then begin
-                     let v = arr.(r) in
-                     if t.tcount = 0 then begin
-                       t.isum <- v;
-                       t.imin <- v;
-                       t.imax <- v
-                     end
-                     else begin
-                       t.isum <- t.isum + v;
-                       if v < t.imin then t.imin <- v;
-                       if v > t.imax then t.imax <- v
-                     end;
-                     t.tcount <- t.tcount + 1
-                   end
-               | Some { Colbatch.data = Colbatch.D_float arr; nulls } ->
-                 let masked =
-                   match nulls with
-                   | Some m -> fun r -> m.(r)
-                   | None -> fun _ -> false
-                 in
-                 fun (t : tacc) r ->
-                   if not (masked r) then begin
-                     let v = arr.(r) in
-                     if t.tcount = 0 then begin
-                       t.fsum <- v;
-                       t.fmin <- v;
-                       t.fmax <- v
-                     end
-                     else begin
-                       t.fsum <- t.fsum +. v;
-                       if Float.compare v t.fmin < 0 then t.fmin <- v;
-                       if Float.compare v t.fmax > 0 then t.fmax <- v
-                     end;
-                     t.tcount <- t.tcount + 1
-                   end
-               | _ -> assert false))
-           aggs
-       in
-
-       (* Open-addressing group table hashed directly over the typed
-          key cells: no per-row boxing, interning or tuple keys.
-          Capacity >= 2n keeps the load factor under one half, so the
-          table never grows. Cell equality follows {!Value.equal} on
-          these inputs (ints natively, floats under [Float.compare]),
-          and float hash codes go through normalized bits (all NaNs
-          one code, both zeros one code) so hash agreement follows
-          equality. *)
-       let codes =
-         Array.map
-           (fun (c : Colbatch.col) : (int -> int) ->
-             match c.Colbatch.data with
-             | Colbatch.D_int a -> fun r -> a.(r)
-             | Colbatch.D_bool a -> fun r -> if a.(r) then 1 else 0
-             | Colbatch.D_float a ->
-               fun r ->
-                 let f = a.(r) in
-                 let bits =
-                   if f = 0.0 then 0L
-                   else if f <> f then 0x7FF8000000000000L
-                   else Int64.bits_of_float f
-                 in
-                 Int64.to_int bits
-             | Colbatch.D_str a -> fun r -> Hashtbl.hash a.(r)
-             | Colbatch.D_value _ -> assert false)
-           key_cols
-       in
-       let eqs =
-         Array.map
-           (fun (c : Colbatch.col) : (int -> int -> bool) ->
-             match c.Colbatch.data with
-             | Colbatch.D_int a -> fun r s -> a.(r) = a.(s)
-             | Colbatch.D_bool a -> fun r s -> a.(r) = a.(s)
-             | Colbatch.D_float a -> fun r s -> Float.compare a.(r) a.(s) = 0
-             | Colbatch.D_str a -> fun r s -> String.equal a.(r) a.(s)
-             | Colbatch.D_value _ -> assert false)
-           key_cols
-       in
-       let nkc = Array.length key_cols in
-       (* Keys are at most two columns (eligibility check), so unroll
-          both the hash and the equality instead of looping over
-          closure arrays per row. *)
-       let keys_equal, hash_row0 =
-         match nkc with
-         | 0 -> ((fun _ _ -> true), fun _ -> 0)
-         | 1 ->
-           let e0 = eqs.(0) and c0 = codes.(0) in
-           (e0, fun r -> c0 r * 0x2545F4914F6CDD1D)
-         | _ ->
-           let e0 = eqs.(0) and e1 = eqs.(1) in
-           let c0 = codes.(0) and c1 = codes.(1) in
-           ( (fun r s -> e0 r s && e1 r s),
-             fun r ->
-               ((c0 r * 0x2545F4914F6CDD1D) + c1 r) * 0x2545F4914F6CDD1D )
-       in
-       let cap =
-         let rec up c = if c >= 2 * n then c else up (2 * c) in
-         up 16
-       in
-       let hmask = cap - 1 in
-       let hash_row r =
-         let h = hash_row0 r in
-         (h lxor (h lsr 29)) land hmask
-       in
-       let slots = Array.make cap (-1) in
-       let rep = Array.make (max 1 n) 0 in
-       let gtaccs : tacc array array = Array.make (max 1 n) [||] in
-       let update =
-         if nag = 1 then (
-           let u0 = updaters.(0) in
-           fun (taccs : tacc array) r -> u0 taccs.(0) r)
-         else
-           fun taccs r ->
-             for i = 0 to nag - 1 do
-               updaters.(i) taccs.(i) r
-             done
-       in
-       let ng = ref 0 in
-       for r = 0 to n - 1 do
-         let taccs =
-           if nkc = 0 then begin
-             if !ng = 0 then begin
-               gtaccs.(0) <- Array.init nag (fun _ -> new_tacc ());
-               rep.(0) <- r;
-               ng := 1
-             end;
-             gtaccs.(0)
-           end
-           else begin
-             let idx = ref (hash_row r) in
-             let entry = ref (-1) in
-             let continue = ref true in
-             while !continue do
-               let e = slots.(!idx) in
-               if e = -1 then continue := false
-               else if keys_equal rep.(e) r then begin
-                 entry := e;
-                 continue := false
-               end
-               else idx := (!idx + 1) land hmask
-             done;
-             if !entry >= 0 then gtaccs.(!entry)
-             else begin
-               let e = !ng in
-               slots.(!idx) <- e;
-               rep.(e) <- r;
-               gtaccs.(e) <- Array.init nag (fun _ -> new_tacc ());
-               ng := e + 1;
-               gtaccs.(e)
-             end
-           end
-         in
-         update taccs r
-       done;
-       (* Emit the result as a columnar batch straight from the typed
-          cells, one slot per group in first-seen order (entry ids are
-          assigned in first-appearance order): key columns are a
-          gather of the evaluated key columns at each group's
-          representative row, aggregate columns are typed arrays with
-          a NULL mask exactly where the boxed [finalize] would return
-          Null (empty non-COUNT groups). The boxed group table and
-          per-row emission are skipped entirely. *)
-       let ng = !ng in
-       let grp_sel = Array.sub rep 0 ng in
-       let kbatch = Colbatch.gather (Colbatch.make ~len:n key_cols) grp_sel in
-       let empty_mask i =
-         let any = ref false in
-         let m =
-           Array.init ng (fun e ->
-               let z = gtaccs.(e).(i).tcount = 0 in
-               if z then any := true;
-               z)
-         in
-         if !any then Some m else None
-       in
-       let agg_cols =
-         Array.mapi
-           (fun i (a : Logical.agg) : Colbatch.col ->
-             let is_float =
-               match arg_cols.(i) with
-               | Some { Colbatch.data = Colbatch.D_float _; _ } -> true
-               | _ -> false
-             in
-             let int_of f =
-               {
-                 Colbatch.data =
-                   Colbatch.D_int (Array.init ng (fun e -> f gtaccs.(e).(i)));
-                 nulls = empty_mask i;
-               }
-             in
-             let float_of f =
-               {
-                 Colbatch.data =
-                   Colbatch.D_float (Array.init ng (fun e -> f gtaccs.(e).(i)));
-                 nulls = empty_mask i;
-               }
-             in
-             match a.agg_kind with
-             | Ast.Count | Ast.Count_star ->
-               {
-                 Colbatch.data =
-                   Colbatch.D_int
-                     (Array.init ng (fun e -> gtaccs.(e).(i).tcount));
-                 nulls = None;
-               }
-             | Ast.Sum ->
-               if is_float then float_of (fun t -> t.fsum)
-               else int_of (fun t -> t.isum)
-             | Ast.Min ->
-               if is_float then float_of (fun t -> t.fmin)
-               else int_of (fun t -> t.imin)
-             | Ast.Max ->
-               if is_float then float_of (fun t -> t.fmax)
-               else int_of (fun t -> t.imax)
-             | Ast.Avg ->
-               if is_float then
-                 float_of (fun t -> t.fsum /. float_of_int t.tcount)
-               else
-                 float_of (fun t ->
-                     float_of_int t.isum /. float_of_int t.tcount))
-           aggs
-       in
-       direct :=
-         Some
-           (Relation.of_batch schema
-              (Colbatch.hstack kbatch (Colbatch.make ~len:ng agg_cols)))
-     end
-     else
-       accumulate_all n
-         (fun i -> Array.map (fun c -> Colbatch.get c i) key_cols)
-         (fun j i ->
-           match arg_cols.(j) with
-           | Some c -> Colbatch.get c i
-           | None -> Value.Null)
-   end
-   else begin
-     let keys =
-       Array.of_list (List.map (fun e -> compiled_val ?cache ~stats e) keys)
-     in
-     let agg_args =
-       Array.map
-         (fun (a : Logical.agg) ->
-           match a.agg_kind with
-           | Ast.Count_star -> fun _ -> Value.Null  (* unused *)
-           | _ -> compiled_val ?cache ~stats a.agg_arg)
-         aggs
-     in
-     let rows = Relation.rows input in
-     accumulate_all (Array.length rows)
-       (fun i -> Array.map (fun f -> f rows.(i)) keys)
-       (fun j i -> agg_args.(j) rows.(i))
-   end);
+          | kind -> accumulate kind accs.(i) (agg_args.(i) row))
+        aggs)
+    input;
   let emit key =
     let _, accs = Row_tbl.find groups key in
-    let agg_values =
-      Array.mapi (fun i (a : Logical.agg) -> finalize a.agg_kind accs.(i)) aggs
-    in
-    Row.concat key agg_values
+    Row.concat key
+      (Array.mapi (fun i (a : Logical.agg) -> finalize a.agg_kind accs.(i)) aggs)
   in
-  match !direct with
-  | Some rel when not (keys = [] && Relation.cardinality rel = 0) -> rel
-  | _ ->
   let rows =
     if keys = [] && Row_tbl.length groups = 0 then
       (* Global aggregate over an empty input yields one default row. *)
       [|
-        Row.concat [||]
-          (Array.map
-             (fun (a : Logical.agg) -> finalize a.agg_kind (new_accumulator false))
-             aggs);
+        Array.map
+          (fun (a : Logical.agg) -> finalize a.agg_kind (new_accumulator false))
+          aggs;
       |]
     else Array.of_list (List.rev_map emit !order)
   in
   Relation.make_trusted schema rows
+
+let aggregate ?cache ?guards ?(columnar = false) ~(stats : Stats.t) ~keys
+    ~(aggs : Logical.agg list) (input : Relation.t) schema : Relation.t =
+  Stats.timed stats Stats.Op_aggregate @@ fun () ->
+  stats.Stats.rows_aggregated <-
+    stats.Stats.rows_aggregated + Relation.cardinality input;
+  let aggs = Array.of_list aggs in
+  if columnar then columnar_aggregate ?cache ?guards ~stats ~keys ~aggs input schema
+  else row_aggregate ?cache ?guards ~stats ~keys ~aggs input schema

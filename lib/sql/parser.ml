@@ -12,6 +12,8 @@ exception Parse_error of string * int * int  (** message, line, col *)
 type state = {
   tokens : Token.positioned array;
   mutable pos : int;
+  mutable subqueries : int;
+      (** derived tables aliased so far in the current statement *)
 }
 
 let current st = st.tokens.(st.pos)
@@ -70,11 +72,12 @@ let int_lit st =
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 
-let subquery_counter = ref 0
-
-let fresh_subquery_alias () =
-  incr subquery_counter;
-  Printf.sprintf "_subquery%d" !subquery_counter
+(* Generated derived-table aliases are numbered per statement, so the
+   same text always parses to the same tree (the server's plan cache
+   keys on the printed tree). *)
+let fresh_subquery_alias st =
+  st.subqueries <- st.subqueries + 1;
+  Printf.sprintf "_subquery%d" st.subqueries
 
 let agg_of_kw = function
   | "COUNT" -> Some Ast.Count
@@ -465,7 +468,7 @@ and parse_from_primary st =
       let alias =
         match parse_alias st with
         | Some a -> a
-        | None -> fresh_subquery_alias ()
+        | None -> fresh_subquery_alias st
       in
       Ast.From_subquery { query = q; alias }
     | _ ->
@@ -857,7 +860,7 @@ and parse_statement_inner st : Ast.statement =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let make_state src = { tokens = Lexer.tokenize src; pos = 0 }
+let make_state src = { tokens = Lexer.tokenize src; pos = 0; subqueries = 0 }
 
 let finish st =
   ignore (accept_sym st ";");
@@ -884,6 +887,7 @@ let parse_script src : Ast.statement list =
   let rec loop acc =
     if Token.equal (peek st) Token.Eof then List.rev acc
     else begin
+      st.subqueries <- 0;
       let stmt = parse_statement_inner st in
       let _ = accept_sym st ";" in
       loop (stmt :: acc)

@@ -15,6 +15,11 @@ module Table = Dbspinner_storage.Table
 module Value = Dbspinner_storage.Value
 module Colbatch = Dbspinner_storage.Colbatch
 module Stats = Dbspinner_exec.Stats
+module Operators = Dbspinner_exec.Operators
+module Schema = Dbspinner_storage.Schema
+module Logical = Dbspinner_plan.Logical
+module Bound_expr = Dbspinner_plan.Bound_expr
+module Ast = Dbspinner_sql.Ast
 module Executor = Dbspinner_exec.Executor
 module Parallel = Dbspinner_exec.Parallel
 module Distributed = Dbspinner_mpp.Distributed
@@ -191,6 +196,388 @@ let test_null_aggregates () =
   Alcotest.(check bool) "k=3 group present" true !found
 
 (* ------------------------------------------------------------------ *)
+(* Grouping oracle: the columnar aggregate against a naive reference   *)
+
+(** Naive list-based GROUP BY over column positions: groups by
+    {!Value.equal} in first-appearance order, keeps each group's
+    first-seen key, and folds each aggregate's non-NULL inputs in row
+    order ([Value.add] sums, strict-compare MIN/MAX, DISTINCT keeps the
+    first of equal values). A global aggregate over no rows has one
+    group. *)
+let naive_aggregate ~keys ~aggs (rows : Value.t array list) : Value.t array list
+    =
+  let groups = ref [] in
+  List.iter
+    (fun row ->
+      let key = List.map (fun k -> row.(k)) keys in
+      match
+        List.find_opt (fun (k, _) -> List.for_all2 Value.equal k key) !groups
+      with
+      | Some (_, members) -> members := row :: !members
+      | None -> groups := (key, ref [ row ]) :: !groups)
+    rows;
+  let groups =
+    match List.rev !groups with
+    | [] when keys = [] -> [ ([], ref []) ]
+    | gs -> gs
+  in
+  let fold (kind, distinct, arg) members =
+    let vals =
+      List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> r.(arg)) members)
+    in
+    let vals =
+      if not distinct then vals
+      else
+        List.rev
+          (List.fold_left
+             (fun seen v -> if List.exists (Value.equal v) seen then seen else v :: seen)
+             [] vals)
+    in
+    let pick better = function
+      | [] -> Value.Null
+      | v :: rest -> List.fold_left (fun m x -> if better x m then x else m) v rest
+    in
+    let sum = function
+      | [] -> Value.Null
+      | v :: rest -> List.fold_left Value.add v rest
+    in
+    match (kind : Ast.agg_kind) with
+    | Ast.Count_star -> Value.Int (List.length members)
+    | Ast.Count -> Value.Int (List.length vals)
+    | Ast.Sum -> sum vals
+    | Ast.Min -> pick (fun x m -> Value.compare x m < 0) vals
+    | Ast.Max -> pick (fun x m -> Value.compare x m > 0) vals
+    | Ast.Avg ->
+      if vals = [] then Value.Null
+      else
+        Value.Float
+          (Value.to_float (sum vals) /. float_of_int (List.length vals))
+  in
+  List.map
+    (fun (key, members) ->
+      let members = List.rev !members in
+      Array.of_list (key @ List.map (fun a -> fold a members) aggs))
+    groups
+
+(** Cell identity, stricter than {!Value.equal}: the constructor must
+    match (Int 3 is not Float 3.0) and floats compare by bits, so -0.0
+    and 0.0 differ; NaNs are one value. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    (Float.is_nan x && Float.is_nan y)
+    || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_rows (a : Value.t array list) (b : Value.t array list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun r s -> Array.length r = Array.length s && Array.for_all2 same_value r s)
+       a b
+
+let show_rows rows =
+  String.concat "\n"
+    (List.map
+       (fun r -> String.concat " | " (Array.to_list (Array.map Value.to_string r)))
+       rows)
+
+(** Run the columnar aggregate over explicit columns (their
+    representation — typed, masked or boxed — is the caller's) and the
+    naive reference over the same cells. *)
+let oracle_pair ~keys ~aggs (cols : Colbatch.col array) n =
+  let input =
+    Relation.of_batch
+      (Schema.of_names (List.init (Array.length cols) (Printf.sprintf "c%d")))
+      (Colbatch.make ~len:n cols)
+  in
+  let out_schema =
+    Schema.of_names
+      (List.init (List.length keys + List.length aggs) (Printf.sprintf "o%d"))
+  in
+  let got =
+    Operators.aggregate ~columnar:true ~stats:(Stats.create ())
+      ~keys:(List.map (fun k -> Bound_expr.B_col k) keys)
+      ~aggs:
+        (List.map
+           (fun (kind, distinct, arg) ->
+             {
+               Logical.agg_kind = kind;
+               agg_distinct = distinct;
+               agg_arg = Bound_expr.B_col arg;
+             })
+           aggs)
+      input out_schema
+  in
+  let rows = List.init n (fun i -> Array.map (fun c -> Colbatch.get c i) cols) in
+  (Array.to_list (Relation.rows got), naive_aggregate ~keys ~aggs rows)
+
+let check_oracle ~msg ?expect ~keys ~aggs cols n =
+  let got, want = oracle_pair ~keys ~aggs cols n in
+  if not (same_rows got want) then
+    Alcotest.failf "%s: columnar\n%s\nreference\n%s" msg (show_rows got)
+      (show_rows want);
+  Option.iter
+    (fun e ->
+      if not (same_rows got e) then
+        Alcotest.failf "%s: got\n%s\nexpected\n%s" msg (show_rows got)
+          (show_rows e))
+    expect
+
+let boxed vals = Colbatch.of_values_raw vals
+
+let test_oracle_mixed_key () =
+  (* Int 3 and Float 3.0 are one group; the first-seen cell is the
+     emitted key, whichever type it has. *)
+  let k = boxed [| vi 3; vf 3.0; vi 1; vf 1.0; vf 3.0; vf 2.5 |] in
+  let v = Colbatch.of_values [| vi 10; vi 20; vi 30; vi 40; vi 50; vi 60 |] in
+  check_oracle ~msg:"int first"
+    ~expect:
+      [ [| vi 3; vi 3; vi 80 |]; [| vi 1; vi 2; vi 70 |]; [| vf 2.5; vi 1; vi 60 |] ]
+    ~keys:[ 0 ]
+    ~aggs:[ (Ast.Count_star, false, 0); (Ast.Sum, false, 1) ]
+    [| k; v |] 6;
+  let k = boxed [| vf 3.0; vi 3; vi 7 |] in
+  check_oracle ~msg:"float first"
+    ~expect:[ [| vf 3.0; vi 2 |]; [| vi 7; vi 1 |] ]
+    ~keys:[ 0 ] ~aggs:[ (Ast.Count_star, false, 0) ]
+    [| k |] 3
+
+let test_oracle_null_keys () =
+  (* Masked NULLs (typed column) and inline NULLs (boxed column) each
+     form one group, distinct from every value. *)
+  let masked = Colbatch.of_values [| vnull; vi 0; vnull; vi 0; vi 5 |] in
+  Alcotest.(check bool) "typed with mask" true (masked.Colbatch.nulls <> None);
+  let inline = boxed [| vi 0; vnull; vf 0.0; vnull; vs "x" |] in
+  let v = Colbatch.of_values [| vi 1; vi 2; vi 3; vi 4; vi 5 |] in
+  let aggs = [ (Ast.Count_star, false, 0); (Ast.Sum, false, 2) ] in
+  check_oracle ~msg:"masked"
+    ~expect:[ [| vnull; vi 2; vi 4 |]; [| vi 0; vi 2; vi 6 |]; [| vi 5; vi 1; vi 5 |] ]
+    ~keys:[ 0 ] ~aggs [| masked; inline; v |] 5;
+  check_oracle ~msg:"inline"
+    ~expect:[ [| vi 0; vi 2; vi 4 |]; [| vnull; vi 2; vi 6 |]; [| vs "x"; vi 1; vi 5 |] ]
+    ~keys:[ 1 ] ~aggs [| masked; inline; v |] 5;
+  check_oracle ~msg:"masked and inline together" ~keys:[ 0; 1 ] ~aggs
+    [| masked; inline; v |] 5
+
+let test_oracle_float_keys () =
+  (* All NaNs are one key; -0.0 and 0.0 are one key, emitted as the
+     first seen. *)
+  let k =
+    Colbatch.of_values
+      [| vf Float.nan; vf (-0.0); vf 1.0; vf 0.0; vf (-.Float.nan); vf 1.0 |]
+  in
+  let v = Colbatch.of_values [| vf 0.5; vf 1.5; vf 2.5; vf 3.5; vf 4.5; vf (-0.0) |] in
+  check_oracle ~msg:"nan and zeros"
+    ~expect:
+      [ [| vf Float.nan; vi 2; vf 5.0; vf 0.5 |];
+        [| vf (-0.0); vi 2; vf 5.0; vf 1.5 |];
+        [| vf 1.0; vi 2; vf 2.5; vf (-0.0) |] ]
+    ~keys:[ 0 ]
+    ~aggs:[ (Ast.Count_star, false, 0); (Ast.Sum, false, 1); (Ast.Min, false, 1) ]
+    [| k; v |] 6;
+  (* The same keys boxed, mixed with an Int 0 that joins the zero
+     group. *)
+  let kb = boxed [| vf 0.0; vi 0; vf (-0.0); vf Float.nan; vf Float.nan |] in
+  check_oracle ~msg:"boxed zeros"
+    ~expect:[ [| vf 0.0; vi 3 |]; [| vf Float.nan; vi 2 |] ]
+    ~keys:[ 0 ] ~aggs:[ (Ast.Count_star, false, 0) ]
+    [| kb |] 5
+
+let test_oracle_three_keys () =
+  let a = Colbatch.of_values [| vi 1; vi 1; vi 1; vi 2; vi 1; vi 1 |] in
+  let b = Colbatch.of_values [| vs "x"; vs "y"; vs "x"; vs "x"; vs "x"; vs "y" |] in
+  let c = boxed [| vi 5; vf 5.0; vf 5.0; vi 5; vnull; vi 6 |] in
+  let v = Colbatch.of_values [| vf 1.0; vf 2.0; vf 3.0; vf 4.0; vf 5.0; vnull |] in
+  check_oracle ~msg:"three keys"
+    ~expect:
+      [ [| vi 1; vs "x"; vi 5; vi 2; vf 3.0 |];
+        [| vi 1; vs "y"; vf 5.0; vi 1; vf 2.0 |];
+        [| vi 2; vs "x"; vi 5; vi 1; vf 4.0 |];
+        [| vi 1; vs "x"; vnull; vi 1; vf 5.0 |];
+        [| vi 1; vs "y"; vi 6; vi 0; vnull |] ]
+    ~keys:[ 0; 1; 2 ]
+    ~aggs:[ (Ast.Count, false, 3); (Ast.Max, false, 3) ]
+    [| a; b; c; v |] 6
+
+let test_oracle_distinct_boxed () =
+  (* DISTINCT over a boxed argument: Int 2 and Float 2.0 are one
+     value, and the first seen is the one summed. *)
+  let k = Colbatch.of_values [| vi 1; vi 1; vi 1; vi 1; vi 2 |] in
+  let v = boxed [| vi 2; vf 2.0; vf 0.5; vnull; vf 2.0 |] in
+  check_oracle ~msg:"distinct"
+    ~expect:[ [| vi 1; vi 2; vf 2.5; vi 3 |]; [| vi 2; vi 1; vf 2.0; vi 1 |] ]
+    ~keys:[ 0 ]
+    ~aggs:
+      [ (Ast.Count, true, 1); (Ast.Sum, true, 1); (Ast.Count, false, 1) ]
+    [| k; v |] 5
+
+let test_oracle_mixed_sum () =
+  (* SUM over mixed Int/Float stays Int until the first Float, then
+     Float — Value.add's promotion, in row order. *)
+  let k = Colbatch.of_values [| vi 1; vi 1; vi 2; vi 2; vi 1 |] in
+  let v = boxed [| vi 1; vi 2; vi 4; vnull; vf 0.5 |] in
+  check_oracle ~msg:"mixed sum"
+    ~expect:
+      [ [| vi 1; vf 3.5; vf (3.5 /. 3.0); vf 0.5; vi 2 |];
+        [| vi 2; vi 4; vf 4.0; vi 4; vi 4 |] ]
+    ~keys:[ 0 ]
+    ~aggs:
+      [ (Ast.Sum, false, 1); (Ast.Avg, false, 1); (Ast.Min, false, 1);
+        (Ast.Max, false, 1) ]
+    [| k; v |] 5
+
+let test_oracle_many_groups () =
+  (* Thousands of groups regrow the group table several times and cross
+     the guard-tick block size; clustered runs exercise the
+     same-as-previous-row shortcut. *)
+  let rng = Random.State.make [| 13 |] in
+  let n = 6000 in
+  let a = Array.make n vnull and b = Array.make n vnull in
+  let v = Array.make n vnull in
+  for r = 0 to n - 1 do
+    (* runs of 1-3 equal keys, then a jump *)
+    let base = if r > 0 && Random.State.int rng 3 > 0 then r - 1 else r in
+    let k = if base = r then Random.State.int rng 1500 else -1 in
+    a.(r) <- (if k < 0 then a.(base) else vi (k mod 700));
+    b.(r) <-
+      (if k < 0 then b.(base)
+       else if k mod 5 = 0 then vnull
+       else if k mod 2 = 0 then vf (float_of_int (k / 700))
+       else vi (k / 700));
+    v.(r) <- vf (float_of_int (Random.State.int rng 100) /. 8.0)
+  done;
+  let cols = [| Colbatch.of_values a; boxed b; Colbatch.of_values v |] in
+  check_oracle ~msg:"many groups" ~keys:[ 0; 1 ]
+    ~aggs:[ (Ast.Count_star, false, 0); (Ast.Sum, false, 2); (Ast.Max, false, 2) ]
+    cols n;
+  check_oracle ~msg:"many groups, one key" ~keys:[ 0 ]
+    ~aggs:[ (Ast.Min, false, 1); (Ast.Avg, false, 2) ]
+    cols n
+
+let test_string_min_max () =
+  (* MIN, MAX and COUNT never add their inputs, so strings and bools are
+     fine arguments on both paths; only SUM and AVG need numbers. *)
+  let e = Engine.create () in
+  ignore (Engine.execute e "CREATE TABLE p (k INT, n VARCHAR, b BOOLEAN)");
+  ignore
+    (Engine.execute e
+       "INSERT INTO p VALUES (1, 'b', TRUE), (1, 'a', FALSE), (2, NULL, \
+        NULL), (1, 'b', NULL)");
+  let r =
+    check_modes ~msg:"string and bool MIN/MAX" e
+      "SELECT k, MIN(n), MAX(n), COUNT(DISTINCT n), MIN(b), MAX(b) FROM p \
+       GROUP BY k"
+  in
+  Alcotest.check row_testable "k=1"
+    [| vi 1; vs "a"; vs "b"; vi 2; vb false; vb true |]
+    (Relation.rows r).(0);
+  Alcotest.check row_testable "k=2 (all NULL)"
+    [| vi 2; vnull; vnull; vi 0; vnull; vnull |]
+    (Relation.rows r).(1)
+
+let test_oracle_empty () =
+  let empty_int = Colbatch.of_values [||] in
+  let empty_box = boxed [||] in
+  let aggs =
+    [ (Ast.Count_star, false, 0); (Ast.Count, false, 0); (Ast.Sum, false, 0);
+      (Ast.Avg, false, 1); (Ast.Min, true, 1) ]
+  in
+  check_oracle ~msg:"global"
+    ~expect:[ [| vi 0; vi 0; vnull; vnull; vnull |] ]
+    ~keys:[] ~aggs [| empty_int; empty_box |] 0;
+  check_oracle ~msg:"grouped" ~expect:[] ~keys:[ 0 ] ~aggs
+    [| empty_int; empty_box |] 0
+
+(* Random relations against the naive reference: key and argument
+   columns drawn from typed, masked, mixed-numeric and fully mixed
+   domains (sometimes forced boxed), random key lists (repeats
+   allowed) and random aggregate lists. Rows, group order and cell
+   types must all match. SUM/AVG only read numeric columns, as the
+   binder would require. *)
+let prop_grouping_oracle =
+  let open QCheck2 in
+  let ints = [ vnull; vi 0; vi 1; vi 2; vi 3 ] in
+  let floats =
+    [ vnull; vf 0.0; vf (-0.0); vf 1.0; vf 2.5; vf 3.0; vf Float.nan ]
+  in
+  let others = [ vnull; vs "a"; vs "b"; vb true; vb false ] in
+  let domains =
+    [ (true, ints); (true, floats); (true, ints @ floats);
+      (false, [ vnull; vs "a"; vs "b" ]); (false, [ vnull; vb true; vb false ]);
+      (false, ints @ floats @ others) ]
+  in
+  let gen =
+    Gen.(
+      let* n = int_range 0 25 in
+      let* ncols = int_range 1 4 in
+      let* cols =
+        list_repeat ncols
+          (let* numeric, dom = oneofl domains in
+           let* raw = bool in
+           let* vals = array_repeat n (oneofl dom) in
+           return (numeric, raw, vals))
+      in
+      let cols = Array.of_list cols in
+      let* keys = list_size (int_range 0 3) (int_range 0 (ncols - 1)) in
+      let* aggs =
+        list_size (int_range 0 4)
+          (let* kind =
+             oneofl
+               [ Ast.Count_star; Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max ]
+           in
+           let* distinct = bool in
+           let* arg = int_range 0 (ncols - 1) in
+           let numeric, _, _ = cols.(arg) in
+           let kind =
+             match kind with
+             | (Ast.Sum | Ast.Avg) when not numeric -> Ast.Max
+             | k -> k
+           in
+           return (kind, distinct, arg))
+      in
+      return (n, cols, keys, aggs))
+  in
+  let print (n, cols, keys, aggs) =
+    Printf.sprintf "%d rows; columns:\n%s\nkeys [%s]; aggs [%s]" n
+      (String.concat "\n"
+         (Array.to_list
+            (Array.map
+               (fun (_, raw, vals) ->
+                 (if raw then "boxed " else "")
+                 ^ String.concat ", "
+                     (Array.to_list (Array.map Value.to_string vals)))
+               cols)))
+      (String.concat "; " (List.map string_of_int keys))
+      (String.concat "; "
+         (List.map
+            (fun (kind, distinct, arg) ->
+              Printf.sprintf "%s%s(c%d)"
+                (match (kind : Ast.agg_kind) with
+                | Ast.Count_star -> "COUNT*"
+                | Ast.Count -> "COUNT"
+                | Ast.Sum -> "SUM"
+                | Ast.Avg -> "AVG"
+                | Ast.Min -> "MIN"
+                | Ast.Max -> "MAX")
+                (if distinct then " DISTINCT" else "")
+                arg)
+            aggs))
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:400 ~name:"columnar aggregate = naive grouping reference"
+       ~print gen (fun (n, cols, keys, aggs) ->
+         let cols =
+           Array.map
+             (fun (_, raw, vals) ->
+               if raw then Colbatch.of_values_raw vals else Colbatch.of_values vals)
+             cols
+         in
+         let got, want = oracle_pair ~keys ~aggs cols n in
+         same_rows got want
+         || Test.fail_reportf "columnar\n%s\nreference\n%s" (show_rows got)
+              (show_rows want)))
+
+(* ------------------------------------------------------------------ *)
 (* Cross-executor equivalence on a paper workload                      *)
 
 let test_executors_agree () =
@@ -334,7 +721,20 @@ let () =
           Alcotest.test_case "null-join-keys" `Quick test_null_join_keys;
           Alcotest.test_case "null-aggregates" `Quick test_null_aggregates;
         ] );
+      ( "grouping",
+        [
+          Alcotest.test_case "mixed-int-float-key" `Quick test_oracle_mixed_key;
+          Alcotest.test_case "null-keys" `Quick test_oracle_null_keys;
+          Alcotest.test_case "nan-and-zero-keys" `Quick test_oracle_float_keys;
+          Alcotest.test_case "three-column-keys" `Quick test_oracle_three_keys;
+          Alcotest.test_case "distinct-boxed-args" `Quick
+            test_oracle_distinct_boxed;
+          Alcotest.test_case "mixed-sum" `Quick test_oracle_mixed_sum;
+          Alcotest.test_case "many-groups" `Quick test_oracle_many_groups;
+          Alcotest.test_case "string-min-max" `Quick test_string_min_max;
+          Alcotest.test_case "empty-input" `Quick test_oracle_empty;
+        ] );
       ( "executors",
         [ Alcotest.test_case "five-executors-agree" `Quick test_executors_agree ] );
-      ("properties", [ prop_columnar_on_off ]);
+      ("properties", [ prop_columnar_on_off; prop_grouping_oracle ]);
     ]

@@ -476,7 +476,14 @@ let test_durable_validates_replay_digest () =
 (* ------------------------------------------------------------------ *)
 (* Chaos harness: SIGKILL the real server binary                       *)
 
-let server_exe = Filename.concat Filename.parent_dir_name "bin/server_main.exe"
+(* The server binary sits beside this test's directory in the build
+   tree. Resolve it from the test executable's own path rather than
+   the working directory: `dune runtest` runs the test from its build
+   directory, `dune exec` from the source root. *)
+let server_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "bin/server_main.exe"
 
 type run = {
   pid : int;

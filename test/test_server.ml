@@ -460,7 +460,10 @@ let inflight_at_least n kv =
 (* ------------------------------------------------------------------ *)
 (* MVCC snapshot isolation                                             *)
 
-let pr_slow_sql = Queries.pr ~iterations:30 ()
+(* Long enough (~0.3 s) that the reader is reliably still in flight
+   when the vandal's 20 ms stats poll looks for it; at 30 iterations
+   the read could finish before the first poll and the test flaked. *)
+let pr_slow_sql = Queries.pr ~iterations:1000 ()
 
 let sequential_slow_reference () =
   let engine = Loader.engine_for (test_graph ()) in
@@ -595,6 +598,33 @@ let test_plan_cache_hit_and_staleness () =
               | Error (s, m) -> Alcotest.fail (s ^ " " ^ m));
               expect_n c1 "post-DML run recompiles" 2;
               expect_n c2 "post-DML other session too" 2)))
+
+let test_plan_cache_repeated_derived_table_read () =
+  (* PR-VS reads through a derived table whose alias the parser
+     generates. With no write in between, the repeat must reuse the
+     cached plan: a fresh alias per parse would change the cache key
+     and make every such read a miss. *)
+  let config =
+    { Server.default_config with Server.socket_path = socket_path "plan-vs" }
+  in
+  let sql = Queries.pr_vs ~iterations:3 () in
+  Server.with_server ~config ~catalog:(graph_catalog ()) (fun _srv ->
+      Client.with_client ~socket_path:config.Server.socket_path (fun c ->
+          let run label =
+            match Client.query c sql with
+            | Ok body -> body
+            | Error (s, m) -> Alcotest.fail (label ^ ": " ^ s ^ " " ^ m)
+          in
+          let cold = run "cold" in
+          let kv0 = Client.stats c in
+          let warm = run "warm" in
+          let kv = Client.stats c in
+          Alcotest.(check string) "same answer" cold warm;
+          Alcotest.(check int) "repeat is a hit"
+            (stat_int kv0 "plan_hits" + 1)
+            (stat_int kv "plan_hits");
+          Alcotest.(check int) "no extra miss" (stat_int kv0 "plan_misses")
+            (stat_int kv "plan_misses")))
 
 let test_plan_cache_opt_out () =
   let config =
@@ -970,6 +1000,8 @@ let () =
           Alcotest.test_case "read-your-writes" `Quick test_read_your_writes;
           Alcotest.test_case "plan-cache-hit-and-staleness" `Quick
             test_plan_cache_hit_and_staleness;
+          Alcotest.test_case "plan-cache-repeated-derived-table" `Quick
+            test_plan_cache_repeated_derived_table_read;
           Alcotest.test_case "plan-cache-opt-out" `Quick
             test_plan_cache_opt_out;
           Alcotest.test_case "pipeline-ordered" `Quick

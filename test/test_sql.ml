@@ -270,6 +270,27 @@ let test_subquery_alias_generated () =
       (String.length alias > 0 && alias.[0] = '_')
   | _ -> Alcotest.fail "unexpected shape"
 
+let test_subquery_alias_deterministic () =
+  (* Generated aliases are numbered per statement: the same text parses
+     to the same tree every time, and two derived tables in one
+     statement still get distinct names. *)
+  let sql =
+    "SELECT a.src FROM (SELECT src FROM edges) JOIN (SELECT dst FROM \
+     edges) ON src = dst"
+  in
+  let once () = Pretty.full_query (Parser.parse_query sql) in
+  let first = once () in
+  Alcotest.(check string) "same text, same tree" first (once ());
+  Alcotest.(check bool) "distinct aliases" true
+    (Helpers.contains first "_subquery1" && Helpers.contains first "_subquery2");
+  let script = "SELECT * FROM (SELECT 1); SELECT * FROM (SELECT 2)" in
+  match Parser.parse_script script with
+  | [ s1; s2 ] ->
+    Alcotest.(check bool) "numbering restarts per statement" true
+      (Helpers.contains (Pretty.statement s1) "_subquery1"
+      && Helpers.contains (Pretty.statement s2) "_subquery1")
+  | _ -> Alcotest.fail "expected two statements"
+
 let test_iterative_cte () =
   match
     parse
@@ -468,6 +489,8 @@ let () =
           Alcotest.test_case "parenthesized-join" `Quick test_parenthesized_join;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "subquery-alias" `Quick test_subquery_alias_generated;
+          Alcotest.test_case "subquery-alias-deterministic" `Quick
+            test_subquery_alias_deterministic;
           Alcotest.test_case "iterative-cte" `Quick test_iterative_cte;
           Alcotest.test_case "termination-variants" `Quick
             test_termination_variants;
