@@ -193,16 +193,19 @@ bench-cache: build
 
 check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
-# The minimal CI gate: compile, full test suite, formatting, trace
-# smoke (NDJSON + bench-record validation with the fault path traced),
-# the end-to-end server smoke (boot, workload, graceful drain), the
+# The minimal CI gate: compile, full test suite, formatting, the
+# fixed-seed smoke pass (property, fuzz, fault, mpp, parallel and cache
+# suites plus the seq-vs-parallel and cache on/off bench sections — the
+# suites that drive both the single-node and the distributed backend of
+# the step interpreter), trace smoke (NDJSON + bench-record validation
+# with the fault path traced), the end-to-end server smoke (boot, workload, graceful drain), the
 # durability smoke (crash recovery + chaos harness), the delta smoke
 # (semi-naive on/off equivalence + bench records), and the columnar
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (rule-engine bit-identity + cost-arbitration on/off
 # output equivalence), and the benchmark smoke (oracle-checked answers
 # from a short frontier-sssp run).
-ci: build test fmt-check trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
+ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:
 	$(DUNE) clean

@@ -31,22 +31,100 @@ val run_plan :
   Logical.t ->
   Relation.t
 
-(** Consecutive large-delta cutoffs after which a delta-eligible loop
-    permanently falls back to full re-evaluation and stops diffing.
-    Purely data-driven, so the sequential and distributed executors
-    always agree. Shared with {!Dbspinner_mpp.Distributed}. *)
-val delta_cutoff_streak_limit : int
-
 (** The §II duplicate-row-key check: fails when the named temp has
-    duplicate or NULL keys in column [key_idx].
+    duplicate or NULL keys in column [key_idx]. Keys compare under
+    {!Dbspinner_storage.Value.equal}, so [Int 1] and [Float 1.0] are
+    duplicates, as they are under SQL [=].
     @raise Execution_error with a message directing the user to resolve
     duplicates via aggregation. *)
 val assert_unique_key : Catalog.t -> temp:string -> key_idx:int -> unit
 
-(** Run a step program to completion and return the final relation.
-    Temps created by the program are left in the catalog (the engine
-    clears them per statement). [guards] are checked at materialize and
-    loop boundaries, plus periodic in-operator probes every
+(** {2 The step-program interpreter}
+
+    One interpreter runs every step program: the loop state, the
+    termination check, the semi-naive [Delta_materialize] protocol, the
+    key check and the trace spans are written once, here. A backend
+    says only where temps live and how a plan runs into one: the
+    single-node backend ({!run_program}) keeps them in the catalog,
+    {!Dbspinner_mpp.Distributed} keeps them partitioned on its workers.
+    The interpreter runs one step at a time, so a caller can wrap each
+    step (fault context, checkpoint after [Loop_end], retry). *)
+
+(** Where a program's temps of type ['t] live. [eval] runs a plan into
+    a temp; [gather] and [scatter] convert to and from one
+    {!Relation.t} (the diff, stitch, key check and termination checks
+    read gathered relations); [find] returns [None] for an unbound
+    name; [rename] raises {!Catalog.Unknown_table} when [from_] is
+    unbound. *)
+type 't backend = {
+  eval : Logical.t -> 't;
+  find : string -> 't option;
+  bind : string -> 't -> unit;
+  rename : from_:string -> into:string -> unit;
+  drop : string -> unit;
+  gather : 't -> Relation.t;
+  scatter : Relation.t -> 't;
+  cardinality : 't -> int;
+  recursive_cte :
+    name:string ->
+    work_name:string ->
+    base:Logical.t ->
+    step_plan:Logical.t ->
+    union_all:bool ->
+    max_recursion:int ->
+    unit;
+}
+
+(** A program in progress: the program counter, the loop states and
+    the result, over one backend. *)
+type 't machine
+
+(** Begin a program at its first step. [stats], [guards] and [trace]
+    are those {!run_program} documents; the Program span's clock starts
+    here. *)
+val start :
+  't backend ->
+  stats:Stats.t ->
+  guards:Guards.t ->
+  ?trace:Dbspinner_obs.Trace.t ->
+  Program.t ->
+  't machine
+
+(** True once the program counter has run past the last step. *)
+val halted : 't machine -> bool
+
+(** Index of the step {!step} runs next. *)
+val pc : 't machine -> int
+
+(** Highest iteration count over the program's loops so far. *)
+val iteration : 't machine -> int
+
+(** Run the step at {!pc}, emit its Step span (and an Iteration span at
+    [Loop_end]) and advance the program counter. An exception leaves
+    no span and the counter where it was.
+    @raise Execution_error as {!run_program} documents, whichever the
+    backend. *)
+val step : 't machine -> unit
+
+(** The program counter and copies of the loop states (iteration
+    counters, snapshots, delta baselines, trace marks). The backend's
+    temps are the caller's to save. *)
+type checkpoint
+
+val checkpoint : 't machine -> checkpoint
+val restore : 't machine -> checkpoint -> unit
+
+(** Emit the Operator and Program spans and return the result: [result]
+    when given (a caller that finished the program some other way),
+    else the one the [Return] step produced.
+    @raise Execution_error when no [Return] step ran. *)
+val finish : ?result:Relation.t -> 't machine -> Relation.t
+
+(** Run a step program to completion on the interpreter, with the
+    temps in the catalog, and return the final relation. Temps created
+    by the program are left in the catalog (the engine clears them per
+    statement). [guards] are checked at materialize and loop
+    boundaries, plus periodic in-operator probes every
     {!Guards.probe_interval} rows inside long operator loops.
 
     [Delta_materialize] steps run semi-naive (delta-driven) evaluation:

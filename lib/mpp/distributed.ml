@@ -12,19 +12,18 @@
     iteration-granular checkpoints, bounded retries and, as a last
     resort, falling back to single-node execution. *)
 
-module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Schema = Dbspinner_storage.Schema
 module Relation = Dbspinner_storage.Relation
 module Catalog = Dbspinner_storage.Catalog
 module Logical = Dbspinner_plan.Logical
 module Bound_expr = Dbspinner_plan.Bound_expr
-module Eval = Dbspinner_exec.Eval
 module Operators = Dbspinner_exec.Operators
 module Cache = Dbspinner_exec.Cache
 module Stats = Dbspinner_exec.Stats
 module Guards = Dbspinner_exec.Guards
 module Parallel = Dbspinner_exec.Parallel
+module Executor = Dbspinner_exec.Executor
 
 type shuffle_stats = {
   mutable rows_shuffled : int;  (** rows that moved between workers *)
@@ -232,7 +231,7 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
            Hashtbl.find_opt t (String.lowercase_ascii name)))
   | Logical.L_scan _ | Logical.L_values _ ->
     let rel =
-      Dbspinner_exec.Executor.run_plan ?cache ~columnar ~stats catalog plan
+      Executor.run_plan ?cache ~columnar ~stats catalog plan
     in
     { parts = Partition.round_robin ~workers rel }
   | Logical.L_filter { pred; input } ->
@@ -371,65 +370,17 @@ let run_plan ?(workers = 4) ?pool ?(fault = Fault.none) ?(use_cache = true)
 (* Distributed step programs                                           *)
 
 module Program = Dbspinner_plan.Program
-module Trace = Dbspinner_obs.Trace
 
 exception Unsupported of string
 
-type loop_state = {
-  spec : Program.termination;
-  cte : string;
-  key_idx : int;
-  guard : int;
-  mutable iterations : int;
-  mutable cumulative_updates : int;
-  mutable snapshot : Relation.t option;
-  mutable iter_mark : (float * Stats.t) option;
-      (** tracing only: wall clock and stats snapshot at the start of
-          the current iteration. [None] when tracing is off. *)
-  mutable d_prev_cte : Relation.t option;
-      (** semi-naive only: gathered CTE version consumed by the previous
-          iteration's [Delta_materialize] (see the single-node
-          executor's loop state). *)
-  mutable d_prev_work : Relation.t option;
-      (** semi-naive only: the previous iteration's gathered work
-          output, reused for unaffected keys when stitching. *)
-  mutable d_cutoff_streak : int;
-      (** consecutive large-delta cutoffs; at the single-node
-          executor's streak limit the loop stops diffing (see
-          {!Dbspinner_exec.Executor}). *)
-}
-
-let copy_loop_state (st : loop_state) : loop_state =
-  {
-    spec = st.spec;
-    cte = st.cte;
-    key_idx = st.key_idx;
-    guard = st.guard;
-    iterations = st.iterations;
-    cumulative_updates = st.cumulative_updates;
-    snapshot = st.snapshot;
-    (* The snapshot pair is never mutated after creation, so checkpoint
-       copies may share it. After a restore, the restored mark predates
-       the fault — the retried iteration's span then absorbs the
-       fault/retry counters, which is exactly what the timeline should
-       show. *)
-    iter_mark = st.iter_mark;
-    (* Relations are immutable; the delta baselines are only rebound at
-       the end of a successful Delta_materialize, so checkpoint copies
-       may share them too. *)
-    d_prev_cte = st.d_prev_cte;
-    d_prev_work = st.d_prev_work;
-    d_cutoff_streak = st.d_cutoff_streak;
-  }
-
-(** A restart point: the program counter to resume at plus copies of
-    the partitioned temps and loop counters. Relations are immutable,
-    so checkpoints are O(temps + loops) pointer copies — the "cheap
-    checkpoint" SciDB-style iteration-granular recovery relies on. *)
+(** A restart point: copies of the partitioned temps and of the
+    interpreter's program counter and loop states. Relations are
+    immutable, so checkpoints are O(temps + loops) pointer copies — the
+    "cheap checkpoint" SciDB-style iteration-granular recovery relies
+    on. *)
 type checkpoint = {
-  ck_pc : int;
   ck_temps : (string, dist_rel) Hashtbl.t;
-  ck_loops : (int * loop_state) list;
+  ck_machine : Executor.checkpoint;
   ck_in_loop : bool;
       (** true for checkpoints taken at a [Loop_end] (a restore from
           one counts as a recovery, not a from-scratch restart) *)
@@ -452,27 +403,16 @@ let fallback_single_node ~stats ~guards ~columnar ?trace
       Catalog.clear_temps catalog;
       List.iter (fun (n, r) -> Catalog.set_temp catalog n r) saved)
     (fun () ->
-      Dbspinner_exec.Executor.run_program ~stats ~guards ~columnar ?trace
-        catalog program)
+      Executor.run_program ~stats ~guards ~columnar ?trace catalog program)
 
-(** Execute a whole step program with every plan running distributed.
-    Materialized temps stay {e partitioned on the workers} between
-    steps (so the loop body's scans of the CTE table cost no exchange),
-    and [Rename] is a pointer swap of partition sets. Termination
-    checks beyond fixed iteration counts gather the CTE to the
-    coordinator; those reads are not counted as shuffles.
-
-    Fault tolerance: when [fault] injects a {!Fault.Transient_fault},
-    execution restarts from the last checkpoint — taken at program
-    start and after every [Loop_end] — retrying up to [max_retries]
-    consecutive times with deterministic exponential backoff accounting
-    (recorded in [stats], not slept). Once retries are exhausted the
-    program degrades gracefully to single-node execution
-    ([stats.fallbacks]) instead of failing the query. [guards] are
-    checked at materialize and loop boundaries; {!Guards.Resource_exhausted}
-    is not retried (resource exhaustion is not transient).
-
-    @raise Unsupported for programs containing recursive CTEs. *)
+(** Execute a whole step program on {!Executor}'s interpreter with
+    every plan running distributed: the backend keeps materialized
+    temps partitioned on the workers between steps (so the loop body's
+    scans of the CTE table cost no exchange), and [Rename] is a pointer
+    swap of partition sets. Around the interpreter's steps it
+    adds fault recovery: a checkpoint at program start and after every
+    [Loop_end], bounded retries from the last one, and single-node
+    fallback once retries run out. *)
 let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
     ?(guards = Guards.none) ?(stats = Stats.create ()) ?(use_cache = true)
     ?(columnar = false) ?trace (catalog : Catalog.t) (program : Program.t) :
@@ -488,439 +428,71 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
   let cache = if use_cache then Some (Cache.create ()) else None in
   let shuffles = { rows_shuffled = 0; exchanges = 0 } in
   let temps : (string, dist_rel) Hashtbl.t = Hashtbl.create 8 in
-  let key n = String.lowercase_ascii n in
-  let find_temp name =
-    match Hashtbl.find_opt temps (key name) with
-    | Some d -> d
-    | None -> raise (Unsupported (Printf.sprintf "temp %s not materialized" name))
-  in
-  let loops : (int, loop_state) Hashtbl.t = Hashtbl.create 4 in
-  let steps = Program.steps program in
-  let result = ref None in
-  let pc = ref 0 in
-  let take_checkpoint ~in_loop next_pc =
+  let key = String.lowercase_ascii in
+  let backend =
     {
-      ck_pc = next_pc;
+      Executor.eval =
+        run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
+          catalog;
+      find = (fun name -> Hashtbl.find_opt temps (key name));
+      bind = (fun name d -> Hashtbl.replace temps (key name) d);
+      rename =
+        (fun ~from_ ~into ->
+          match Hashtbl.find_opt temps (key from_) with
+          | None -> raise (Catalog.Unknown_table from_)
+          | Some d ->
+            Hashtbl.remove temps (key from_);
+            Hashtbl.replace temps (key into) d);
+      drop = (fun name -> Hashtbl.remove temps (key name));
+      gather;
+      scatter = (fun rel -> { parts = Partition.round_robin ~workers rel });
+      cardinality = (fun d -> Partition.total_cardinality d.parts);
+      recursive_cte =
+        (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_
+             ~max_recursion:_ ->
+          raise (Unsupported "recursive CTEs in distributed programs"));
+    }
+  in
+  let steps = Program.steps program in
+  let m = Executor.start backend ~stats ~guards ?trace program in
+  let take_checkpoint ~in_loop =
+    {
       ck_temps = Hashtbl.copy temps;
-      ck_loops =
-        Hashtbl.fold (fun id st acc -> (id, copy_loop_state st) :: acc) loops [];
+      ck_machine = Executor.checkpoint m;
       ck_in_loop = in_loop;
     }
   in
-  let restore ck =
-    Hashtbl.reset temps;
-    Hashtbl.iter (fun k v -> Hashtbl.replace temps k v) ck.ck_temps;
-    Hashtbl.reset loops;
-    List.iter
-      (fun (id, st) -> Hashtbl.replace loops id (copy_loop_state st))
-      ck.ck_loops;
-    pc := ck.ck_pc
-  in
-  let last_checkpoint = ref (take_checkpoint ~in_loop:false 0) in
+  let last_checkpoint = ref (take_checkpoint ~in_loop:false) in
   (* Consecutive failed attempts since the last successful checkpoint. *)
   let attempts = ref 0 in
-  let prog_mark =
-    match trace with
-    | None -> None
-    | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-  in
-  let step_label step =
-    match step with
-    | Program.Materialize { target; _ } -> "materialize:" ^ target
-    | Program.Delta_materialize { target; _ } -> "delta_materialize:" ^ target
-    | Program.Rename { from_; into } -> "rename:" ^ from_ ^ "->" ^ into
-    | Program.Drop_temp name -> "drop:" ^ name
-    | Program.Assert_unique_key { temp; _ } -> "assert_unique:" ^ temp
-    | Program.Init_loop { cte; _ } -> "init_loop:" ^ cte
-    | Program.Snapshot { loop_id } -> Printf.sprintf "snapshot:%d" loop_id
-    | Program.Loop_end { loop_id; _ } -> Printf.sprintf "loop_end:%d" loop_id
-    | Program.Recursive_cte { name; _ } -> "recursive_cte:" ^ name
-    | Program.Return _ -> "return"
-  in
-  (* Gauges the current step wants attached to its Step span. *)
-  let step_rows = ref (-1) in
-  let step_delta = ref (-1) in
-  let exec_step step =
-    let jump = ref None in
-    (match step with
-    | Program.Materialize { target; plan } ->
-      let d =
-        run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-          catalog plan
-      in
-      stats.Stats.materializations <- stats.Stats.materializations + 1;
-      stats.Stats.rows_materialized <-
-        stats.Stats.rows_materialized + Partition.total_cardinality d.parts;
-      step_rows := Partition.total_cardinality d.parts;
-      Guards.check guards ~stats;
-      Hashtbl.replace temps (key target) d
-    | Program.Delta_materialize
-        {
-          loop_id;
-          target;
-          cte;
-          key_idx;
-          full_plan;
-          restricted_plan;
-          affected_plans;
-          delta_name;
-          affected_name;
-        } ->
-      (* Coordinator-side semi-naive evaluation: gather the CTE, diff
-         against the previous version, and restrict the distributed
-         re-evaluation to affected keys. The diff and stitch run on the
-         coordinator (they are cheap hash passes); the affected and
-         restricted plans run distributed, with the delta and
-         affected-key temps partitioned onto the workers like any
-         materialized temp. Mirrors the single-node executor's
-         [Delta_materialize]; the result is bag-identical to running
-         the full plan. *)
-      let st =
-        match Hashtbl.find_opt loops loop_id with
-        | Some st -> st
-        | None ->
-          raise (Unsupported "Delta_materialize for uninitialized loop")
-      in
-      let cur = gather (find_temp cte) in
-      let dist_eval plan =
-        gather
-          (run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-             catalog plan)
-      in
-      let full_eval () =
-        stats.Stats.full_reevals <- stats.Stats.full_reevals + 1;
-        dist_eval full_plan
-      in
-      let work =
-        match st.d_prev_cte, st.d_prev_work with
-        | Some prev, Some prev_work -> (
-          (* Bounded diff: once the distinct-changed-key count reaches
-             half the CTE (the large-delta cutoff), the probe returns
-             [None] without materializing the delta at all — same
-             decision as the unbounded diff followed by the cutoff
-             check, minus the wasted relation build. *)
-          let cutoff = max 1 ((Relation.cardinality cur + 1) / 2) in
-          match Relation.changed_rows_bounded ~key_idx ~cutoff prev cur with
-          | None ->
-            st.d_cutoff_streak <- st.d_cutoff_streak + 1;
-            full_eval ()
-          | Some delta ->
-            if Relation.cardinality delta = 0 then begin
-              st.d_cutoff_streak <- 0;
-              prev_work
-            end
-            else begin
-              let changed_keys = Hashtbl.create 64 in
-              Relation.iter
-                (fun r -> Hashtbl.replace changed_keys r.(key_idx) ())
-                delta;
-              st.d_cutoff_streak <- 0;
-              Hashtbl.replace temps (key delta_name)
-                { parts = Partition.round_robin ~workers delta };
-              let affected = Hashtbl.create 64 in
-              Hashtbl.iter
-                (fun k () -> Hashtbl.replace affected k ())
-                changed_keys;
-              List.iter
-                (fun p ->
-                  Relation.iter
-                    (fun r -> Hashtbl.replace affected r.(0) ())
-                    (dist_eval p))
-                affected_plans;
-              let a_rows =
-                Hashtbl.fold (fun k () acc -> [| k |] :: acc) affected []
-              in
-              Hashtbl.replace temps (key affected_name)
-                {
-                  parts =
-                    Partition.round_robin ~workers
-                      (Relation.make
-                         (Schema.of_names [ "key" ])
-                         (Array.of_list a_rows));
-                };
-              let restricted = dist_eval restricted_plan in
-              stats.Stats.delta_rows_evaluated <-
-                stats.Stats.delta_rows_evaluated
-                + Relation.cardinality restricted;
-              let by_key : (Value.t, Row.t list) Hashtbl.t =
-                Hashtbl.create 64
-              in
-              Relation.iter
-                (fun r ->
-                  let k = r.(key_idx) in
-                  let rest = try Hashtbl.find by_key k with Not_found -> [] in
-                  Hashtbl.replace by_key k (r :: rest))
-                restricted;
-              let out = ref [] in
-              let cur_rows = Relation.rows cur in
-              let prev_rows = Relation.rows prev_work in
-              let n_cur = Array.length cur_rows in
-              (* Same positional fast path as the single-node stitch:
-                 stable, duplicate-free key sequences copy unaffected
-                 rows by index. *)
-              let aligned =
-                Array.length prev_rows = n_cur
-                &&
-                let ok = ref true in
-                let i = ref 0 in
-                while !ok && !i < n_cur do
-                  if
-                    not
-                      (Value.equal
-                         cur_rows.(!i).(key_idx)
-                         prev_rows.(!i).(key_idx))
-                  then ok := false;
-                  incr i
-                done;
-                !ok
-              in
-              if aligned then
-                for i = 0 to n_cur - 1 do
-                  let k = cur_rows.(i).(key_idx) in
-                  if Hashtbl.mem affected k then
-                    List.iter
-                      (fun row -> out := row :: !out)
-                      (List.rev
-                         (try Hashtbl.find by_key k with Not_found -> []))
-                  else out := prev_rows.(i) :: !out
-                done
-              else begin
-                let prev_by_key = Hashtbl.create 64 in
-                Relation.iter
-                  (fun r ->
-                    if not (Hashtbl.mem prev_by_key r.(key_idx)) then
-                      Hashtbl.replace prev_by_key r.(key_idx) r)
-                  prev_work;
-                let seen_keys = Hashtbl.create (Relation.cardinality cur) in
-                Relation.iter
-                  (fun r ->
-                    let k = r.(key_idx) in
-                    if not (Hashtbl.mem seen_keys k) then begin
-                      Hashtbl.replace seen_keys k ();
-                      if Hashtbl.mem affected k then
-                        List.iter
-                          (fun row -> out := row :: !out)
-                          (List.rev
-                             (try Hashtbl.find by_key k with Not_found -> []))
-                      else
-                        match Hashtbl.find_opt prev_by_key k with
-                        | Some row -> out := row :: !out
-                        | None -> ()
-                    end)
-                  cur
-              end;
-              Relation.make
-                (Relation.schema prev_work)
-                (Array.of_list (List.rev !out))
-            end)
-        | _ -> full_eval ()
-      in
-      (* Rebind the baselines only after every fault-prone evaluation
-         has completed: a transient fault above restores the
-         checkpoint's loop state, which still holds the pre-iteration
-         baselines. *)
-      if st.d_cutoff_streak >= Dbspinner_exec.Executor.delta_cutoff_streak_limit
-      then begin
-        st.d_prev_cte <- None;
-        st.d_prev_work <- None
-      end
-      else begin
-        st.d_prev_cte <- Some cur;
-        st.d_prev_work <- Some work
-      end;
-      stats.Stats.materializations <- stats.Stats.materializations + 1;
-      stats.Stats.rows_materialized <-
-        stats.Stats.rows_materialized + Relation.cardinality work;
-      step_rows := Relation.cardinality work;
-      Guards.check guards ~stats;
-      Hashtbl.replace temps (key target)
-        { parts = Partition.round_robin ~workers work }
-    | Program.Rename { from_; into } ->
-      let d = find_temp from_ in
-      Hashtbl.remove temps (key from_);
-      Hashtbl.replace temps (key into) d;
-      stats.Stats.renames <- stats.Stats.renames + 1
-    | Program.Drop_temp name -> Hashtbl.remove temps (key name)
-    | Program.Assert_unique_key { temp; key_idx } ->
-      (* Coordinator-side key check: only keys travel, not counted. *)
-      let seen = Hashtbl.create 64 in
-      Array.iter
-        (fun part ->
-          Relation.iter
-            (fun row ->
-              let k = row.(key_idx) in
-              if Value.is_null k then
-                raise
-                  (Dbspinner_exec.Executor.Execution_error
-                     "iterative CTE produced a NULL row key")
-              else if Hashtbl.mem seen k then
-                raise
-                  (Dbspinner_exec.Executor.Execution_error
-                     (Printf.sprintf
-                        "iterative CTE produced duplicate rows for key %s"
-                        (Value.to_string k)))
-              else Hashtbl.replace seen k ())
-            part)
-        (find_temp temp).parts
-    | Program.Init_loop { loop_id; termination; cte; key_idx; guard } ->
-      Hashtbl.replace loops loop_id
-        {
-          spec = termination;
-          cte;
-          key_idx;
-          guard;
-          iterations = 0;
-          cumulative_updates = 0;
-          snapshot = None;
-          iter_mark =
-            (match trace with
-            | None -> None
-            | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats));
-          d_prev_cte = None;
-          d_prev_work = None;
-          d_cutoff_streak = 0;
-        }
-    | Program.Snapshot { loop_id } -> (
-      match Hashtbl.find_opt loops loop_id with
-      | None -> raise (Unsupported "snapshot for uninitialized loop")
-      | Some st -> (
-        match st.spec with
-        | Program.Max_iterations _ when trace = None ->
-          (* Fixed iteration counts never need the previous version —
-             skip the gather. With tracing on, gather anyway so the
-             timeline reports true deltas; [gather] is a pure
-             partition merge (no fault ticks, no shuffle counting), so
-             logical stats are unchanged. *)
-          ()
-        | Program.Max_iterations _ | Program.Max_updates _
-        | Program.Delta_at_most _ | Program.Data _ ->
-          st.snapshot <-
-            Option.map gather (Hashtbl.find_opt temps (key st.cte))))
-    | Program.Loop_end { loop_id; body_start } ->
-      let st = Hashtbl.find loops loop_id in
-      st.iterations <- st.iterations + 1;
-      stats.Stats.loop_iterations <- stats.Stats.loop_iterations + 1;
-      Guards.check guards ~stats;
-      let current () = gather (find_temp st.cte) in
-      (* Same first-iteration semantics as Executor.loop_continue:
-         without a snapshot, the full CTE cardinality counts as the
-         delta. Lazy so forcing it for the trace stays pure. *)
-      let updates =
-        lazy
-          (match st.snapshot with
-          | None -> Relation.cardinality (current ())
-          | Some prev ->
-            Relation.delta_count ~key_idx:st.key_idx prev (current ()))
-      in
-      let continue_ =
-        match st.spec with
-        | Program.Max_iterations n -> st.iterations < n
-        | Program.Max_updates n ->
-          st.cumulative_updates <- st.cumulative_updates + Lazy.force updates;
-          st.cumulative_updates < n
-        | Program.Delta_at_most bound -> Lazy.force updates > bound
-        | Program.Data { any; pred } ->
-          let rel = current () in
-          let satisfied = ref 0 in
-          Relation.iter
-            (fun r -> if Dbspinner_exec.Eval.eval_pred r pred then incr satisfied)
-            rel;
-          (* ALL over an empty relation is vacuously true — same fix
-             as the single-node executor. *)
-          let stop =
-            if any then !satisfied > 0
-            else !satisfied = Relation.cardinality rel
-          in
-          not stop
-      in
-      (* The guard trips only when another iteration would actually
-         run: termination firing exactly on the guard iteration
-         returns normally. *)
-      if continue_ && st.iterations >= st.guard then
-        raise
-          (Dbspinner_exec.Executor.Execution_error
-             "distributed loop exceeded its iteration guard");
-      (match trace, st.iter_mark with
-      | Some tr, Some (t0, s0) ->
-        let now = Unix.gettimeofday () in
-        let rows =
-          match Hashtbl.find_opt temps (key st.cte) with
-          | Some d -> Partition.total_cardinality d.parts
-          | None -> -1
-        in
-        step_rows := rows;
-        step_delta := Lazy.force updates;
-        Trace.emit tr ~kind:Trace.Iteration ~label:st.cte ~loop_id
-          ~iteration:st.iterations ~rows ~delta:(Lazy.force updates)
-          ~cum_updates:
-            (match st.spec with
-            | Program.Max_updates _ -> st.cumulative_updates
-            | _ -> -1)
-          ~wall_ms:((now -. t0) *. 1000.)
-          ~counters:(Stats.trace_counters ~since:s0 stats)
-          ();
-        if continue_ then st.iter_mark <- Some (now, Stats.copy stats)
-      | _ -> ());
-      if continue_ then jump := Some body_start;
-      (* Iteration-granular checkpoint: the completed iteration's CTE
-         partitions and loop counters become the new restart point.
-         Taken after the trace mark refresh so a restore's retried
-         iteration diffs against a pre-fault baseline. *)
-      let next_pc = match !jump with Some t -> t | None -> !pc + 1 in
-      last_checkpoint := take_checkpoint ~in_loop:true next_pc;
-      stats.Stats.checkpoints_taken <- stats.Stats.checkpoints_taken + 1;
-      attempts := 0
-    | Program.Recursive_cte _ ->
-      raise (Unsupported "recursive CTEs in distributed programs")
-    | Program.Return plan ->
-      let rel =
-        gather
-          (run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-             catalog plan)
-      in
-      step_rows := Relation.cardinality rel;
-      result := Some rel);
-    !jump
-  in
-  while !pc < Array.length steps do
-    let iteration =
-      Hashtbl.fold (fun _ st acc -> max acc st.iterations) loops 0
-    in
-    Fault.set_context fault ~step:!pc ~iteration;
-    step_rows := -1;
-    step_delta := -1;
-    let step_mark =
-      match trace with
-      | None -> None
-      | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
-    in
-    match exec_step steps.(!pc) with
-    | jump -> (
-      (match trace, step_mark with
-      | Some tr, Some (t0, s0) ->
-        Trace.emit tr ~kind:Trace.Step
-          ~label:(step_label steps.(!pc))
-          ~rows:!step_rows ~delta:!step_delta
-          ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-          ~counters:(Stats.trace_counters ~since:s0 stats)
-          ()
-      | _ -> ());
-      match jump with
-      | Some target -> pc := target
-      | None -> incr pc)
+  let fallback = ref None in
+  while Option.is_none !fallback && not (Executor.halted m) do
+    let pc = Executor.pc m in
+    Fault.set_context fault ~step:pc ~iteration:(Executor.iteration m);
+    match Executor.step m with
+    | () -> (
+      match steps.(pc) with
+      | Program.Loop_end _ ->
+        (* Iteration-granular checkpoint: the completed iteration's CTE
+           partitions and loop counters become the new restart point,
+           so a restore's retried iteration diffs against a pre-fault
+           baseline. *)
+        last_checkpoint := take_checkpoint ~in_loop:true;
+        stats.Stats.checkpoints_taken <- stats.Stats.checkpoints_taken + 1;
+        attempts := 0
+      | _ -> ())
     | exception Fault.Transient_fault _ ->
-      (* No Step span for a faulted attempt: the retried execution
-         emits the span for the work that actually completed. *)
+      (* The interpreter emits no Step span for a faulted attempt: the
+         retried execution emits the span for the work that actually
+         completed. *)
       stats.Stats.faults_injected <- stats.Stats.faults_injected + 1;
-      if !attempts >= max_retries then begin
+      if !attempts >= max_retries then
         (* Retry budget exhausted: degrade gracefully to single-node
            execution instead of failing the query. *)
-        result :=
+        fallback :=
           Some
             (fallback_single_node ~stats ~guards ~columnar ?trace catalog
-               program);
-        pc := Array.length steps
-      end
+               program)
       else begin
         incr attempts;
         stats.Stats.retries <- stats.Stats.retries + 1;
@@ -928,30 +500,12 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
            1, 2, 4, ... units per consecutive failure. *)
         stats.Stats.backoff_steps <-
           stats.Stats.backoff_steps + (1 lsl min (!attempts - 1) 16);
-        if !last_checkpoint.ck_in_loop then
+        let ck = !last_checkpoint in
+        if ck.ck_in_loop then
           stats.Stats.recoveries <- stats.Stats.recoveries + 1;
-        restore !last_checkpoint
+        Hashtbl.reset temps;
+        Hashtbl.iter (Hashtbl.replace temps) ck.ck_temps;
+        Executor.restore m ck.ck_machine
       end
   done;
-  (match trace, prog_mark with
-  | Some tr, Some (t0, s0) ->
-    List.iter
-      (fun op ->
-        let i = Stats.op_index op in
-        let dt = stats.Stats.op_wall.(i) -. s0.Stats.op_wall.(i) in
-        if dt > 0.0 then
-          Trace.emit tr ~kind:Trace.Operator ~label:(Stats.op_name op)
-            ~wall_ms:(dt *. 1000.) ~counters:Trace.zero_counters ())
-      Stats.all_ops;
-    Trace.emit tr ~kind:Trace.Program ~label:"program"
-      ~rows:
-        (match !result with
-        | Some rel -> Relation.cardinality rel
-        | None -> -1)
-      ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ~counters:(Stats.trace_counters ~since:s0 stats)
-      ()
-  | _ -> ());
-  match !result with
-  | Some rel -> (rel, shuffles)
-  | None -> raise (Unsupported "program without Return")
+  (Executor.finish ?result:!fallback m, shuffles)

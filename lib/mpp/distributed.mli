@@ -43,41 +43,31 @@ module Program = Dbspinner_plan.Program
 
 exception Unsupported of string
 
-(** Execute a whole step program distributed: materialized temps stay
-    partitioned on the workers between steps, [Rename] swaps partition
-    sets, and loop-termination checks beyond fixed iteration counts
-    gather the CTE to the coordinator (not counted as shuffles).
+(** Execute a whole step program on the executor's step interpreter
+    ({!Dbspinner_exec.Executor.step}) over a backend that keeps
+    materialized temps partitioned on the workers: [Rename] swaps
+    partition sets, and the interpreter's gathers (diff, stitch, key
+    and termination checks) are not counted as shuffles. Loop,
+    termination, delta, error and trace semantics are therefore those
+    of {!Dbspinner_exec.Executor.run_program}.
 
-    Fault tolerance: on a {!Fault.Transient_fault} from [fault],
-    execution restarts from the last checkpoint (program start, then
-    after every completed loop iteration), retrying up to [max_retries]
-    consecutive times with deterministic backoff accounting before
-    degrading gracefully to single-node execution. Recovery activity is
-    recorded in [stats] ([faults_injected], [retries],
-    [checkpoints_taken], [recoveries], [fallbacks], [backoff_steps]).
-    [guards] are checked at materialize and loop boundaries;
-    {!Guards.Resource_exhausted} is never retried.
+    What this adds is fault tolerance: on a {!Fault.Transient_fault}
+    from [fault], execution restarts from the last checkpoint (program
+    start, then after every completed loop iteration), retrying up to
+    [max_retries] consecutive times with deterministic backoff
+    accounting before degrading gracefully to single-node execution.
+    Recovery activity is recorded in [stats] ([faults_injected],
+    [retries], [checkpoints_taken], [recoveries], [fallbacks],
+    [backoff_steps]); a retried iteration's trace span absorbs the
+    fault/retry counters, and a fallback run emits the single-node
+    spans. {!Guards.Resource_exhausted} is never retried.
 
     [use_cache] (default true) shares one compiled-expression cache
-    across all partition domains; distributed temps live outside the
-    catalog, so the generation-keyed build memo does not apply here.
-    Results and logical stats are identical either way.
-
-    [columnar] (default false) runs the per-partition filter, project,
-    equi-join probe and aggregate work through the vectorized batch
-    engine ({!Dbspinner_exec.Vec_eval}); results and logical stats are
-    bit-identical with the row engine, and the single-node fallback
-    inherits the same setting.
-
-    [trace], when given, records {!Dbspinner_obs.Trace} spans exactly
-    like the single-node executor (steps, iterations with convergence
-    gauges, operator families, program), including across recoveries: a
-    retried iteration's span absorbs the fault/retry counters, and a
-    fallback run emits the single-node spans. Tracing gathers the CTE
-    at [Snapshot] even under [Max_iterations] so deltas are true row
-    deltas; the gather is a pure partition merge, so logical stats are
-    unchanged and traced runs stay [Stats.logical_equal] with untraced
-    ones.
+    across all partition domains; the generation-keyed build memo does
+    not apply to partitioned temps. [columnar] (default false) runs the
+    per-partition work through the vectorized engine, and the
+    single-node fallback inherits it. Neither changes results or
+    logical stats.
     @raise Unsupported for recursive CTEs
     @raise Guards.Resource_exhausted when a deadline or row budget is
     crossed

@@ -13,6 +13,11 @@ module Bound_expr = Dbspinner_plan.Bound_expr
 module Program = Dbspinner_plan.Program
 module Partition = Dbspinner_mpp.Partition
 module Distributed = Dbspinner_mpp.Distributed
+module Executor = Dbspinner_exec.Executor
+module Engine = Dbspinner.Engine
+module Errors = Dbspinner.Errors
+module Options = Dbspinner_rewrite.Options
+module Iterative_rewrite = Dbspinner_rewrite.Iterative_rewrite
 open Helpers
 
 let stats () = Dbspinner_exec.Stats.create ()
@@ -307,6 +312,113 @@ let test_run_program_unsupported_recursive () =
   | exception Distributed.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported"
 
+(* ------------------------------------------------------------------ *)
+(* One interpreter: errors read the same on every backend              *)
+
+(* The normalized error a run raises, or "ok". *)
+let error_text f =
+  match Errors.wrap f with
+  | _ -> "ok"
+  | exception e -> Errors.to_string e
+
+let check_same_error name catalog program =
+  let single =
+    error_text (fun () -> ignore (Executor.run_program catalog program))
+  in
+  let dist =
+    error_text (fun () ->
+        ignore (Distributed.run_program ~workers:2 catalog program))
+  in
+  Alcotest.(check bool) (name ^ " raises") true (single <> "ok");
+  Alcotest.(check string) name single dist
+
+let test_error_parity () =
+  let schema = Schema.of_names [ "k" ] in
+  let values rows = Logical.values (rel [ "k" ] rows) in
+  let program steps =
+    Program.make (steps @ [ Program.Return (scan "c" schema) ])
+      ~result_schema:schema
+  in
+  let check name steps =
+    check_same_error name (Catalog.create ()) (program steps)
+  in
+  check "snapshot of uninitialized loop" [ Program.Snapshot { loop_id = 7 } ];
+  check "loop_end of uninitialized loop"
+    [
+      Program.Materialize { target = "c"; plan = values [ [ vi 1 ] ] };
+      Program.Loop_end { loop_id = 7; body_start = 0 };
+    ];
+  check "delta_materialize of uninitialized loop"
+    [
+      Program.Materialize { target = "c"; plan = values [ [ vi 1 ] ] };
+      Program.Delta_materialize
+        {
+          loop_id = 7;
+          target = "c#work";
+          cte = "c";
+          key_idx = 0;
+          full_plan = scan "c" schema;
+          restricted_plan = scan "c" schema;
+          affected_plans = [];
+          delta_name = "c#delta";
+          affected_name = "c#affected";
+        };
+    ];
+  check "duplicate key"
+    [
+      Program.Materialize
+        { target = "c"; plan = values [ [ vi 1 ]; [ vi 1 ] ] };
+      Program.Assert_unique_key { temp = "c"; key_idx = 0 };
+    ];
+  check "NULL key"
+    [
+      Program.Materialize
+        { target = "c"; plan = values [ [ vi 1 ]; [ vnull ] ] };
+      Program.Assert_unique_key { temp = "c"; key_idx = 0 };
+    ];
+  check "guard trip"
+    [
+      Program.Materialize { target = "c"; plan = values [ [ vi 1 ] ] };
+      Program.Init_loop
+        {
+          loop_id = 0;
+          termination = Program.Max_iterations 10;
+          cte = "c";
+          key_idx = 0;
+          guard = 3;
+        };
+      Program.Snapshot { loop_id = 0 };
+      Program.Materialize { target = "c#work"; plan = scan "c" schema };
+      Program.Rename { from_ = "c#work"; into = "c" };
+      Program.Loop_end { loop_id = 0; body_start = 2 };
+    ]
+
+let test_int_float_duplicate_key () =
+  (* [k * 1.0] turns key 1 into Float 1.0 next to the untouched Int 1:
+     one key under SQL [=], so the §II check must reject it on both
+     executors. *)
+  let e = Engine.create () in
+  ignore (Engine.execute e "CREATE TABLE t (k INT, v INT)");
+  ignore (Engine.execute e "INSERT INTO t VALUES (1, 10), (2, 20)");
+  let sql =
+    "WITH ITERATIVE c (k, v) KEY k AS (SELECT k, v FROM t ITERATE SELECT k * \
+     1.0, v + 1 FROM c WHERE k = 1 UNION ALL SELECT k, v FROM c WHERE k = 1 \
+     UNTIL 1 ITERATIONS) SELECT * FROM c"
+  in
+  let catalog = Engine.catalog e in
+  let program =
+    Iterative_rewrite.compile ~options:Options.default
+      ~lookup:(fun name ->
+        Option.map Dbspinner_storage.Table.schema
+          (Catalog.find_table_opt catalog name))
+      (Dbspinner_sql.Parser.parse_query sql)
+  in
+  check_same_error "Int 1 and Float 1.0 are one key" catalog program;
+  Alcotest.(check bool) "the duplicate-key error" true
+    (contains
+       (error_text (fun () -> ignore (Executor.run_program catalog program)))
+       "duplicate rows for key")
+
 let () =
   Alcotest.run "mpp"
     [
@@ -333,5 +445,8 @@ let () =
             test_run_program_duplicate_key_detected_across_partitions;
           Alcotest.test_case "unsupported-recursive" `Quick
             test_run_program_unsupported_recursive;
+          Alcotest.test_case "error-parity" `Quick test_error_parity;
+          Alcotest.test_case "int-float-duplicate-key" `Quick
+            test_int_float_duplicate_key;
         ] );
     ]

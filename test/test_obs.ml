@@ -18,6 +18,10 @@ module Parallel = Dbspinner_exec.Parallel
 module Distributed = Dbspinner_mpp.Distributed
 module Fault = Dbspinner_mpp.Fault
 module Engine = Dbspinner.Engine
+module Table = Dbspinner_storage.Table
+module Graph_gen = Dbspinner_graph.Graph_gen
+module Loader = Dbspinner_workload.Loader
+module Queries = Dbspinner_workload.Queries
 open Helpers
 
 let emit_n tr n =
@@ -304,6 +308,55 @@ let test_trace_under_faults () =
            | Ok () -> ()
            | Error m -> Alcotest.failf "invalid event %s: %s" line m)
 
+let test_trace_parity () =
+  (* Both executors run the same interpreter, so their Step and
+     Iteration spans agree gauge for gauge: a single-node span the
+     distributed run reports differently is a divergence. *)
+  let timeline tr =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        match s.Trace.kind with
+        | Trace.Step | Trace.Iteration ->
+          Some
+            (Printf.sprintf "%s %s rows=%d delta=%d iteration=%d"
+               (Trace.kind_to_string s.Trace.kind)
+               s.Trace.label s.Trace.rows s.Trace.delta s.Trace.iteration)
+        | _ -> None)
+      (Trace.spans tr)
+  in
+  let check name graph sql =
+    let e = Loader.engine_for graph in
+    let catalog = Engine.catalog e in
+    List.iter
+      (fun use_delta ->
+        let program =
+          Iterative_rewrite.compile
+            ~options:{ Options.default with Options.use_delta }
+            ~lookup:(fun n ->
+              Option.map Table.schema (Catalog.find_table_opt catalog n))
+            (Parser.parse_query sql)
+        in
+        let tr_seq = Trace.create () in
+        Catalog.clear_temps catalog;
+        ignore (Executor.run_program ~trace:tr_seq catalog program);
+        let tr_dist = Trace.create () in
+        Catalog.clear_temps catalog;
+        ignore
+          (Distributed.run_program ~workers:3 ~trace:tr_dist catalog program);
+        let label = Printf.sprintf "%s delta=%b" name use_delta in
+        Alcotest.(check bool) (label ^ ": has iterations") true
+          (Trace.iteration_spans tr_seq <> []);
+        Alcotest.(check (list string))
+          label (timeline tr_seq) (timeline tr_dist))
+      [ true; false ]
+  in
+  check "sssp"
+    (Graph_gen.chain_with_shortcuts ~seed:7 ~num_nodes:60 ~shortcut_every:10)
+    (Queries.sssp ~source:0 ~iterations:8 ());
+  check "ff"
+    (Graph_gen.power_law ~seed:11 ~num_nodes:60 ~edges_per_node:3)
+    (Queries.ff_full ~modulus:3 ~iterations:6 ())
+
 let () =
   Alcotest.run "obs"
     [
@@ -336,5 +389,6 @@ let () =
           Alcotest.test_case "delta-agreement" `Quick
             test_delta_agreement_across_executors;
           Alcotest.test_case "faults" `Quick test_trace_under_faults;
+          Alcotest.test_case "trace-parity" `Quick test_trace_parity;
         ] );
     ]
