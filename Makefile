@@ -170,18 +170,22 @@ rewrite-smoke: build
 	@rm -f rewrite_smoke_on.out rewrite_smoke_off.out
 	@echo "rewrite-smoke: cost arbitration on/off outputs identical"
 
-# Benchmark smoke: a short frontier-sssp run of the repository
-# benchmark (perfbench/). Every answer the run checks against its
-# reference implementation must match, so a kernel change that breaks
-# oracle answers fails CI even when the test suite misses it.
+# Benchmark smoke: short frontier-sssp and paper-iterative runs of the
+# repository benchmark (perfbench/). Every answer a run checks against
+# its reference implementation must match, so a kernel change that
+# breaks oracle answers fails CI even when the test suite misses it.
+# paper-iterative covers PR, PR-VS and SSSP-VS, whose float SUMs are
+# fed by join output order.
 perfbench-smoke: build
 	@set -e; \
-	OUT=$$(sh perfbench/run.sh --workload frontier-sssp --seed 1 --seconds 3 --trace 0); \
-	LINE=$$(echo "$$OUT" | tail -1); \
-	echo "$$LINE"; \
-	echo "$$LINE" | grep -q '"correct": true' || { echo "FAIL: perfbench answers disagree with the oracle"; exit 1; }; \
-	echo "$$LINE" | grep -Eq '"failed": 0[,}]' || { echo "FAIL: perfbench reported failed operations"; exit 1; }; \
-	echo "perfbench-smoke: answers correct, no failures"
+	for WL in frontier-sssp paper-iterative; do \
+	  OUT=$$(sh perfbench/run.sh --workload $$WL --seed 1 --seconds 3 --trace 0); \
+	  LINE=$$(echo "$$OUT" | tail -1); \
+	  echo "$$LINE"; \
+	  echo "$$LINE" | grep -q '"correct": true' || { echo "FAIL: $$WL answers disagree with the oracle"; exit 1; }; \
+	  echo "$$LINE" | grep -Eq '"failed": 0[,}]' || { echo "FAIL: $$WL reported failed operations"; exit 1; }; \
+	  echo "perfbench-smoke: $$WL answers correct, no failures"; \
+	done
 
 bench-fast: build
 	$(DUNE) exec bench/main.exe -- --fast
@@ -204,7 +208,7 @@ check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-sm
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (rule-engine bit-identity + cost-arbitration on/off
 # output equivalence), and the benchmark smoke (oracle-checked answers
-# from a short frontier-sssp run).
+# from short frontier-sssp and paper-iterative runs).
 ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:

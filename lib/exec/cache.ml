@@ -55,15 +55,25 @@ type set_key = {
   sk_keyed : bool;  (** IN (membership set built) vs EXISTS (emptiness only) *)
 }
 
-(** Open-addressing (linear probing) int-keyed mirror of a build
-    table; an empty bucket marks a free slot (real buckets are never
-    empty). Capacity is a power of two at most half full. *)
+(** Slot addressing of an {!int_mirror}. [Direct] serves a narrow key
+    range by offset: key [k] lives in slot [k - lo] when
+    [lo <= k <= hi], with no hashing and no probing. [Hashed] is
+    multiplicative hashing with linear probing over a power-of-two
+    table at most half full; [keys.(s)] is slot [s]'s key and an empty
+    row range marks a free slot (real keys own at least one row). *)
+type int_layout =
+  | Direct of { lo : int; hi : int }
+  | Hashed of { mask : int; keys : int array }
+
+(** Flat (CSR) int-keyed mirror of a build table: one array of
+    build-row indices grouped per key. Slot [s] owns
+    [im_rows.(im_start.(s)) .. im_rows.(im_start.(s + 1) - 1)], most
+    recent first (descending build index — the boxed table's bucket
+    order). *)
 type int_mirror = {
-  im_mask : int;  (** capacity - 1 *)
-  im_keys : int array;
-  im_buckets : int list array;
-      (** build-row indices per key, most recent first (the boxed
-          table's bucket order) *)
+  im_layout : int_layout;
+  im_start : int array;  (** slot count + 1 offsets into [im_rows] *)
+  im_rows : int array;
 }
 
 (** A hash-join build table: the built relation plus buckets of
@@ -79,7 +89,7 @@ type join_build = {
   jb_rel : Relation.t;
   jb_table : unit -> (int * Row.t) list Row.Tbl.t;
   mutable jb_int : int_mirror option option;
-      (** lazily built unboxed mirror of the build keys for
+      (** lazily built flat mirror of the build keys for
           single-Int-key builds; [None] = not yet examined,
           [Some None] = ineligible (multi-column or non-Int keys),
           [Some (Some m)] = mirror. Written once by the coordinator

@@ -31,15 +31,28 @@ type set_key = {
   sk_keyed : bool;  (** IN (membership set built) vs EXISTS *)
 }
 
-(** Open-addressing (linear probing) int-keyed mirror of a build
-    table; an empty bucket marks a free slot (real buckets are never
-    empty). Capacity is a power of two at most half full. *)
+(** Slot addressing of an {!int_mirror}, chosen from the build key
+    column alone. [Direct] is used when the non-NULL keys span a narrow
+    range ([hi - lo < 2 * count + 16], count = non-NULL build rows,
+    computed without overflow): key [k] lives in slot [k - lo] when
+    [lo <= k <= hi], with no hashing and no probing, so the slot table
+    never exceeds [2 * count + 17] words. Otherwise [Hashed]:
+    multiplicative hashing with linear probing over a power-of-two
+    table at most half full; [keys.(s)] is slot [s]'s key and an empty
+    row range marks a free slot (real keys own at least one row). *)
+type int_layout =
+  | Direct of { lo : int; hi : int }
+  | Hashed of { mask : int; keys : int array }
+
+(** Flat (CSR) int-keyed mirror of a build table: one array of
+    build-row indices grouped per key. Slot [s] owns
+    [im_rows.(im_start.(s)) .. im_rows.(im_start.(s + 1) - 1)], most
+    recent first (descending build index — the boxed table's bucket
+    order). *)
 type int_mirror = {
-  im_mask : int;  (** capacity - 1 *)
-  im_keys : int array;
-  im_buckets : int list array;
-      (** build-row indices per key, most recent first (the boxed
-          table's bucket order) *)
+  im_layout : int_layout;
+  im_start : int array;  (** slot count + 1 offsets into [im_rows] *)
+  im_rows : int array;
 }
 
 (** A hash-join build table: built relation plus buckets of
@@ -52,12 +65,14 @@ type join_build = {
   jb_rel : Relation.t;
   jb_table : unit -> (int * Row.t) list Row.Tbl.t;
   mutable jb_int : int_mirror option option;
-      (** lazily built unboxed mirror of [jb_table], usable only when
-          every build key is a single non-NULL [Value.Int] (so boxed
-          and unboxed lookups agree; cross-type Int/Float key equality
-          is impossible against an all-Int build side). [None] = not
-          yet examined, [Some None] = ineligible, [Some (Some m)] =
-          mirror. The coordinator populates it before any parallel
+      (** lazily built flat mirror of [jb_table] (one row-index array,
+          no per-key lists), usable only when every build key is a
+          single non-NULL [Value.Int] (so boxed and unboxed lookups
+          agree; cross-type Int/Float key equality is impossible
+          against an all-Int build side). [None] = not yet examined,
+          [Some None] = ineligible, [Some (Some m)] = mirror. Cached
+          with the build, so a loop-invariant build keeps it across
+          iterations. The coordinator populates it before any parallel
           probe fan-out; worker domains only read it. *)
 }
 

@@ -364,7 +364,7 @@ let make_join_build ?cache ?guards ~(stats : Stats.t) keys
   in
   { Cache.jb_rel = right; jb_table; jb_int = None }
 
-(** The unboxed mirror of a build table, for single-Int-key builds.
+(** The flat mirror of a build table, for single-Int-key builds.
     Eligibility requires every build key to be [[| Value.Int _ |]]:
     {!Value.equal} admits cross-type Int/Float equality and structural
     NULL matching, but against an all-Int build side an int-indexed
@@ -373,8 +373,8 @@ let make_join_build ?cache ?guards ~(stats : Stats.t) keys
     null-free by construction). Memoized on the build record so a
     cached (loop-invariant) build pays the scan once; must be forced
     on the coordinator before any parallel probe fan-out. *)
-(* Multiplicative hash for the open-addressing mirror: sequential key
-   spaces (node ids) otherwise cluster badly under linear probing. *)
+(* Multiplicative hash for the hashed layout: sequential key spaces
+   otherwise cluster badly under linear probing. *)
 let mix_int k =
   let h = k * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
@@ -383,31 +383,93 @@ let mirror_capacity count =
   let rec up c = if c >= 2 * count + 1 then c else up (2 * c) in
   up 16
 
-(* Preferred mirror construction: evaluate the right key expression as
-   a column kernel over the build side's columnar view. A typed
-   [D_int] column proves eligibility without boxing a single value;
-   masked (NULL) slots are skipped exactly as the boxed build skips
-   NULL keys. Ascending-index insertion with per-bucket prepend
-   reproduces the boxed table's most-recent-first bucket order. *)
+(* Linear probe from slot [s]; a slot owning no rows is free. *)
+let rec hashed_slot (start : int array) keys mask k s =
+  if start.(s + 1) = start.(s) then -1
+  else if keys.(s) = k then s
+  else hashed_slot start keys mask k ((s + 1) land mask)
+
+(** Slot of key [k] in the mirror, or [-1] when no build row has it. *)
+let mirror_slot (im : Cache.int_mirror) k =
+  let start = im.Cache.im_start in
+  match im.Cache.im_layout with
+  | Cache.Direct { lo; hi } ->
+    if k < lo || k > hi then -1
+    else
+      let s = k - lo in
+      if start.(s + 1) = start.(s) then -1 else s
+  | Cache.Hashed { mask; keys } -> hashed_slot start keys mask k (mix_int k land mask)
+
+(* Mirror construction from an unboxed key column; masked (NULL) slots
+   are skipped exactly as the boxed build skips NULL keys. The layout
+   depends only on the keys: direct addressing when they span a narrow
+   range, so the slot table stays within [2 * count + 17] words,
+   hashing otherwise. Rows are counted per slot, the counts are turned
+   into end offsets, and ascending-index rows are written back to front
+   — leaving each slot in descending build index (the boxed table's
+   most-recent-first bucket order) and [im_start] at each slot's
+   first row. *)
 let int_mirror_of_column (ka : int array) (nulls : bool array option) =
   let n = Array.length ka in
-  let cap = mirror_capacity n in
-  let imask = cap - 1 in
-  let ikeys = Array.make cap 0 in
-  let ibuckets = Array.make cap [] in
+  let live idx = match nulls with Some m -> not m.(idx) | None -> true in
+  let count = ref 0 and lo = ref max_int and hi = ref min_int in
   for idx = 0 to n - 1 do
-    let masked = match nulls with Some m -> m.(idx) | None -> false in
-    if not masked then begin
+    if live idx then begin
       let k = ka.(idx) in
-      let s = ref (mix_int k land imask) in
-      while ibuckets.(!s) <> [] && ikeys.(!s) <> k do
-        s := (!s + 1) land imask
-      done;
-      ikeys.(!s) <- k;
-      ibuckets.(!s) <- idx :: ibuckets.(!s)
+      incr count;
+      if k < !lo then lo := k;
+      if k > !hi then hi := k
     end
   done;
-  { Cache.im_mask = imask; im_keys = ikeys; im_buckets = ibuckets }
+  let count = !count and lo = !lo and hi = !hi in
+  (* [hi - lo] wraps negative exactly when the true span overflows. *)
+  let span = hi - lo in
+  let layout =
+    if count = 0 then Cache.Direct { lo = 0; hi = -1 }
+    else if span >= 0 && span < (2 * count) + 16 then Cache.Direct { lo; hi }
+    else
+      let cap = mirror_capacity count in
+      Cache.Hashed { mask = cap - 1; keys = Array.make cap 0 }
+  in
+  let slots =
+    match layout with
+    | Cache.Direct { lo; hi } -> hi - lo + 1
+    | Cache.Hashed { mask; _ } -> mask + 1
+  in
+  (* Per-slot row counts first; a hashed slot with no rows yet is free. *)
+  let start = Array.make (slots + 1) 0 in
+  let slot = Array.make n (-1) in
+  for idx = 0 to n - 1 do
+    if live idx then begin
+      let k = ka.(idx) in
+      let s =
+        match layout with
+        | Cache.Direct { lo; _ } -> k - lo
+        | Cache.Hashed { mask; keys } ->
+          let s = ref (mix_int k land mask) in
+          while start.(!s) > 0 && keys.(!s) <> k do
+            s := (!s + 1) land mask
+          done;
+          keys.(!s) <- k;
+          !s
+      in
+      slot.(idx) <- s;
+      start.(s) <- start.(s) + 1
+    end
+  done;
+  for s = 1 to slots - 1 do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  start.(slots) <- count;
+  let rows = Array.make count 0 in
+  for idx = 0 to n - 1 do
+    let s = slot.(idx) in
+    if s >= 0 then begin
+      start.(s) <- start.(s) - 1;
+      rows.(start.(s)) <- idx
+    end
+  done;
+  { Cache.im_layout = layout; im_start = start; im_rows = rows }
 
 let int_mirror ?cache ~(stats : Stats.t) keys (build : Cache.join_build) =
   match build.Cache.jb_int with
@@ -428,76 +490,38 @@ let int_mirror ?cache ~(stats : Stats.t) keys (build : Cache.join_build) =
       match direct with
       | Some m -> m
       | None ->
+        (* Unpack an all-Int boxed table into a masked key column; rows
+           the table lacks are exactly the NULL-key rows. *)
         let table = build.Cache.jb_table () in
+        let n = Relation.cardinality build.Cache.jb_rel in
+        let ka = Array.make n 0 and nulls = Array.make n true in
         let eligible = ref true in
-        let count = ref 0 in
         Row_tbl.iter
-          (fun k _ ->
-            incr count;
-            match k with [| Value.Int _ |] -> () | _ -> eligible := false)
+          (fun k bucket ->
+            match k with
+            | [| Value.Int key |] ->
+              List.iter
+                (fun (idx, _) ->
+                  ka.(idx) <- key;
+                  nulls.(idx) <- false)
+                bucket
+            | _ -> eligible := false)
           table;
-        if not !eligible then None
-        else begin
-          let cap = mirror_capacity !count in
-          let im =
-            {
-              Cache.im_mask = cap - 1;
-              im_keys = Array.make cap 0;
-              im_buckets = Array.make cap [];
-            }
-          in
-          Row_tbl.iter
-            (fun k bucket ->
-              match k with
-              | [| Value.Int key |] ->
-                let idx = ref (mix_int key land im.Cache.im_mask) in
-                while im.Cache.im_buckets.(!idx) <> [] do
-                  idx := (!idx + 1) land im.Cache.im_mask
-                done;
-                im.Cache.im_keys.(!idx) <- key;
-                im.Cache.im_buckets.(!idx) <- List.map fst bucket
-              | _ -> ())
-            table;
-          Some im
-        end
+        if !eligible then Some (int_mirror_of_column ka (Some nulls)) else None
     in
     build.Cache.jb_int <- Some m;
     m
 
-(* Growable pair-of-index buffer for the columnar probe: candidate
-   match lists have unknown fan-out, and boxing each (lidx, ridx) pair
-   into a list would dominate the probe loop. *)
-type sel_buf = {
-  mutable lsel : int array;
-  mutable rsel : int array;
-  mutable size : int;
-}
-
-let sel_buf_create cap =
-  { lsel = Array.make (max 16 cap) 0; rsel = Array.make (max 16 cap) 0; size = 0 }
-
-let sel_buf_push b l r =
-  if b.size = Array.length b.lsel then begin
-    let cap = 2 * b.size in
-    let grow a = let a' = Array.make cap 0 in Array.blit a 0 a' 0 b.size; a' in
-    b.lsel <- grow b.lsel;
-    b.rsel <- grow b.rsel
-  end;
-  b.lsel.(b.size) <- l;
-  b.rsel.(b.size) <- r;
-  b.size <- b.size + 1
-
-let sel_buf_contents b =
-  (Array.sub b.lsel 0 b.size, Array.sub b.rsel 0 b.size)
-
 (** Columnar probe: evaluate the left key expressions as column
-    kernels, probe the (row-built, cache-shared) table per left row in
-    index order collecting [(left, right)] index pairs — [-1] marks an
-    outer-join pad — and materialize the output as one
-    [gather_pad ++ gather_pad] per side. Candidate order, pad
-    placement, [join_probes] and [rows_joined] are exactly the row
-    probe's. Only called when there is no residual predicate (a
-    residual wants the combined row; those joins stay row-based). *)
+    kernels and emit [(left, right)] index pairs per left row in index
+    order — [-1] marks an outer-join pad — then materialize the output
+    as one [gather_pad ++ gather_pad] per side. Each chunk runs two
+    passes: the first resolves every probe row to its bucket and sums
+    the exact output size, the second fills selection vectors of that
+    size in place. Candidate order, pad placement, [join_probes] and
+    [rows_joined] are exactly the row probe's. Only called when there
+    is no residual predicate (a residual wants the combined row; those
+    joins stay row-based). *)
 let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
     keys (build : Cache.join_build) (left : Relation.t) schema : Relation.t =
   let right = build.Cache.jb_rel in
@@ -511,6 +535,14 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
       Some (Array.make (Relation.cardinality right) false)
     | _ -> None
   in
+  let mark ridx =
+    match right_matched with Some arr -> arr.(ridx) <- true | None -> ()
+  in
+  let pad =
+    match kind with
+    | Logical.Left_outer | Logical.Full_outer -> true
+    | Logical.Inner | Logical.Right_outer | Logical.Cross -> false
+  in
   let lbatch = Relation.columnar left in
   let n = Colbatch.length lbatch in
   (* Forced here, on the coordinator, so worker domains never write
@@ -519,101 +551,127 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
     if Array.length key_kerns = 1 then int_mirror ?cache ~stats keys build
     else None
   in
+  (* Returns the chunk's selection vectors and whether it emitted a
+     left-row pad (a [-1] in the right selection). *)
   let probe (st : Stats.t) lo len =
     let sub = Colbatch.slice lbatch lo len in
     let key_cols = Array.map (fun k -> k sub) key_kerns in
-    let buf = sel_buf_create len in
     let gprobe = Guards.probe () in
-    (match mirror, key_cols with
+    let size = ref 0 and padded = ref false in
+    match mirror, key_cols with
     | Some im, [| { Colbatch.data = Colbatch.D_int ka; nulls } |] ->
-      (* Unboxed probe: int key column against the open-addressing
-         mirror. A masked (NULL) slot matches nothing, same as the
-         boxed path's [key_has_null] skip against a null-free build
-         table. Guard ticks and the probe counter are applied in bulk
-         (both are totals; the row path reaches the same values). *)
+      (* Unboxed probe: int key column against the flat mirror. A
+         masked (NULL) slot matches nothing, same as the boxed path's
+         [key_has_null] skip against a null-free build table. Guard
+         ticks and the probe counter are applied in bulk (both are
+         totals; the row path reaches the same values). *)
       st.Stats.join_probes <- st.Stats.join_probes + len;
       Guards.tick_n guards gprobe ~stats:st len;
-      let pad =
-        match kind with
-        | Logical.Left_outer | Logical.Full_outer -> true
-        | Logical.Inner | Logical.Right_outer | Logical.Cross -> false
-      in
-      let imask = im.Cache.im_mask in
-      let ikeys = im.Cache.im_keys in
-      let ibuckets = im.Cache.im_buckets in
-      let rec lookup k idx =
-        match ibuckets.(idx) with
-        | [] -> []
-        | b -> if ikeys.(idx) = k then b else lookup k ((idx + 1) land imask)
-      in
+      let start = im.Cache.im_start and rows = im.Cache.im_rows in
+      let slots = Array.make len (-1) in
       for j = 0 to len - 1 do
         let isnull = match nulls with Some m -> m.(j) | None -> false in
-        let candidates =
-          if isnull then []
-          else
-            let k = ka.(j) in
-            lookup k (mix_int k land imask)
-        in
-        match candidates with
-        | [] -> if pad then sel_buf_push buf (lo + j) (-1)
-        | _ -> (
-          match right_matched with
-          | Some arr ->
-            List.iter
-              (fun ridx ->
-                arr.(ridx) <- true;
-                sel_buf_push buf (lo + j) ridx)
-              candidates
-          | None ->
-            List.iter
-              (fun ridx -> sel_buf_push buf (lo + j) ridx)
-              candidates)
-      done
+        let s = if isnull then -1 else mirror_slot im ka.(j) in
+        if s >= 0 then begin
+          slots.(j) <- s;
+          size := !size + start.(s + 1) - start.(s)
+        end
+        else if pad then begin
+          incr size;
+          padded := true
+        end
+      done;
+      let lsel = Array.make !size 0 and rsel = Array.make !size (-1) in
+      let o = ref 0 in
+      for j = 0 to len - 1 do
+        let s = slots.(j) in
+        if s >= 0 then
+          for p = start.(s) to start.(s + 1) - 1 do
+            let ridx = rows.(p) in
+            mark ridx;
+            lsel.(!o) <- lo + j;
+            rsel.(!o) <- ridx;
+            incr o
+          done
+        else if pad then begin
+          lsel.(!o) <- lo + j;
+          incr o
+        end
+      done;
+      (lsel, rsel, !padded)
     | _ ->
       let table = build.Cache.jb_table () in
+      let buckets = Array.make len [] in
       for j = 0 to len - 1 do
         Guards.tick guards gprobe ~stats:st;
         st.Stats.join_probes <- st.Stats.join_probes + 1;
         let k = Array.map (fun c -> Colbatch.get c j) key_cols in
-        let matched = ref false in
-        if not (key_has_null k) then begin
-          match Row_tbl.find_opt table k with
-          | None -> ()
-          | Some candidates ->
-            List.iter
-              (fun ((ridx, _rrow) : int * Row.t) ->
-                matched := true;
-                (match right_matched with
-                | Some arr -> arr.(ridx) <- true
-                | None -> ());
-                sel_buf_push buf (lo + j) ridx)
-              candidates
-        end;
-        if not !matched then
-          match kind with
-          | Logical.Left_outer | Logical.Full_outer ->
-            sel_buf_push buf (lo + j) (-1)
-          | Logical.Inner | Logical.Right_outer | Logical.Cross -> ()
-      done);
-    sel_buf_contents buf
+        let bucket =
+          if key_has_null k then []
+          else Option.value (Row_tbl.find_opt table k) ~default:[]
+        in
+        buckets.(j) <- bucket;
+        match bucket with
+        | [] ->
+          if pad then begin
+            incr size;
+            padded := true
+          end
+        | _ -> size := !size + List.length bucket
+      done;
+      let lsel = Array.make !size 0 and rsel = Array.make !size (-1) in
+      let o = ref 0 in
+      for j = 0 to len - 1 do
+        match buckets.(j) with
+        | [] ->
+          if pad then begin
+            lsel.(!o) <- lo + j;
+            incr o
+          end
+        | bucket ->
+          List.iter
+            (fun ((ridx, _) : int * Row.t) ->
+              mark ridx;
+              lsel.(!o) <- lo + j;
+              rsel.(!o) <- ridx;
+              incr o)
+            bucket
+      done;
+      (lsel, rsel, !padded)
   in
   let chunks = Parallel.chunked parallel ~stats ~n probe in
-  let pad =
-    match right_matched, kind with
-    | Some arr, (Logical.Right_outer | Logical.Full_outer) ->
-      let buf = sel_buf_create 16 in
-      Array.iteri (fun ridx m -> if not m then sel_buf_push buf (-1) ridx) arr;
-      [ sel_buf_contents buf ]
-    | _ -> []
+  (* Right/full outer: unmatched build rows, ascending, after every
+     chunk. *)
+  let right_pad =
+    Option.map
+      (fun arr ->
+        let rsel =
+          Array.of_seq
+            (Seq.filter (fun ridx -> not arr.(ridx))
+               (Seq.init (Array.length arr) Fun.id))
+        in
+        (Array.make (Array.length rsel) (-1), rsel))
+      right_matched
   in
-  let parts = Array.to_list chunks @ pad in
-  let lsel = Array.concat (List.map fst parts) in
-  let rsel = Array.concat (List.map snd parts) in
+  let lsel, rsel =
+    match chunks, right_pad with
+    | [| (lsel, rsel, _) |], None -> (lsel, rsel)
+    | _ ->
+      let parts =
+        Array.to_list (Array.map (fun (l, r, _) -> (l, r)) chunks)
+        @ Option.to_list right_pad
+      in
+      (Array.concat (List.map fst parts), Array.concat (List.map snd parts))
+  in
+  let left_padded =
+    match right_pad with Some (l, _) -> Array.length l > 0 | None -> false
+  in
+  let right_padded = Array.exists (fun (_, _, p) -> p) chunks in
   stats.Stats.rows_joined <- stats.Stats.rows_joined + Array.length lsel;
   let out =
     Colbatch.hstack
-      (Colbatch.gather_pad lbatch lsel)
-      (Colbatch.gather_pad (Relation.columnar right) rsel)
+      (Colbatch.gather_pad ~has_neg:left_padded lbatch lsel)
+      (Colbatch.gather_pad ~has_neg:right_padded (Relation.columnar right) rsel)
   in
   Relation.of_batch schema out
 

@@ -290,13 +290,16 @@ let gather_cells t sel has_neg =
 let gather t (sel : int array) : t = gather_cells t sel false
 
 (** Gather where a negative index produces an all-NULL cell — the
-    outer-join padding path. Columns materialize on first read. *)
-let gather_pad t (sel : int array) : t =
-  let has_neg = ref false in
-  for k = 0 to Array.length sel - 1 do
-    if sel.(k) < 0 then has_neg := true
-  done;
-  gather_cells t sel !has_neg
+    outer-join padding path. [has_neg], when the caller already knows
+    it, says whether [sel] holds any pad; otherwise [sel] is scanned.
+    Columns materialize on first read. *)
+let gather_pad ?has_neg t (sel : int array) : t =
+  let has_neg =
+    match has_neg with
+    | Some b -> b
+    | None -> Array.exists (fun i -> i < 0) sel
+  in
+  gather_cells t sel has_neg
 
 let slice_col c lo len : col =
   let data =

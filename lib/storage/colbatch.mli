@@ -72,8 +72,9 @@ val const : Value.t -> int -> col
 val gather : t -> int array -> t
 
 (** Gather where a negative index produces an all-NULL cell — the
-    outer-join padding path. *)
-val gather_pad : t -> int array -> t
+    outer-join padding path. [has_neg] must be exact when given: it
+    says whether [sel] holds any negative index, sparing the scan. *)
+val gather_pad : ?has_neg:bool -> t -> int array -> t
 
 (** [slice t lo len] — contiguous row range as a fresh batch (returns
     [t] itself for the full range). *)

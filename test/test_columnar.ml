@@ -16,6 +16,7 @@ module Value = Dbspinner_storage.Value
 module Colbatch = Dbspinner_storage.Colbatch
 module Stats = Dbspinner_exec.Stats
 module Operators = Dbspinner_exec.Operators
+module Cache = Dbspinner_exec.Cache
 module Schema = Dbspinner_storage.Schema
 module Logical = Dbspinner_plan.Logical
 module Bound_expr = Dbspinner_plan.Bound_expr
@@ -578,6 +579,189 @@ let prop_grouping_oracle =
               (show_rows want)))
 
 (* ------------------------------------------------------------------ *)
+(* Join oracle: the columnar hash probe against an order-exact         *)
+(* reference over the same cells                                       *)
+
+(** Reference equi-join on one key column, as [(left, right)] index
+    pairs with [-1] for a pad: left rows in order; within a left row,
+    the matching right rows in descending right index; an unmatched
+    left row padded in place (left/full); unmatched right rows appended
+    in ascending right index (right/full). NULL keys match nothing. *)
+let naive_join kind (lkeys : Value.t array) (rkeys : Value.t array) =
+  let nr = Array.length rkeys in
+  let rmatched = Array.make nr false in
+  let out = ref [] in
+  let pad_left, pad_right =
+    match kind with
+    | Logical.Left_outer -> (true, false)
+    | Logical.Right_outer -> (false, true)
+    | Logical.Full_outer -> (true, true)
+    | Logical.Inner | Logical.Cross -> (false, false)
+  in
+  Array.iteri
+    (fun l lk ->
+      let hit = ref false in
+      for r = nr - 1 downto 0 do
+        let rk = rkeys.(r) in
+        if (not (Value.is_null lk)) && (not (Value.is_null rk)) && Value.equal lk rk
+        then begin
+          hit := true;
+          rmatched.(r) <- true;
+          out := (l, r) :: !out
+        end
+      done;
+      if (not !hit) && pad_left then out := (l, -1) :: !out)
+    lkeys;
+  if pad_right then
+    Array.iteri (fun r m -> if not m then out := (-1, r) :: !out) rmatched;
+  List.rev !out
+
+(** A two-column relation: the key cells (classified, so Int keys with
+    NULLs become a masked typed column) and the row index as payload. *)
+let keyed_relation prefix (keys : Value.t array) =
+  let n = Array.length keys in
+  Relation.of_batch
+    (Schema.of_names [ prefix ^ "k"; prefix ^ "i" ])
+    (Colbatch.make ~len:n
+       [| Colbatch.of_values keys; Colbatch.of_values (Array.init n (fun i -> Value.Int i)) |])
+
+let join_kinds =
+  [ Logical.Inner; Logical.Left_outer; Logical.Right_outer; Logical.Full_outer ]
+
+let kind_label = function
+  | Logical.Inner -> "inner"
+  | Logical.Left_outer -> "left"
+  | Logical.Right_outer -> "right"
+  | Logical.Full_outer -> "full"
+  | Logical.Cross -> "cross"
+
+(** Run [Operators.join ~columnar:true] sequentially and chunk-parallel
+    for every join kind and compare rows (order and cell types),
+    [join_probes] and [rows_joined] with {!naive_join}. *)
+let check_join_oracle ~msg lkeys rkeys =
+  let left = keyed_relation "l" lkeys and right = keyed_relation "r" rkeys in
+  let schema = Schema.append (Relation.schema left) (Relation.schema right) in
+  let cond = Bound_expr.B_binop (Ast.Eq, Bound_expr.B_col 0, Bound_expr.B_col 2) in
+  let cells keys idx =
+    if idx < 0 then [| Value.Null; Value.Null |] else [| keys.(idx); Value.Int idx |]
+  in
+  List.iter
+    (fun kind ->
+      let want =
+        List.map
+          (fun (l, r) -> Array.append (cells lkeys l) (cells rkeys r))
+          (naive_join kind lkeys rkeys)
+      in
+      List.iter
+        (fun (mode, parallel) ->
+          let msg = Printf.sprintf "%s (%s, %s)" msg (kind_label kind) mode in
+          let stats = Stats.create () in
+          let got =
+            Operators.join ?parallel ~columnar:true ~stats kind (Some cond) left
+              right schema
+          in
+          let got = Array.to_list (Relation.rows got) in
+          if not (same_rows got want) then
+            Alcotest.failf "%s: columnar\n%s\nreference\n%s" msg (show_rows got)
+              (show_rows want);
+          Alcotest.(check int)
+            (msg ^ ": join_probes") (Array.length lkeys) stats.Stats.join_probes;
+          Alcotest.(check int)
+            (msg ^ ": rows_joined") (List.length want) stats.Stats.rows_joined)
+        [
+          ("sequential", None);
+          ("parallel", Parallel.context ~chunk_rows:4 ~workers:2 ());
+        ])
+    join_kinds
+
+(** The slot layout the probe builds for an Int build column. *)
+let build_layout rkeys =
+  let build =
+    Operators.make_join_build ~stats:(Stats.create ()) [ Bound_expr.B_col 0 ]
+      (keyed_relation "r" rkeys)
+  in
+  let probe = keyed_relation "l" [| Value.Int 0 |] in
+  ignore
+    (Operators.hash_join_probe ~columnar:true ~stats:(Stats.create ())
+       Logical.Inner
+       [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
+       [] build probe
+       (Schema.append (Relation.schema probe) (Relation.schema build.Cache.jb_rel)));
+  match build.Cache.jb_int with
+  | Some (Some { Cache.im_layout = Cache.Direct _; _ }) -> `Direct
+  | Some (Some { Cache.im_layout = Cache.Hashed _; _ }) -> `Hashed
+  | Some None | None -> `None
+
+let check_layout ~msg want rkeys =
+  let name = function `Direct -> "direct" | `Hashed -> "hashed" | `None -> "none" in
+  Alcotest.(check string) (msg ^ ": layout") (name want) (name (build_layout rkeys))
+
+let ints f n = Array.init n (fun i -> Value.Int (f i))
+
+let test_join_dense () =
+  let rkeys = ints (fun i -> i * 13 mod 35) 50 in
+  check_layout ~msg:"dense" `Direct rkeys;
+  check_join_oracle ~msg:"dense" (ints (fun i -> i * 7 mod 40) 60) rkeys
+
+let test_join_sparse () =
+  let rkeys = ints (fun i -> i mod 17 * 1_000_003) 40 in
+  check_layout ~msg:"sparse" `Hashed rkeys;
+  check_join_oracle ~msg:"sparse" (ints (fun i -> i mod 23 * 1_000_003) 50) rkeys
+
+let test_join_negative () =
+  let rkeys = ints (fun i -> -(i * 5 mod 37) - 1) 30 in
+  check_layout ~msg:"negative" `Direct rkeys;
+  check_join_oracle ~msg:"negative" (ints (fun i -> (i * 3 mod 61) - 50) 40) rkeys
+
+let test_join_extremes () =
+  (* max_int - min_int overflows: the span check must not wrap into
+     the direct layout. *)
+  let ext = [| min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1 |] in
+  let rkeys = ints (fun i -> ext.(i mod Array.length ext)) 20 in
+  check_layout ~msg:"min_int/max_int" `Hashed rkeys;
+  check_join_oracle ~msg:"min_int/max_int"
+    (ints (fun i -> if i mod 3 = 0 then 2 else ext.(i * 5 mod Array.length ext)) 15)
+    rkeys
+
+let test_join_fanout () =
+  let rkeys = ints (fun i -> i mod 3) 500 in
+  check_layout ~msg:"fan-out" `Direct rkeys;
+  check_join_oracle ~msg:"fan-out" (ints (fun i -> i mod 5) 20) rkeys
+
+let test_join_null_keys () =
+  let with_nulls every f n =
+    Array.init n (fun i -> if i mod every = 0 then Value.Null else Value.Int (f i))
+  in
+  let rkeys = with_nulls 4 (fun i -> i mod 7) 30 in
+  check_layout ~msg:"masked build" `Direct rkeys;
+  check_join_oracle ~msg:"masked probe and build" (with_nulls 3 (fun i -> i mod 9) 25) rkeys;
+  check_join_oracle ~msg:"masked probe" (with_nulls 2 (fun i -> i mod 9) 25)
+    (ints (fun i -> i mod 7) 30);
+  check_join_oracle ~msg:"all-NULL build" (ints (fun i -> i) 5)
+    (Array.make 6 Value.Null)
+
+let test_join_empty () =
+  check_join_oracle ~msg:"empty build" (ints (fun i -> i) 5) [||];
+  check_join_oracle ~msg:"empty probe" [||] (ints (fun i -> i mod 3) 6);
+  check_join_oracle ~msg:"both empty" [||] [||]
+
+let test_join_float_probe () =
+  (* 3.0 matches Int 3; 0.5 matches nothing. *)
+  let lkeys = [| Value.Float 3.0; Value.Float 0.5; Value.Float (-2.0); Value.Float 3.0 |] in
+  let rkeys = ints (fun i -> (i mod 6) - 2) 12 in
+  check_join_oracle ~msg:"float probe" lkeys rkeys;
+  let joined lk =
+    let left = keyed_relation "l" [| lk |] and right = keyed_relation "r" rkeys in
+    Relation.cardinality
+      (Operators.join ~columnar:true ~stats:(Stats.create ()) Logical.Inner
+         (Some (Bound_expr.B_binop (Ast.Eq, Bound_expr.B_col 0, Bound_expr.B_col 2)))
+         left right
+         (Schema.append (Relation.schema left) (Relation.schema right)))
+  in
+  Alcotest.(check int) "3.0 matches both Int 3 rows" 2 (joined (Value.Float 3.0));
+  Alcotest.(check int) "0.5 matches nothing" 0 (joined (Value.Float 0.5))
+
+(* ------------------------------------------------------------------ *)
 (* Cross-executor equivalence on a paper workload                      *)
 
 let test_executors_agree () =
@@ -733,6 +917,17 @@ let () =
           Alcotest.test_case "many-groups" `Quick test_oracle_many_groups;
           Alcotest.test_case "string-min-max" `Quick test_string_min_max;
           Alcotest.test_case "empty-input" `Quick test_oracle_empty;
+        ] );
+      ( "join-oracle",
+        [
+          Alcotest.test_case "dense-keys" `Quick test_join_dense;
+          Alcotest.test_case "sparse-keys" `Quick test_join_sparse;
+          Alcotest.test_case "negative-keys" `Quick test_join_negative;
+          Alcotest.test_case "min-int-max-int" `Quick test_join_extremes;
+          Alcotest.test_case "duplicate-fan-out" `Quick test_join_fanout;
+          Alcotest.test_case "null-keys" `Quick test_join_null_keys;
+          Alcotest.test_case "empty-sides" `Quick test_join_empty;
+          Alcotest.test_case "float-probe-int-build" `Quick test_join_float_probe;
         ] );
       ( "executors",
         [ Alcotest.test_case "five-executors-agree" `Quick test_executors_agree ] );

@@ -181,40 +181,41 @@ let join_schema l r = Schema.append (Relation.schema l) (Relation.schema r)
 
 let equi_cond = Bound_expr.B_binop (Ast.Eq, Bound_expr.B_col 0, Bound_expr.B_col 2)
 
-let join_consistency kind =
-  qtest ~count:100
-    (Printf.sprintf "hash join = nested loop (%s)"
-       (match kind with
-       | Logical.Inner -> "inner"
-       | Logical.Left_outer -> "left"
-       | Logical.Right_outer -> "right"
-       | Logical.Full_outer -> "full"
-       | Logical.Cross -> "cross"))
-    QCheck2.Gen.(pair (relation_gen ~arity:2 ~max_rows:12) (relation_gen ~arity:2 ~max_rows:12))
-    (fun (l, r) ->
-      let schema = join_schema l r in
-      let hash =
-        Operators.hash_join ~stats:(stats ()) kind
-          [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
-          [] l r schema
-      in
-      let nested =
-        Operators.nested_loop_join ~stats:(stats ()) kind (Some equi_cond) l r
-          schema
-      in
-      Relation.equal_bag hash nested)
-
-let join_inner = join_consistency Logical.Inner
-let join_left = join_consistency Logical.Left_outer
-let join_right = join_consistency Logical.Right_outer
-let join_full = join_consistency Logical.Full_outer
-
 let kind_name = function
   | Logical.Inner -> "inner"
   | Logical.Left_outer -> "left"
   | Logical.Right_outer -> "right"
   | Logical.Full_outer -> "full"
   | Logical.Cross -> "cross"
+
+(** The join kinds a hash join serves. *)
+let hash_kinds =
+  [ Logical.Inner; Logical.Left_outer; Logical.Right_outer; Logical.Full_outer ]
+
+(** Hash join (row or columnar probe) = nested loop, as bags. *)
+let hash_matches_nested ~columnar kind (l, r) =
+  let schema = join_schema l r in
+  let hash =
+    Operators.hash_join ~columnar ~stats:(stats ()) kind
+      [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
+      [] l r schema
+  in
+  let nested =
+    Operators.nested_loop_join ~stats:(stats ()) kind (Some equi_cond) l r
+      schema
+  in
+  Relation.equal_bag hash nested
+
+let join_consistency ~columnar kind =
+  qtest ~count:100
+    (Printf.sprintf "%shash join = nested loop (%s)"
+       (if columnar then "columnar " else "")
+       (kind_name kind))
+    QCheck2.Gen.(pair (relation_gen ~arity:2 ~max_rows:12) (relation_gen ~arity:2 ~max_rows:12))
+    (hash_matches_nested ~columnar kind)
+
+let join_consistency_cases ~columnar =
+  List.map (join_consistency ~columnar) hash_kinds
 
 (** Rows whose join key (column 0) is frequently NULL — NULL keys must
     never match but outer kinds must still pad the unmatched rows. *)
@@ -238,30 +239,51 @@ let nullable_key_relation_gen ~arity ~max_rows : Relation.t QCheck2.Gen.t =
           (Array.of_list rows))
       (list_size (int_range 0 max_rows) (nullable_key_row_gen arity)))
 
-let join_null_keys kind =
+let join_null_keys ~columnar kind =
   qtest ~count:100
-    (Printf.sprintf "hash = nested loop with NULL keys (%s)" (kind_name kind))
+    (if columnar then
+       Printf.sprintf "columnar %s hash = nested loop with NULL keys"
+         (kind_name kind)
+     else
+       Printf.sprintf "hash = nested loop with NULL keys (%s)" (kind_name kind))
     QCheck2.Gen.(
       pair
         (nullable_key_relation_gen ~arity:2 ~max_rows:12)
         (nullable_key_relation_gen ~arity:2 ~max_rows:12))
-    (fun (l, r) ->
-      let schema = join_schema l r in
-      let hash =
-        Operators.hash_join ~stats:(stats ()) kind
-          [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
-          [] l r schema
-      in
-      let nested =
-        Operators.nested_loop_join ~stats:(stats ()) kind (Some equi_cond) l r
-          schema
-      in
-      Relation.equal_bag hash nested)
+    (hash_matches_nested ~columnar kind)
 
-let join_null_inner = join_null_keys Logical.Inner
-let join_null_left = join_null_keys Logical.Left_outer
-let join_null_right = join_null_keys Logical.Right_outer
-let join_null_full = join_null_keys Logical.Full_outer
+let join_null_cases ~columnar = List.map (join_null_keys ~columnar) hash_kinds
+
+(** Rows whose join key spans the whole int range — multiples of
+    1 000 003 plus [min_int] and [max_int] — so the columnar build
+    takes its hashed layout (the small-key generators above take the
+    direct one), with NULL keys mixed in. *)
+let wide_key_relation_gen ~max_rows : Relation.t QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let key =
+      frequency
+        [
+          (6, map (fun i -> Value.Int (i * 1_000_003)) (int_range (-4) 4));
+          (1, oneofl [ Value.Int min_int; Value.Int max_int ]);
+          (1, return Value.Null);
+        ]
+    in
+    map
+      (fun rows ->
+        Relation.make (Schema.of_names [ "c0"; "c1" ]) (Array.of_list rows))
+      (list_size (int_range 0 max_rows)
+         (map2 (fun k v -> [| k; v |]) key value_gen)))
+
+let join_wide_keys ~columnar kind =
+  qtest ~count:100
+    (Printf.sprintf "%swide keys %s: hash = nested loop"
+       (if columnar then "columnar " else "")
+       (kind_name kind))
+    QCheck2.Gen.(
+      pair (wide_key_relation_gen ~max_rows:12) (wide_key_relation_gen ~max_rows:12))
+    (hash_matches_nested ~columnar kind)
+
+let join_wide_cases ~columnar = List.map (join_wide_keys ~columnar) hash_kinds
 
 (** A residual predicate rejecting every key match: inner joins become
     empty while outer kinds must pad {e all} rows of their outer
@@ -307,9 +329,11 @@ let exact_equal a b =
   Relation.cardinality a = Relation.cardinality b
   && Array.for_all2 Row.equal (Relation.rows a) (Relation.rows b)
 
-let parallel_ops_match_sequential =
+let parallel_ops_match_sequential ~columnar =
   let parallel = Dbspinner_exec.Parallel.context ~chunk_rows:1 ~workers:3 () in
-  qtest ~count:100 "chunk-parallel filter/project/hash-probe = sequential"
+  qtest ~count:100
+    ((if columnar then "columnar " else "")
+    ^ "chunk-parallel filter/project/hash-probe = sequential")
     QCheck2.Gen.(
       pair
         (nullable_key_relation_gen ~arity:2 ~max_rows:24)
@@ -320,19 +344,19 @@ let parallel_ops_match_sequential =
           (Ast.Lt, Bound_expr.B_col 0, Bound_expr.B_lit (Value.Int 3))
       in
       let seq_stats = stats () and par_stats = stats () in
-      let f_seq = Operators.filter ~stats:seq_stats pred l in
-      let f_par = Operators.filter ?parallel ~stats:par_stats pred l in
+      let f_seq = Operators.filter ~columnar ~stats:seq_stats pred l in
+      let f_par = Operators.filter ?parallel ~columnar ~stats:par_stats pred l in
       let exprs = [ (Bound_expr.B_col 0, "k") ] in
-      let p_seq = Operators.project ~stats:seq_stats exprs l in
-      let p_par = Operators.project ?parallel ~stats:par_stats exprs l in
+      let p_seq = Operators.project ~columnar ~stats:seq_stats exprs l in
+      let p_par = Operators.project ?parallel ~columnar ~stats:par_stats exprs l in
       let schema = join_schema l r in
       let j_seq =
-        Operators.hash_join ~stats:seq_stats Logical.Full_outer
+        Operators.hash_join ~columnar ~stats:seq_stats Logical.Full_outer
           [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
           [] l r schema
       in
       let j_par =
-        Operators.hash_join ?parallel ~stats:par_stats Logical.Full_outer
+        Operators.hash_join ?parallel ~columnar ~stats:par_stats Logical.Full_outer
           [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
           [] l r schema
       in
@@ -658,19 +682,22 @@ let () =
       ("value", [ value_order_total; value_order_transitive; value_arith_null ]);
       ("parser", [ parser_roundtrip; neg_chain_roundtrip ]);
       ( "joins",
-        [ join_inner; join_left; join_right; join_full; inner_join_cardinality ] );
+        join_consistency_cases ~columnar:false
+        @ [ inner_join_cardinality ]
+        @ join_consistency_cases ~columnar:true
+        @ join_wide_cases ~columnar:false
+        @ join_wide_cases ~columnar:true );
       ( "join-edges",
-        [
-          join_null_inner;
-          join_null_left;
-          join_null_right;
-          join_null_full;
-          join_residual_inner;
-          join_residual_left;
-          join_residual_right;
-          join_residual_full;
-          parallel_ops_match_sequential;
-        ] );
+        join_null_cases ~columnar:false
+        @ [
+            join_residual_inner;
+            join_residual_left;
+            join_residual_right;
+            join_residual_full;
+            parallel_ops_match_sequential ~columnar:false;
+          ]
+        @ join_null_cases ~columnar:true
+        @ [ parallel_ops_match_sequential ~columnar:true ] );
       ( "aggregates",
         [
           sum_matches_fold;
