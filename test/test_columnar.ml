@@ -918,7 +918,7 @@ let () =
           Alcotest.test_case "string-min-max" `Quick test_string_min_max;
           Alcotest.test_case "empty-input" `Quick test_oracle_empty;
         ] );
-      ( "join-oracle",
+      ( "join-probe",
         [
           Alcotest.test_case "dense-keys" `Quick test_join_dense;
           Alcotest.test_case "sparse-keys" `Quick test_join_sparse;
