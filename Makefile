@@ -138,22 +138,24 @@ durable-smoke: build
 # agreement, and the delta-on vs delta-off property under a fixed
 # seed), then the fast delta bench, which re-checks on/off equivalence
 # across sequential / traced / parallel / cached / distributed runs
-# and writes BENCH_delta.json (per-iteration on/off timings for SSSP
-# and friends-forecast) for CI trend tracking.
+# and writes its records (per-iteration on/off timings for SSSP and
+# friends-forecast) to the untracked BENCH_delta.smoke.json; the
+# committed BENCH_delta.json holds the full-scale run.
 delta-smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_delta.exe
-	$(DUNE) exec bench/main.exe -- ext-delta --fast --json BENCH_delta.json
+	$(DUNE) exec bench/main.exe -- ext-delta --fast --json BENCH_delta.smoke.json
 
 # Columnar smoke: the vectorized-execution suite (null-bitmap corners,
 # five-executor agreement, and the columnar on/off property under a
 # fixed seed), then the fast columnar bench, which re-checks row vs
 # columnar equivalence — results and logical stats — across the
 # sequential / parallel / cached / delta / distributed executors and
-# writes BENCH_columnar.json (row vs columnar timings and speedups per
-# workload) for CI trend tracking.
+# writes its records (row vs columnar timings and speedups per
+# workload) to the untracked BENCH_columnar.smoke.json; the committed
+# BENCH_columnar.json holds the full-scale run.
 columnar-smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_columnar.exe
-	$(DUNE) exec bench/main.exe -- ext-columnar --fast --json BENCH_columnar.json
+	$(DUNE) exec bench/main.exe -- ext-columnar --fast --json BENCH_columnar.smoke.json
 
 # Rewrite-engine smoke: the rule-combinator suite under a fixed seed
 # (combinator laws, per-pass golden rule logs, engine on/off

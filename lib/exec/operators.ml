@@ -963,8 +963,10 @@ let key_cell_fns (c : Colbatch.col) : (int -> int) * (int -> int -> bool) =
     The open-addressing table is sized by the groups seen so far, not
     by [n], and doubles at half load; each group keeps its hash, so
     regrowth never rereads key cells. A row equal to its predecessor
-    takes its group without hashing: join outputs arrive clustered by
-    probe row, so most rows of a GROUP BY over a join take this path. *)
+    takes its group without hashing. That shortcut matters only on
+    {!columnar_aggregate}'s fallback path, where join outputs arrive
+    clustered by probe row; its source-row path hands this function
+    distinct source rows. *)
 let group_ids ~tick key_cols n : int array * int array =
   let gid = Array.make n 0 in
   let nkc = Array.length key_cols in
@@ -1151,26 +1153,95 @@ let boxed_columns (boxed : (Logical.agg * Colbatch.col) option array) gid ng :
          Colbatch.of_values (Array.map (finalize a.agg_kind) accs)))
     cells
 
-(** Columnar hash aggregation: vectorize the key and argument
-    expressions over the whole batch, number the groups (phase 1), fold
-    every aggregate into per-group cells (phase 2), and emit keys as a
-    gather at each group's first row beside the aggregate columns. *)
+(** The distinct source rows of a batch that gathers [root] through the
+    composed selection [sel] of length [n] (see
+    {!Colbatch.gather_source}): the gather of [root] at each source row
+    in first-appearance order, with every pad sharing one all-NULL row,
+    and each input row's position in it. *)
+let source_rows (root : Colbatch.t) sel n : int array * Colbatch.t =
+  let pos = Array.make n 0 in
+  let slot = Array.make (Colbatch.length root) (-1) in
+  let csel = Array.make (min n (Colbatch.length root + 1)) 0 in
+  let m = ref 0 and pad = ref (-1) in
+  let fresh s =
+    let c = !m in
+    csel.(c) <- s;
+    m := c + 1;
+    c
+  in
+  for r = 0 to n - 1 do
+    let s = sel.(r) in
+    pos.(r) <-
+      (if s < 0 then begin
+         if !pad < 0 then pad := fresh (-1);
+         !pad
+       end
+       else begin
+         if slot.(s) < 0 then slot.(s) <- fresh s;
+         slot.(s)
+       end)
+  done;
+  (pos, Colbatch.gather_pad ~has_neg:(!pad >= 0) root (Array.sub csel 0 !m))
+
+(** Columnar hash aggregation: number the groups (phase 1), fold every
+    aggregate's argument column, vectorized over the whole batch, into
+    per-group cells (phase 2), and emit the keys at each group's first
+    row beside the aggregate columns.
+
+    Phase 1 groups by source row when every column the keys read
+    gathers one source batch through one chain, as the CTE's columns do
+    after the loop body's joins and filters, and the batch is no shorter
+    than that source. Bound key expressions are pure row functions, so
+    input rows from one source row share their keys: the keys are
+    evaluated and numbered over the distinct source rows only
+    ({!source_rows}), and each input row takes its source row's group.
+    The groups, their first-appearance numbering and their first-seen
+    key values are those of {!group_ids} over all [n] rows, and a key
+    that raises on some source row raises exactly when that row
+    appears in the input. Any other batch (keys from both join sides,
+    row-built, sliced or concatenated) evaluates the keys over all [n]
+    rows. *)
 let columnar_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
     (input : Relation.t) schema : Relation.t =
   let batch = Relation.columnar input in
   let n = Colbatch.length batch in
-  let eval e = (compiled_kernel ?cache ~stats e) batch in
-  let key_cols = Array.of_list (List.map eval keys) in
+  let eval b e = (compiled_kernel ?cache ~stats e) b in
+  let by_source =
+    match
+      Colbatch.gather_source batch (List.concat_map Bound_expr.columns_of keys)
+    with
+    | Some (root, sel) when Colbatch.length root <= n ->
+      Some (source_rows root sel n)
+    | _ -> None
+  in
+  let key_rows =
+    match by_source with Some (_, compact) -> compact | None -> batch
+  in
+  let key_cols = Array.of_list (List.map (eval key_rows) keys) in
   let arg_cols =
     Array.map
       (fun (a : Logical.agg) ->
         match a.agg_kind with
         | Ast.Count_star -> None
-        | _ -> Some (eval a.agg_arg))
+        | _ -> Some (eval batch a.agg_arg))
       aggs
   in
   let gprobe = Guards.probe () in
-  let gid, rep = group_ids ~tick:(Guards.tick_n guards gprobe ~stats) key_cols n in
+  let tick = Guards.tick_n guards gprobe ~stats in
+  let gid, rep =
+    match by_source with
+    | None -> group_ids ~tick key_cols n
+    | Some (pos, compact) ->
+      let cgid, rep =
+        group_ids ~tick:ignore key_cols (Colbatch.length compact)
+      in
+      (* Remap in place; the guards still count all [n] input rows. *)
+      for r = 0 to n - 1 do
+        if r land 4095 = 0 then tick (min 4096 (n - r));
+        pos.(r) <- cgid.(pos.(r))
+      done;
+      (pos, rep)
+  in
   let ng = Array.length rep in
   let typed = Array.mapi (fun i a -> agg_column a arg_cols.(i) gid ng) aggs in
   let boxed =
@@ -1191,7 +1262,9 @@ let columnar_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
         | None, None -> assert false (* COUNT star is always typed *))
       typed
   in
-  let kbatch = Colbatch.gather (Colbatch.make ~len:n key_cols) rep in
+  let kbatch =
+    Colbatch.gather (Colbatch.make ~len:(Colbatch.length key_rows) key_cols) rep
+  in
   Relation.of_batch schema
     (Colbatch.hstack kbatch (Colbatch.make ~len:ng agg_cols))
 

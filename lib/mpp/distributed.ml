@@ -143,21 +143,21 @@ let combiner_aggs ~nkeys (aggs : Logical.agg list) : Logical.agg list =
     pre-aggregated locally so only one partial row per (worker, group)
     crosses the network — the standard MPP shuffle-volume
     optimization. *)
-let run_aggregate ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
-    ~stats ~keys ~aggs ~agg_schema (d : dist_rel) : dist_rel =
+let run_aggregate ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
+    ~fault ~stats ~keys ~aggs ~agg_schema (d : dist_rel) : dist_rel =
   let nkeys = List.length keys in
   if decomposable aggs then begin
     let partial =
       per_partition ~pool ~fault ~stats
         (fun st part ->
-          Operators.aggregate ?cache ~columnar ~stats:st ~keys ~aggs part
-            agg_schema)
+          Operators.aggregate ?cache ?guards ~columnar ~stats:st ~keys ~aggs
+            part agg_schema)
         d
     in
     let final_keys = List.init nkeys (fun i -> Bound_expr.B_col i) in
     let final_aggs = combiner_aggs ~nkeys aggs in
     let combine st part =
-      Operators.aggregate ?cache ~columnar ~stats:st ~keys:final_keys
+      Operators.aggregate ?cache ?guards ~columnar ~stats:st ~keys:final_keys
         ~aggs:final_aggs part agg_schema
     in
     if nkeys = 0 then begin
@@ -186,7 +186,7 @@ let run_aggregate ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
       parts =
         Array.init workers (fun i ->
             if i = 0 then
-              Operators.aggregate ?cache ~columnar ~stats ~keys ~aggs
+              Operators.aggregate ?cache ?guards ~columnar ~stats ~keys ~aggs
                 g.parts.(0) agg_schema
             else Relation.empty agg_schema);
     }
@@ -200,14 +200,15 @@ let run_aggregate ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
     in
     per_partition ~pool ~fault ~stats
       (fun st part ->
-        Operators.aggregate ?cache ~columnar ~stats:st ~keys ~aggs part
-          agg_schema)
+        Operators.aggregate ?cache ?guards ~columnar ~stats:st ~keys ~aggs
+          part agg_schema)
       d
   end
 
-let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
-    ~(stats : Stats.t) (catalog : Catalog.t) (plan : Logical.t) : dist_rel =
-  let run = run ?temps ?cache ~columnar ~pool ~fault in
+let rec run ?temps ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
+    ~fault ~(stats : Stats.t) (catalog : Catalog.t) (plan : Logical.t) :
+    dist_rel =
+  let run = run ?temps ?cache ?guards ~columnar ~pool ~fault in
   (* Per-partition operator work fans out across the Domain pool;
      exchanges (repartition/gather) and fault ticks stay on the
      coordinator. *)
@@ -231,16 +232,18 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
            Hashtbl.find_opt t (String.lowercase_ascii name)))
   | Logical.L_scan _ | Logical.L_values _ ->
     let rel =
-      Executor.run_plan ?cache ~columnar ~stats catalog plan
+      Executor.run_plan ?cache ?guards ~columnar ~stats catalog plan
     in
     { parts = Partition.round_robin ~workers rel }
   | Logical.L_filter { pred; input } ->
     per_partition
-      (fun st part -> Operators.filter ?cache ~columnar ~stats:st pred part)
+      (fun st part ->
+        Operators.filter ?cache ?guards ~columnar ~stats:st pred part)
       (run ~workers ~shuffles ~stats catalog input)
   | Logical.L_project { exprs; input } ->
     per_partition
-      (fun st part -> Operators.project ?cache ~columnar ~stats:st exprs part)
+      (fun st part ->
+        Operators.project ?cache ?guards ~columnar ~stats:st exprs part)
       (run ~workers ~shuffles ~stats catalog input)
   | Logical.L_join { kind; cond; left; right; join_schema } -> (
     let dl = run ~workers ~shuffles ~stats catalog left in
@@ -260,8 +263,8 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
         parts =
           Array.init workers (fun i ->
               if i = 0 then
-                Operators.join ?cache ~columnar ~stats kind cond dl.parts.(0)
-                  dr.parts.(0) join_schema
+                Operators.join ?cache ?guards ~columnar ~stats kind cond
+                  dl.parts.(0) dr.parts.(0) join_schema
               else Relation.empty join_schema);
       }
     | keys ->
@@ -278,13 +281,13 @@ let rec run ?temps ?cache ?(columnar = false) ~pool ~workers ~shuffles ~fault
       {
         parts =
           on_partitions workers (fun st i ->
-              Operators.join ?cache ~columnar ~stats:st kind cond dl.parts.(i)
-                dr.parts.(i) join_schema);
+              Operators.join ?cache ?guards ~columnar ~stats:st kind cond
+                dl.parts.(i) dr.parts.(i) join_schema);
       })
   | Logical.L_aggregate { keys; aggs; input; agg_schema } ->
     let d = run ~workers ~shuffles ~stats catalog input in
-    run_aggregate ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-      ~keys ~aggs ~agg_schema d
+    run_aggregate ?cache ?guards ~columnar ~pool ~workers ~shuffles ~fault
+      ~stats ~keys ~aggs ~agg_schema d
   | Logical.L_distinct input ->
     let d = run ~workers ~shuffles ~stats catalog input in
     let d = repartition ~workers ~shuffles ~key:(fun row -> row) d in
@@ -429,11 +432,13 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
   let shuffles = { rows_shuffled = 0; exchanges = 0 } in
   let temps : (string, dist_rel) Hashtbl.t = Hashtbl.create 8 in
   let key = String.lowercase_ascii in
+  (* Operators probe the guards mid-loop, as on the single-node path. *)
+  let gopt = if Guards.is_none guards then None else Some guards in
   let backend =
     {
       Executor.eval =
-        run ~temps ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats
-          catalog;
+        run ~temps ?cache ?guards:gopt ~columnar ~pool ~workers ~shuffles
+          ~fault ~stats catalog;
       find = (fun name -> Hashtbl.find_opt temps (key name));
       bind = (fun name d -> Hashtbl.replace temps (key name) d);
       rename =

@@ -45,6 +45,7 @@ type col = {
 type cell = { memo : col option Atomic.t; src : src }
 
 and src =
+  | S_col of col  (** a column built eagerly ({!make}, {!of_rows}) *)
   | S_thunk of (unit -> col)  (** arbitrary pure builder *)
   | S_gather of cell * int array * bool
       (** [(base, sel, has_neg)]: pad-gather of another cell; [-1]
@@ -55,7 +56,7 @@ type t = {
   cells : cell array;
 }
 
-let cell_of_col c = { memo = Atomic.make (Some c); src = S_thunk (fun () -> c) }
+let cell_of_col c = { memo = Atomic.make (Some c); src = S_col c }
 
 let cell_of_thunk f = { memo = Atomic.make None; src = S_thunk f }
 
@@ -168,6 +169,7 @@ let rec force (cell : cell) : col =
   | None ->
     let c =
       match cell.src with
+      | S_col c -> c
       | S_thunk f -> f ()
       | S_gather (base, sel, has_neg) -> resolve_gather base sel has_neg
     in
@@ -182,7 +184,7 @@ and resolve_gather base sel has_neg : col =
     | S_gather (b2, s2, _) ->
       let sel', has_neg' = compose s2 sel in
       resolve_gather b2 sel' has_neg'
-    | S_thunk _ -> gather_pad_col ~has_neg (force base) sel)
+    | S_col _ | S_thunk _ -> gather_pad_col ~has_neg (force base) sel)
 
 let col t i = force t.cells.(i)
 let value_at t j i = get (col t j) i
@@ -300,6 +302,52 @@ let gather_pad ?has_neg t (sel : int array) : t =
     | None -> Array.exists (fun i -> i < 0) sel
   in
   gather_cells t sel has_neg
+
+(** Where columns [cols] of [t] come from, when each is a lazy gather
+    through one chain of selection vectors over eagerly built root
+    columns of one length. Returns [(root, sel)]: [root] has the roots'
+    length, with the root of column [j] at index [j] for each [j] in
+    [cols] (other indices hold unread all-NULL placeholders), and cell
+    [i] of column [j] of [t] is cell [sel.(i)] of that root, or NULL
+    where [sel.(i) = -1]. [sel] may be shared with [t]: never mutate
+    it.
+
+    Only [src] links are walked, never memo cells, so the answer
+    depends on how [t] was built, not on which of its columns some
+    reader already forced. [None] when [cols] is empty, when a column
+    is no gather, when two chains differ at some level (selections are
+    compared physically), when a root is a thunk (a {!slice}, a
+    {!concat} or a deferred builder), or when the roots' lengths
+    differ. *)
+let gather_source t (cols : int list) : (t * int array) option =
+  (* A cell's selections, innermost first, and its root column. *)
+  let rec walk sels cell =
+    match cell.src with
+    | S_gather (base, sel, _) -> walk (sel :: sels) base
+    | S_col c -> Some (sels, c)
+    | S_thunk _ -> None
+  in
+  let walked = List.map (fun j -> (j, walk [] t.cells.(j))) cols in
+  match walked with
+  | (_, Some ((inner :: outer as sels), root0)) :: _ ->
+    let len = data_length root0.data in
+    let same = function
+      | _, Some (s, r) -> List.equal ( == ) s sels && data_length r.data = len
+      | _, None -> false
+    in
+    if not (List.for_all same walked) then None
+    else begin
+      let cells =
+        Array.init (arity t) (fun _ ->
+            cell_of_thunk (fun () -> const Value.Null len))
+      in
+      List.iter
+        (function j, Some (_, r) -> cells.(j) <- cell_of_col r | _ -> ())
+        walked;
+      let sel = List.fold_left (fun acc s -> fst (compose acc s)) inner outer in
+      Some ({ len; cells }, sel)
+    end
+  | _ -> None
 
 let slice_col c lo len : col =
   let data =

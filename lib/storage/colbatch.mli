@@ -76,6 +76,20 @@ val gather : t -> int array -> t
     says whether [sel] holds any negative index, sparing the scan. *)
 val gather_pad : ?has_neg:bool -> t -> int array -> t
 
+(** [gather_source t cols] — where columns [cols] of [t] come from,
+    when each is a lazy gather ({!gather}, {!gather_pad}) through the
+    physically same chain of selection vectors over eagerly built root
+    columns ({!make}, {!of_rows}) of one length: [Some (root, sel)],
+    where column [j] of [root] is the root of column [j] of [t] (for
+    [j] in [cols]; other columns of [root] are unread placeholders) and
+    cell [i] of column [j] of [t] is cell [sel.(i)] of [root]'s column
+    [j], or NULL where [sel.(i) = -1]. Only how [t] was built matters,
+    never which columns were already forced. [None] for an empty
+    [cols], a column that is no gather, differing chains, a thunk root
+    (slice, concat) or roots of unequal length. [sel] may be shared:
+    never mutate it. *)
+val gather_source : t -> int list -> (t * int array) option
+
 (** [slice t lo len] — contiguous row range as a fresh batch (returns
     [t] itself for the full range). *)
 val slice : t -> int -> int -> t

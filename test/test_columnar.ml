@@ -118,6 +118,109 @@ let test_colbatch_gather_of_gather () =
   Alcotest.check value_testable "composed head" (Value.Int 14)
     (Colbatch.value_at g2 0 2)
 
+(* [gather_source] against the gathers themselves: cell [i] of each
+   named column is the root's cell [sel.(i)], or NULL at a pad. *)
+let check_source ~msg b cols =
+  match Colbatch.gather_source b cols with
+  | None -> Alcotest.failf "%s: no source" msg
+  | Some (root, sel) ->
+    Alcotest.(check int) (msg ^ ": selection length") (Colbatch.length b)
+      (Array.length sel);
+    List.iter
+      (fun j ->
+        Array.iteri
+          (fun i s ->
+            Alcotest.check value_testable
+              (Printf.sprintf "%s: column %d row %d" msg j i)
+              (Colbatch.value_at b j i)
+              (if s < 0 then Value.Null else Colbatch.value_at root j s))
+          sel)
+      cols;
+    (root, sel)
+
+let source_root () =
+  Colbatch.make ~len:5
+    [| Colbatch.of_values [| vi 10; vi 11; vnull; vi 13; vi 14 |];
+       Colbatch.of_values_raw [| vs "a"; vf 1.5; vi 2; vnull; vs "e" |];
+       Colbatch.of_values [| vf 0.5; vf 1.5; vf 2.5; vf 3.5; vf 4.5 |] |]
+
+let test_gather_source_selection () =
+  let root = source_root () in
+  let g1 = Colbatch.gather_pad root [| 4; -1; 2; 0; 2 |] in
+  let _, sel = check_source ~msg:"one level" g1 [ 0; 1; 2 ] in
+  Alcotest.(check (array int)) "one level selection" [| 4; -1; 2; 0; 2 |] sel;
+  (* A join puts another batch beside [g1]; a filter gathers again. *)
+  let other =
+    Colbatch.make ~len:5 [| Colbatch.of_values (Array.make 5 (vi 0)) |]
+  in
+  let g2 =
+    Colbatch.gather_pad (Colbatch.hstack g1 other) [| 0; 4; -1; 1; 3; 3 |]
+  in
+  let g3 = Colbatch.gather g2 [| 5; 0; 2; 3 |] in
+  let _, sel = check_source ~msg:"three levels" g3 [ 0; 2 ] in
+  Alcotest.(check (array int)) "composed selection" [| 0; 4; -1; -1 |] sel;
+  let _, sel = check_source ~msg:"beside" g2 [ 3 ] in
+  Alcotest.(check (array int)) "the other side's chain"
+    [| 0; 4; -1; 1; 3; 3 |] sel
+
+let test_gather_source_none () =
+  let root = source_root () in
+  let none msg b cols =
+    Alcotest.(check bool) msg true
+      (Option.is_none (Colbatch.gather_source b cols))
+  in
+  let sel = [| 1; 0; -1 |] in
+  none "no columns" (Colbatch.gather root sel) [];
+  none "no gather" root [ 0 ];
+  let a = Colbatch.gather_pad root sel in
+  let b = Colbatch.gather_pad root (Array.copy sel) in
+  none "equal but distinct selections" (Colbatch.hstack a b) [ 0; 3 ];
+  let deeper =
+    Colbatch.gather (Colbatch.gather root [| 0; 1; 2 |]) [| 0; 1; 2 |]
+  in
+  none "chains of unequal depth" (Colbatch.hstack a deeper) [ 1; 3 ];
+  none "slice root" (Colbatch.gather_pad (Colbatch.slice root 1 3) sel) [ 0 ];
+  none "concat root"
+    (Colbatch.gather_pad (Colbatch.concat [| root; root |]) sel) [ 0 ];
+  let short = Colbatch.make ~len:2 [| Colbatch.of_values [| vi 1; vi 2 |] |] in
+  let shared = [| 1; -1 |] in
+  none "roots of unequal length"
+    (Colbatch.hstack (Colbatch.gather_pad root shared)
+       (Colbatch.gather_pad short shared))
+    [ 0; 3 ]
+
+let test_gather_source_forced () =
+  (* Forcing columns, or the intermediate gather they compose through,
+     memoizes them; the answer must not move. *)
+  let build () =
+    let root = source_root () in
+    let g1 = Colbatch.gather_pad root [| 3; -1; 1; 1 |] in
+    let g2 = Colbatch.gather_pad g1 [| 2; 0; 1; 2; -1 |] in
+    let mixed =
+      Colbatch.hstack g2 (Colbatch.gather_pad g1 [| 0; 0; 0; 0; 0 |])
+    in
+    (g1, g2, mixed)
+  in
+  let answer b cols =
+    Option.map (fun (r, sel) -> (Colbatch.length r, sel))
+      (Colbatch.gather_source b cols)
+  in
+  let _, g2, mixed = build () in
+  let lazy_g2 = answer g2 [ 0; 1 ] and lazy_mixed = answer mixed [ 0; 3 ] in
+  let g1, g2, mixed = build () in
+  for j = 0 to 2 do
+    ignore (Colbatch.col g1 j);
+    ignore (Colbatch.col g2 j);
+    ignore (Colbatch.col mixed (j + 3))
+  done;
+  Alcotest.(check (option (pair int (array int)))) "same source" lazy_g2
+    (answer g2 [ 0; 1 ]);
+  Alcotest.(check (option (pair int (array int)))) "same fallback" lazy_mixed
+    (answer mixed [ 0; 3 ]);
+  Alcotest.(check bool) "found" true (Option.is_some lazy_g2);
+  Alcotest.(check bool) "not found" true (Option.is_none lazy_mixed);
+  ignore (check_source ~msg:"forced" g2 [ 0; 1; 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* NULL semantics through SQL, row vs columnar                         *)
 
@@ -285,19 +388,19 @@ let show_rows rows =
 (** Run the columnar aggregate over explicit columns (their
     representation — typed, masked or boxed — is the caller's) and the
     naive reference over the same cells. *)
-let oracle_pair ~keys ~aggs (cols : Colbatch.col array) n =
+let columnar_rows ~(keys : Bound_expr.t list) ~aggs batch =
   let input =
     Relation.of_batch
-      (Schema.of_names (List.init (Array.length cols) (Printf.sprintf "c%d")))
-      (Colbatch.make ~len:n cols)
+      (Schema.of_names
+         (List.init (Colbatch.arity batch) (Printf.sprintf "c%d")))
+      batch
   in
   let out_schema =
     Schema.of_names
       (List.init (List.length keys + List.length aggs) (Printf.sprintf "o%d"))
   in
   let got =
-    Operators.aggregate ~columnar:true ~stats:(Stats.create ())
-      ~keys:(List.map (fun k -> Bound_expr.B_col k) keys)
+    Operators.aggregate ~columnar:true ~stats:(Stats.create ()) ~keys
       ~aggs:
         (List.map
            (fun (kind, distinct, arg) ->
@@ -309,8 +412,16 @@ let oracle_pair ~keys ~aggs (cols : Colbatch.col array) n =
            aggs)
       input out_schema
   in
+  Array.to_list (Relation.rows got)
+
+let oracle_pair ~keys ~aggs (cols : Colbatch.col array) n =
+  let got =
+    columnar_rows
+      ~keys:(List.map (fun k -> Bound_expr.B_col k) keys)
+      ~aggs (Colbatch.make ~len:n cols)
+  in
   let rows = List.init n (fun i -> Array.map (fun c -> Colbatch.get c i) cols) in
-  (Array.to_list (Relation.rows got), naive_aggregate ~keys ~aggs rows)
+  (got, naive_aggregate ~keys ~aggs rows)
 
 let check_oracle ~msg ?expect ~keys ~aggs cols n =
   let got, want = oracle_pair ~keys ~aggs cols n in
@@ -577,6 +688,262 @@ let prop_grouping_oracle =
          same_rows got want
          || Test.fail_reportf "columnar\n%s\nreference\n%s" (show_rows got)
               (show_rows want)))
+
+(* ------------------------------------------------------------------ *)
+(* Source-row grouping: the aggregate over inputs gathered from a root  *)
+(* batch, as the CTE reaches a loop body's GROUP BY after its joins     *)
+
+(** [levels] nested pad-gathers over a root batch of [cols]. *)
+let gathered ~len cols levels =
+  List.fold_left
+    (fun b sel -> Colbatch.gather_pad b sel)
+    (Colbatch.make ~len cols) levels
+
+(** Whether the aggregate groups [batch] by source row: every column
+    the keys read gathers one root through one chain, and the batch is
+    no shorter than the root. *)
+let by_source ~keys batch =
+  match
+    Colbatch.gather_source batch (List.concat_map Bound_expr.columns_of keys)
+  with
+  | Some (root, _) -> Colbatch.length root <= Colbatch.length batch
+  | None -> false
+
+(** The columnar aggregate over [batch] against the naive reference over
+    its rows, with the key expressions evaluated by the row
+    interpreter. [path] is whether the batch must take the source-row
+    path. *)
+let check_source_oracle ~msg ?expect ~path ~keys ~aggs batch =
+  Alcotest.(check bool) (msg ^ ": grouped by source row") path
+    (by_source ~keys batch);
+  let got = columnar_rows ~keys ~aggs batch in
+  let ar = Colbatch.arity batch in
+  let key_fns = List.map Dbspinner_exec.Eval.compile keys in
+  let rows =
+    List.map
+      (fun r -> Array.append r (Array.of_list (List.map (fun f -> f r) key_fns)))
+      (Array.to_list (Colbatch.to_rows batch))
+  in
+  let want =
+    naive_aggregate ~keys:(List.mapi (fun i _ -> ar + i) keys) ~aggs rows
+  in
+  if not (same_rows got want) then
+    Alcotest.failf "%s: columnar\n%s\nreference\n%s" msg (show_rows got)
+      (show_rows want);
+  Option.iter
+    (fun e ->
+      if not (same_rows got e) then
+        Alcotest.failf "%s: got\n%s\nexpected\n%s" msg (show_rows got)
+          (show_rows e))
+    expect
+
+let col k = Bound_expr.B_col k
+
+let test_source_pads () =
+  (* A LEFT JOIN's pads and a source row whose key is NULL form one
+     group; source rows 0 and 3 share key 1 and merge. *)
+  let cols =
+    [| Colbatch.of_values [| vi 1; vi 2; vnull; vi 1 |];
+       Colbatch.of_values [| vi 10; vi 20; vi 30; vi 40 |] |]
+  in
+  let aggs =
+    [ (Ast.Count_star, false, 0); (Ast.Sum, false, 1); (Ast.Count, false, 1) ]
+  in
+  let lvl1 = [| 0; -1; 2; 1; -1; 3; 2 |] in
+  check_source_oracle ~msg:"one level" ~path:true ~keys:[ col 0 ] ~aggs
+    ~expect:
+      [ [| vi 1; vi 2; vi 50; vi 2 |]; [| vnull; vi 4; vi 60; vi 2 |];
+        [| vi 2; vi 1; vi 20; vi 1 |] ]
+    (gathered ~len:4 cols [ lvl1 ]);
+  let lvl2 = [| 6; 1; 1; -1; 0; 5; 3; 3; 2 |] and lvl3 = [| 8; 0; 3; 2; 5 |] in
+  check_source_oracle ~msg:"two levels" ~path:true ~keys:[ col 0 ] ~aggs
+    (gathered ~len:4 cols [ lvl1; lvl2 ]);
+  check_source_oracle ~msg:"three levels" ~path:true ~keys:[ col 0; col 1 ]
+    ~aggs
+    (gathered ~len:4 cols [ lvl1; lvl2; lvl3 ]);
+  check_source_oracle ~msg:"only pads" ~path:true ~keys:[ col 0 ] ~aggs
+    ~expect:[ [| vnull; vi 5; vnull; vi 0 |] ]
+    (gathered ~len:4 cols [ Array.make 5 (-1) ])
+
+let test_source_equal_keys () =
+  (* The paper's key shape, node and rank + delta: source rows 0 and 2
+     are equal, so their fan-outs fall in one group. *)
+  let cols =
+    [| Colbatch.of_values [| vi 7; vi 8; vi 7 |];
+       Colbatch.of_values [| vf 1.0; vf 2.0; vf 1.0 |];
+       Colbatch.of_values [| vf 0.5; vf 0.25; vf 0.5 |] |]
+  in
+  let keys = [ col 0; Bound_expr.B_binop (Ast.Add, col 1, col 2) ] in
+  check_source_oracle ~msg:"equal source rows" ~path:true ~keys
+    ~aggs:[ (Ast.Count_star, false, 0); (Ast.Sum, false, 2) ]
+    ~expect:
+      [ [| vi 7; vf 1.5; vi 5; vf 2.5 |]; [| vi 8; vf 2.25; vi 1; vf 0.25 |] ]
+    (gathered ~len:3 cols [ [| 2; 2; 0; 1; 0; 2 |] ])
+
+let test_source_mixed_numeric () =
+  (* Int 3 and Float 3.0 from two source rows are one key; the first
+     row in the input decides which is emitted. *)
+  let cols = [| boxed [| vi 3; vf 3.0; vi 5 |] |] in
+  let aggs = [ (Ast.Count_star, false, 0) ] in
+  check_source_oracle ~msg:"float first" ~path:true ~keys:[ col 0 ] ~aggs
+    ~expect:[ [| vf 3.0; vi 4 |]; [| vi 5; vi 1 |] ]
+    (gathered ~len:3 cols [ [| 1; 0; 1; 2; 0 |] ]);
+  check_source_oracle ~msg:"int first" ~path:true ~keys:[ col 0 ] ~aggs
+    ~expect:[ [| vi 3; vi 3 |]; [| vi 5; vi 1 |] ]
+    (gathered ~len:3 cols [ [| 0; 2; 1; 1 |] ])
+
+let test_source_division () =
+  (* Keys are evaluated only on source rows the input holds: a zero
+     divisor on a dropped row raises nothing, and on a kept row raises
+     what the whole-batch path raises over the same cells. *)
+  let cols =
+    [| Colbatch.of_values [| vi 1; vi 0; vi 2; vi 4 |];
+       Colbatch.of_values [| vi 5; vi 6; vi 7; vi 8 |] |]
+  in
+  let keys = [ Bound_expr.B_binop (Ast.Div, Bound_expr.B_lit (vi 1), col 0) ] in
+  let aggs = [ (Ast.Sum, false, 1) ] in
+  check_source_oracle ~msg:"zero dropped" ~path:true ~keys ~aggs
+    ~expect:
+      [ [| vf 0.5; vi 14 |]; [| vi 1; vi 5 |]; [| vf 0.25; vi 8 |];
+        [| vnull; vnull |] ]
+    (gathered ~len:4 cols [ [| 2; 0; 3; -1; 2 |] ]);
+  let kept = gathered ~len:4 cols [ [| 2; 0; 1; 3; 1; 0; 2 |] ] in
+  Alcotest.(check bool) "kept: grouped by source row" true
+    (by_source ~keys kept);
+  let raised b =
+    match columnar_rows ~keys ~aggs b with
+    | _ -> "no error"
+    | exception e -> Printexc.to_string e
+  in
+  let got = raised kept in
+  let whole =
+    Colbatch.make ~len:(Colbatch.length kept)
+      (Array.init (Colbatch.arity kept) (Colbatch.col kept))
+  in
+  let want = raised whole in
+  Alcotest.(check bool) "the whole-batch path raises" true (want <> "no error");
+  Alcotest.(check string) "zero kept" want got
+
+let test_source_fallback () =
+  (* Keys from both sides of a join read two chains, and a filtered
+     input shorter than its source keeps the whole-batch path; the
+     answers agree with the reference either way. *)
+  let left =
+    Colbatch.make ~len:3
+      [| Colbatch.of_values [| vi 1; vi 2; vi 1 |];
+         Colbatch.of_values [| vf 0.5; vf 1.5; vf 2.5 |] |]
+  in
+  let right =
+    Colbatch.make ~len:2
+      [| boxed [| vs "x"; vi 9 |]; Colbatch.of_values [| vi 4; vnull |] |]
+  in
+  let joined =
+    Colbatch.hstack
+      (Colbatch.gather_pad left [| 0; 0; 1; 2; 2 |])
+      (Colbatch.gather_pad right [| 0; 1; -1; 1; 0 |])
+  in
+  let aggs = [ (Ast.Count_star, false, 0); (Ast.Sum, false, 1) ] in
+  check_source_oracle ~msg:"both sides" ~path:false ~keys:[ col 0; col 2 ]
+    ~aggs joined;
+  check_source_oracle ~msg:"left side only" ~path:true ~keys:[ col 0; col 1 ]
+    ~aggs joined;
+  check_source_oracle ~msg:"right side only" ~path:true ~keys:[ col 3 ] ~aggs
+    joined;
+  check_source_oracle ~msg:"shorter than the source" ~path:false
+    ~keys:[ col 0 ] ~aggs
+    (Colbatch.gather_pad left [| 2; 0 |])
+
+(* Random chains of 1-3 pad-gathers over a small root, some columns
+   forced beforehand, against the naive reference. Every key column
+   shares the one chain, so whenever the input is no shorter than the
+   root, the source-row path runs. *)
+let prop_source_oracle =
+  let open QCheck2 in
+  let domains =
+    [ [ vnull; vi 0; vi 1; vi 2 ]; [ vnull; vf 0.0; vf (-0.0); vf 1.5; vi 1 ];
+      [ vnull; vs "a"; vs "b"; vi 2 ] ]
+  in
+  let gen =
+    Gen.(
+      let* len = int_range 0 6 in
+      let* ncols = int_range 1 3 in
+      let* cols =
+        list_repeat ncols
+          (let* dom = oneofl domains in
+           array_repeat len (oneofl dom))
+      in
+      let* depth = int_range 1 3 in
+      let rec levels prev k =
+        if k = 0 then return []
+        else
+          let* n = int_range 0 20 in
+          let* sel =
+            array_repeat n
+              (if prev = 0 then return (-1)
+               else frequency [ (1, return (-1)); (4, int_range 0 (prev - 1)) ])
+          in
+          let* rest = levels n (k - 1) in
+          return (sel :: rest)
+      in
+      let* levels = levels len depth in
+      let* keys = list_size (int_range 1 3) (int_range 0 (ncols - 1)) in
+      let* aggs =
+        list_size (int_range 0 3)
+          (let* kind = oneofl [ Ast.Count_star; Ast.Count; Ast.Min; Ast.Max ] in
+           let* distinct = bool in
+           let* arg = int_range 0 (ncols - 1) in
+           return (kind, distinct, arg))
+      in
+      let* force = bool in
+      return (len, cols, levels, keys, aggs, force))
+  in
+  let print (len, cols, levels, keys, aggs, force) =
+    let ints a =
+      String.concat ", " (Array.to_list (Array.map string_of_int a))
+    in
+    Printf.sprintf "root of %d rows:\n%s\nlevels:\n%s\nkeys [%s]; %d aggs%s" len
+      (String.concat "\n"
+         (List.map
+            (fun vals ->
+              String.concat ", "
+                (Array.to_list (Array.map Value.to_string vals)))
+            cols))
+      (String.concat "\n" (List.map ints levels))
+      (String.concat "; " (List.map string_of_int keys))
+      (List.length aggs)
+      (if force then "; forced" else "")
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:400 ~name:"source-row aggregate = naive reference" ~print
+       gen (fun (len, cols, levels, keys, aggs, force) ->
+         let batch =
+           gathered ~len
+             (Array.of_list (List.map Colbatch.of_values cols))
+             levels
+         in
+         if force then
+           for j = 0 to Colbatch.arity batch - 1 do
+             ignore (Colbatch.col batch j)
+           done;
+         let keys = List.map col keys in
+         let ar = Colbatch.arity batch in
+         let got = columnar_rows ~keys ~aggs batch in
+         let rows = Array.to_list (Colbatch.to_rows batch) in
+         let rows =
+           List.map
+             (fun r ->
+               Array.append r
+                 (Array.of_list
+                    (List.map (fun k -> Dbspinner_exec.Eval.eval r k) keys)))
+             rows
+         in
+         let want =
+           naive_aggregate ~keys:(List.mapi (fun i _ -> ar + i) keys) ~aggs rows
+         in
+         Option.is_some (Colbatch.gather_source batch (List.init ar Fun.id))
+         && (same_rows got want
+            || Test.fail_reportf "columnar\n%s\nreference\n%s" (show_rows got)
+                 (show_rows want))))
 
 (* ------------------------------------------------------------------ *)
 (* Join oracle: the columnar hash probe against an order-exact         *)
@@ -898,6 +1265,11 @@ let () =
           Alcotest.test_case "gather-pad" `Quick test_colbatch_gather_pad;
           Alcotest.test_case "gather-of-gather" `Quick
             test_colbatch_gather_of_gather;
+          Alcotest.test_case "gather-source-selection" `Quick
+            test_gather_source_selection;
+          Alcotest.test_case "gather-source-none" `Quick test_gather_source_none;
+          Alcotest.test_case "gather-source-forced" `Quick
+            test_gather_source_forced;
         ] );
       ( "nulls",
         [
@@ -917,6 +1289,16 @@ let () =
           Alcotest.test_case "many-groups" `Quick test_oracle_many_groups;
           Alcotest.test_case "string-min-max" `Quick test_string_min_max;
           Alcotest.test_case "empty-input" `Quick test_oracle_empty;
+        ] );
+      ( "source-row",
+        [
+          Alcotest.test_case "pads-and-null-keys" `Quick test_source_pads;
+          Alcotest.test_case "equal-source-rows" `Quick test_source_equal_keys;
+          Alcotest.test_case "int-and-float-key" `Quick
+            test_source_mixed_numeric;
+          Alcotest.test_case "division-by-zero" `Quick test_source_division;
+          Alcotest.test_case "two-chains-fallback" `Quick test_source_fallback;
+          prop_source_oracle;
         ] );
       ( "join-probe",
         [

@@ -419,6 +419,40 @@ let test_int_float_duplicate_key () =
        (error_text (fun () -> ignore (Executor.run_program catalog program)))
        "duplicate rows for key")
 
+(** The distributed twin of the engine's mid-operator timeout test: a
+    nested-loop double self-join with no materialize boundary must
+    trip the statement timeout inside the operator on the distributed
+    backend too, not run to completion. *)
+let test_statement_timeout_inside_operator () =
+  let e = Engine.create () in
+  Engine.load_table e ~name:"big"
+    (rel [ "x" ] (List.init 700 (fun i -> [ vi i ])));
+  let catalog = Engine.catalog e in
+  let program =
+    Iterative_rewrite.compile ~options:Options.default
+      ~lookup:(fun name ->
+        Option.map Dbspinner_storage.Table.schema
+          (Catalog.find_table_opt catalog name))
+      (Dbspinner_sql.Parser.parse_query
+         "SELECT COUNT(*) FROM big AS a JOIN big AS b ON a.x < b.x JOIN big \
+          AS c ON b.x < c.x")
+  in
+  let t0 = Unix.gettimeofday () in
+  let guards = Dbspinner_exec.Guards.make ~timeout_seconds:0.05 () in
+  (match
+     Errors.wrap (fun () ->
+         Distributed.run_program ~workers:2 ~guards catalog program)
+   with
+  | exception Errors.Error (Errors.Resource, msg) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "reported as statement timeout: %s" msg)
+      true (contains msg "timeout")
+  | _ -> Alcotest.fail "expected the statement timeout to trip");
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "aborted mid-operator (%.2fs)" elapsed)
+    true (elapsed < 2.0)
+
 let () =
   Alcotest.run "mpp"
     [
@@ -448,5 +482,7 @@ let () =
           Alcotest.test_case "error-parity" `Quick test_error_parity;
           Alcotest.test_case "int-float-duplicate-key" `Quick
             test_int_float_duplicate_key;
+          Alcotest.test_case "timeout-inside-operator" `Quick
+            test_statement_timeout_inside_operator;
         ] );
     ]
