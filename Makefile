@@ -158,12 +158,13 @@ columnar-smoke: build
 	$(DUNE) exec bench/main.exe -- ext-columnar --fast --json BENCH_columnar.smoke.json
 
 # Rewrite-engine smoke: the rule-combinator suite under a fixed seed
-# (combinator laws, per-pass golden rule logs, engine on/off
-# bit-identity across all five executors, per-loop cost accounting,
-# and the cost-guard decision flip), then an end-to-end pass: the demo
-# script must print byte-identical results with cost-based rewrite
-# arbitration on and off — arbitration may change plans, never
-# answers.
+# (combinator laws, per-pass golden rule logs, golden compiled
+# programs for the paper workloads, random iterative queries on all
+# five executors checked against a naive reference loop, per-loop cost
+# accounting, and the cost-guard decision flip), then an end-to-end
+# pass: the demo script must print byte-identical results with
+# cost-based rewrite arbitration on and off — arbitration may change
+# plans, never answers.
 rewrite-smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_rules.exe
 	$(DUNE) exec bin/dbspinner_cli.exe -- run examples/demo.sql > rewrite_smoke_on.out
@@ -208,9 +209,10 @@ check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-sm
 # durability smoke (crash recovery + chaos harness), the delta smoke
 # (semi-naive on/off equivalence + bench records), and the columnar
 # smoke (row vs vectorized equivalence + bench records), and the
-# rewrite smoke (rule-engine bit-identity + cost-arbitration on/off
-# output equivalence), and the benchmark smoke (oracle-checked answers
-# from short frontier-sssp and paper-iterative runs).
+# rewrite smoke (golden programs + reference-loop property +
+# cost-arbitration on/off output equivalence), and the benchmark smoke
+# (oracle-checked answers from short frontier-sssp and paper-iterative
+# runs).
 ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:

@@ -125,31 +125,13 @@ let generate engine name scale =
       (Dbspinner_graph.Graph_gen.num_edges graph)
 
 let set_option engine key enabled =
-  let options = Engine.options engine in
-  let options =
-    match key with
-    | "rename" -> Some { options with Options.use_rename = enabled }
-    | "common" -> Some { options with Options.use_common_result = enabled }
-    | "pushdown" -> Some { options with Options.use_pushdown = enabled }
-    | "fold" -> Some { options with Options.use_constant_folding = enabled }
-    | "exec_cache" | "cache" ->
-      Some { options with Options.use_exec_cache = enabled }
-    | "delta" -> Some { options with Options.use_delta = enabled }
-    | "columnar" -> Some { options with Options.use_columnar = enabled }
-    | "rule_engine" -> Some { options with Options.use_rule_engine = enabled }
-    | "cost_rewrites" ->
-      Some { options with Options.cost_based_rewrites = enabled }
-    | _ -> None
-  in
-  match options with
+  match Options.set_bool_option (Engine.options engine) key enabled with
   | Some options ->
     Engine.set_options engine options;
     Printf.printf "set %s = %b\n" key enabled
   | None ->
-    Printf.printf
-      "unknown option %s \
-       (rename|common|pushdown|fold|exec_cache|delta|columnar|rule_engine|cost_rewrites)\n"
-      key
+    Printf.printf "unknown option %s (%s)\n" key
+      (String.concat "|" Options.bool_option_keys)
 
 (** Resource-guard and recovery knobs: [\set deadline SECS|off],
     [\set budget ROWS|off], [\set retries N]. *)
@@ -242,12 +224,12 @@ let handle_meta engine sink line =
     `Continue
   | _ ->
     print_endline
-      "meta-commands: \\dt  \\load TABLE FILE  \\gen NAME [SCALE]  \\set OPT \
-       on|off \
-       (rename|common|pushdown|fold|exec_cache|delta|columnar|rule_engine|cost_rewrites)  \
-       \\set trace \
-       on|off  \\set deadline SECS|off  \\set budget ROWS|off  \\set retries \
-       N  \\set workers N  \\set chunk ROWS  \\options  \\q";
+      (Printf.sprintf
+         "meta-commands: \\dt  \\load TABLE FILE  \\gen NAME [SCALE]  \\set \
+          OPT on|off (%s)  \\set trace on|off  \\set deadline SECS|off  \
+          \\set budget ROWS|off  \\set retries N  \\set workers N  \\set \
+          chunk ROWS  \\options  \\q"
+         (String.concat "|" Options.bool_option_keys));
     `Continue
 
 (** Session options for a CLI invocation: [--workers N] sets the

@@ -356,25 +356,26 @@ let exec_update t ~table ~set ~from ~where =
         in
         first 0
       else begin
+        (* Every FROM row per key: like the nested loop, take the first
+           one in FROM order that passes the residual. *)
         let module Row_tbl = Operators.Row_tbl in
         let table_idx = Row_tbl.create (max 16 (Relation.cardinality frel)) in
         let right_keys = Array.of_list (List.map snd keys) in
         Relation.iter
           (fun frow ->
             let k = Array.map (fun e -> Eval.eval frow e) right_keys in
-            if not (Array.exists Value.is_null k) then
-              if not (Row_tbl.mem table_idx k) then Row_tbl.replace table_idx k frow)
+            if not (Array.exists Value.is_null k) then Row_tbl.add table_idx k frow)
           frel;
         let left_keys = Array.of_list (List.map fst keys) in
         fun row ->
           let k = Array.map (fun e -> Eval.eval row e) left_keys in
-          match Row_tbl.find_opt table_idx k with
-          | None -> None
-          | Some frow ->
-            let combined = Row.concat row frow in
-            if List.for_all (fun p -> Eval.eval_pred combined p) residual then
-              Some combined
-            else None
+          List.find_map
+            (fun frow ->
+              let combined = Row.concat row frow in
+              if List.for_all (fun p -> Eval.eval_pred combined p) residual then
+                Some combined
+              else None)
+            (List.rev (Row_tbl.find_all table_idx k))
       end
     in
     let n =

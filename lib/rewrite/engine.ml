@@ -1,13 +1,9 @@
-(** The rewrite engine: every optimizer pass re-expressed as a named
-    {!Rule} and composed with combinators, so one registry drives the
-    whole pipeline and every firing lands in the per-rule log that
-    EXPLAIN and [Iterative_rewrite.report] surface.
-
-    The rules wrap the same pass functions the legacy pipeline calls
-    directly ({!Fold}, {!Outer_to_inner}, {!Common_result},
-    {!Pushdown}, {!Plan_pushdown}, {!Delta}), so engine-on and
-    engine-off compilations are bit-identical by construction — the
-    toggle exists as an equivalence oracle, not a behavior switch. *)
+(** The rewrite engine: every optimizer pass ({!Fold},
+    {!Outer_to_inner}, {!Common_result}, {!Pushdown}, {!Plan_pushdown},
+    {!Delta}) expressed as a named {!Rule} and composed with
+    combinators. These rules are the only rewrite path, and every
+    firing lands in the per-rule log that EXPLAIN and
+    [Iterative_rewrite.report] surface. *)
 
 module Ast = Dbspinner_sql.Ast
 module Sql_pretty = Dbspinner_sql.Sql_pretty
@@ -57,9 +53,9 @@ let common_result_rule ~lookup : Ast.full_query Rule.t =
         Some q'
       end)
 
-(** The standard AST pipeline under the options' switches, in the
-    legacy pass order. [allow_common] is the cost-arbitration override
-    for the common-result rewrite. *)
+(** The standard AST pipeline under the options' switches: fold, then
+    outer-to-inner, then common-result. [allow_common] is the
+    cost-arbitration override for the common-result rewrite. *)
 let ast_pipeline ~(options : Options.t) ~allow_common ~lookup :
     Ast.full_query Rule.t =
   Rule.all
@@ -157,21 +153,3 @@ let step_pushdown_rule : Program.step Rule.t =
   Rule.make ~name:"plan-filter-pushdown" (fun step ->
       let step' = map_step_plans Plan_pushdown.push_filters step in
       if step' = step then None else Some step')
-
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-
-(** Every rule the engine can fire, in pipeline order — the cost-guard
-    arbitration rules of [Iterative_rewrite] are listed by their guard
-    names. *)
-let rule_names =
-  [
-    "constant-fold";
-    "outer-to-inner";
-    "common-result";
-    "predicate-pushdown";
-    "semi-naive-delta";
-    "plan-filter-pushdown";
-    "cost:no-predicate-pushdown";
-    "cost:no-common-result";
-  ]

@@ -1,26 +1,18 @@
-(** The rewrite engine: the optimizer passes re-expressed as named
+(** The rewrite engine: the optimizer passes expressed as named
     {!Rule}s over the AST, bound logical plans and emitted program
-    steps. The rules wrap the same pass functions the legacy pipeline
-    calls directly, so engine-on and engine-off compilations are
-    bit-identical by construction. *)
+    steps. They are the compiler's only rewrite path. *)
 
 module Ast = Dbspinner_sql.Ast
 module Logical = Dbspinner_plan.Logical
 module Program = Dbspinner_plan.Program
 module Schema = Dbspinner_storage.Schema
 
-(** {2 AST-phase rules (whole [full_query])} *)
+(** {2 AST phase (whole [full_query])} *)
 
-val fold_rule : Ast.full_query Rule.t
-val outer_to_inner_rule : Ast.full_query Rule.t
-
-(** Fires once per materialized common CTE (§V-A). *)
-val common_result_rule :
-  lookup:(string -> Schema.t option) -> Ast.full_query Rule.t
-
-(** The standard AST pipeline under the options' switches, in the
-    legacy pass order. [allow_common] is the cost-arbitration
-    override. *)
+(** The standard AST pipeline under the options' switches: the
+    [constant-fold], [outer-to-inner] and [common-result] rules, the
+    last firing once per materialized common CTE (§V-A).
+    [allow_common] is the cost-arbitration override. *)
 val ast_pipeline :
   options:Options.t ->
   allow_common:bool ->
@@ -51,11 +43,5 @@ val delta_rule :
 
 (** {2 Step-plan phase} *)
 
-(** Rewrite every logical plan inside one step. *)
-val map_step_plans : (Logical.t -> Logical.t) -> Program.step -> Program.step
-
 (** Generic plan-level filter push down over one step's plans. *)
 val step_pushdown_rule : Program.step Rule.t
-
-(** Every rule name the engine can fire, in pipeline order. *)
-val rule_names : string list

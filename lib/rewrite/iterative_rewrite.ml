@@ -45,8 +45,8 @@ type report = {
       (** loops whose working table is built semi-naively (delta-driven
           restricted re-evaluation instead of a full [Ri] pass) *)
   rewrite_log : Rule.log;
-      (** per-rule firing log from the rule engine, including cost-guard
-          decisions; empty when [Options.use_rule_engine] is off *)
+      (** per-rule firing log, including cost-guard decisions; the
+          counters above are derived from it *)
 }
 
 let empty_report () =
@@ -197,27 +197,15 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
   let schema = Logical.schema base_plan in
   let column_names = Schema.column_names schema in
   (* Predicate push down (§V-B): filter R0 with the sound part of the
-     final query's WHERE clause. The rule-engine path and the legacy
-     path call the same [Pushdown.pushable_predicate]; the engine path
-     additionally logs the firing (counters are derived from the log
+     final query's WHERE clause (the counter is derived from the log
      after compilation). *)
   let base_plan =
     if not (options.Options.use_pushdown && ctx.allow_push) then base_plan
-    else if options.Options.use_rule_engine then
+    else
       Rule.run
         (Engine.pushdown_rule ~cte_name:name ~columns:column_names ~step
            ~final ~schema)
         ctx.report.rewrite_log base_plan
-    else
-      match
-        Pushdown.pushable_predicate ~cte_name:name ~columns:column_names ~step
-          ~final
-      with
-      | None -> base_plan
-      | Some pred ->
-        ctx.report.predicates_pushed <- ctx.report.predicates_pushed + 1;
-        let scope = Binder.scope_of_schema schema in
-        Logical.filter (Binder.bind_scalar scope pred) base_plan
   in
   (* --- row identifier ----------------------------------------------- *)
   let key_idx =
@@ -257,41 +245,18 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
        });
   let body_start = position ctx in
   emit ctx (Program.Snapshot { loop_id });
-  (* Semi-naive eligibility: with the rule engine the working-table
-     Materialize is pattern-matched and reconstructed as a
-     Delta_materialize by the registered rule; the legacy path calls
-     the analyzer directly. Same [Delta.analyze], same step. *)
+  (* Semi-naive eligibility: the working-table Materialize is
+     pattern-matched and reconstructed as a Delta_materialize by the
+     delta rule. *)
   (let work_materialize =
      Program.Materialize { target = work_name; plan = step_plan }
    in
-   if not options.Options.use_delta then emit ctx work_materialize
-   else if options.Options.use_rule_engine then
-     emit ctx
-       (Rule.run
+   emit ctx
+     (if not options.Options.use_delta then work_materialize
+      else
+        Rule.run
           (Engine.delta_rule ~loop_id ~cte:name ~key_idx ~work_name)
-          ctx.report.rewrite_log work_materialize)
-   else
-     let delta_analysis =
-       Delta.analyze ~cte:name ~key_idx ~delta_name:(name ^ "#delta")
-         ~affected_name:(name ^ "#affected") step_plan
-     in
-     match delta_analysis with
-     | Some { Delta.restricted_plan; affected_plans } ->
-       ctx.report.delta_paths <- ctx.report.delta_paths + 1;
-       emit ctx
-         (Program.Delta_materialize
-            {
-              loop_id;
-              target = work_name;
-              cte = name;
-              key_idx;
-              full_plan = step_plan;
-              restricted_plan;
-              affected_plans;
-              delta_name = name ^ "#delta";
-              affected_name = name ^ "#affected";
-            })
-     | None -> emit ctx work_materialize);
+          ctx.report.rewrite_log work_materialize));
   emit ctx (Program.Assert_unique_key { temp = work_name; key_idx });
   let full_update = updates_entire_dataset ~cte_name:name step in
   if full_update && options.Options.use_rename then begin
@@ -323,16 +288,13 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-(** Sink filters through every emitted plan. Under the rule engine
-    this is the per-step [plan-filter-pushdown] rule (logging each
-    step it moved a filter in); the legacy path maps the same
-    [Plan_pushdown.push_filters] unconditionally. *)
+(** Sink filters through every emitted plan: the per-step
+    [plan-filter-pushdown] rule, logging each step it moved a filter
+    in. *)
 let optimize_step_plans options log (steps : Program.step list) :
     Program.step list =
   if not options.Options.use_pushdown then steps
-  else if options.Options.use_rule_engine then
-    List.map (Rule.run Engine.step_pushdown_rule log) steps
-  else List.map (Engine.map_step_plans Plan_pushdown.push_filters) steps
+  else List.map (Rule.run Engine.step_pushdown_rule log) steps
 
 (** One full compilation under explicit cost-arbitration overrides
     ([allow_push], [allow_common]); the cost-based selection below
@@ -341,29 +303,9 @@ let compile_once ~options ~allow_push ~allow_common ~lookup
     (q : Ast.full_query) : Program.t * report =
   let report = empty_report () in
   let q =
-    if options.Options.use_rule_engine then
-      Rule.run
-        (Engine.ast_pipeline ~options ~allow_common ~lookup)
-        report.rewrite_log q
-    else begin
-      let q =
-        if options.Options.use_constant_folding then Fold.fold_full_query q
-        else q
-      in
-      let q =
-        if options.Options.use_outer_to_inner then
-          Outer_to_inner.simplify_full_query q
-        else q
-      in
-      let ctes_before = List.length q.ctes in
-      let q =
-        if options.Options.use_common_result && allow_common then
-          Common_result.rewrite_full_query ~lookup q
-        else q
-      in
-      report.common_results_extracted <- List.length q.ctes - ctes_before;
-      q
-    end
+    Rule.run
+      (Engine.ast_pipeline ~options ~allow_common ~lookup)
+      report.rewrite_log q
   in
   let ctx =
     {
@@ -390,14 +332,12 @@ let compile_once ~options ~allow_push ~allow_common ~lookup
   in
   emit ctx (Program.Return result_plan);
   let steps = optimize_step_plans options report.rewrite_log (List.rev ctx.steps) in
-  (* Engine path: the firing counters fall out of the rule log. *)
-  if options.Options.use_rule_engine then begin
-    report.common_results_extracted <-
-      Rule.fired_count report.rewrite_log "common-result";
-    report.predicates_pushed <-
-      Rule.fired_count report.rewrite_log "predicate-pushdown";
-    report.delta_paths <- Rule.fired_count report.rewrite_log "semi-naive-delta"
-  end;
+  (* The firing counters fall out of the rule log. *)
+  report.common_results_extracted <-
+    Rule.fired_count report.rewrite_log "common-result";
+  report.predicates_pushed <-
+    Rule.fired_count report.rewrite_log "predicate-pushdown";
+  report.delta_paths <- Rule.fired_count report.rewrite_log "semi-naive-delta";
   (Program.make steps ~result_schema:(Logical.schema result_plan), ctx.report)
 
 (* ------------------------------------------------------------------ *)

@@ -32,8 +32,8 @@ val compile :
 (** What the optimizer did: counts of extracted common results, pushed
     predicates, rename vs merge loop paths, loops compiled for
     semi-naive (delta-driven) evaluation, and the per-rule firing log
-    (populated when [Options.use_rule_engine] is on, including
-    cost-guard decisions). *)
+    (including cost-guard decisions) the first, second and last
+    counts are derived from. *)
 type report = {
   mutable common_results_extracted : int;
   mutable predicates_pushed : int;
@@ -51,8 +51,3 @@ val compile_with_report :
   lookup:(string -> Schema.t option) ->
   Ast.full_query ->
   Program.t * report
-
-(** Exposed for tests: the Algorithm-1 full-update criterion — true
-    when [Ri] has no WHERE/HAVING and its FROM preserves every CTE row
-    (the CTE driving a chain of LEFT JOINs). *)
-val updates_entire_dataset : cte_name:string -> Ast.query -> bool

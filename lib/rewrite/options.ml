@@ -63,12 +63,6 @@ type t = {
           Results and logical stats are bit-identical with the row
           engine. An executor concern, not a paper rewrite, so
           [unoptimized] keeps it on. *)
-  use_rule_engine : bool;
-      (** route the optimizer passes through the rule-combinator
-          engine ({!Rule}/{!Engine}) with per-rule logging, instead of
-          the legacy direct-call pipeline. Compiled programs are
-          bit-identical either way — the toggle is an equivalence
-          oracle, so [unoptimized] keeps it on. *)
   cost_based_rewrites : bool;
       (** arbitrate the predicate-push-into-loop vs common-result-hoist
           decision by estimated cost ({!Dbspinner_plan.Cost.program}
@@ -96,7 +90,6 @@ let default =
     trace_buffer = 8192;
     use_delta = true;
     use_columnar = true;
-    use_rule_engine = true;
     cost_based_rewrites = true;
   }
 
@@ -112,6 +105,26 @@ let unoptimized =
     use_outer_to_inner = false;
     use_delta = false;
   }
+
+(** The switches settable by name, in usage order; [cache] is an alias
+    of [exec_cache]. *)
+let bool_options =
+  [
+    ("rename", fun t b -> { t with use_rename = b });
+    ("common", fun t b -> { t with use_common_result = b });
+    ("pushdown", fun t b -> { t with use_pushdown = b });
+    ("fold", fun t b -> { t with use_constant_folding = b });
+    ("exec_cache", fun t b -> { t with use_exec_cache = b });
+    ("cache", fun t b -> { t with use_exec_cache = b });
+    ("delta", fun t b -> { t with use_delta = b });
+    ("columnar", fun t b -> { t with use_columnar = b });
+    ("cost_rewrites", fun t b -> { t with cost_based_rewrites = b });
+  ]
+
+let bool_option_keys = List.map fst bool_options
+
+let set_bool_option t key enabled =
+  Option.map (fun set -> set t enabled) (List.assoc_opt key bool_options)
 
 let to_string t =
   let guards =
@@ -142,9 +155,8 @@ let to_string t =
   let cache = if t.use_exec_cache then "" else " exec_cache=off" in
   let delta = if t.use_delta then "" else " delta=off" in
   let columnar = if t.use_columnar then "" else " columnar=off" in
-  let rule_engine = if t.use_rule_engine then "" else " rule_engine=off" in
   let cost = if t.cost_based_rewrites then "" else " cost_rewrites=off" in
   Printf.sprintf
-    "rename=%b common_result=%b pushdown=%b fold=%b outer_to_inner=%b%s%s%s%s%s%s%s"
+    "rename=%b common_result=%b pushdown=%b fold=%b outer_to_inner=%b%s%s%s%s%s%s"
     t.use_rename t.use_common_result t.use_pushdown t.use_constant_folding
-    t.use_outer_to_inner guards parallel cache delta columnar rule_engine cost
+    t.use_outer_to_inner guards parallel cache delta columnar cost

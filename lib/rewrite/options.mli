@@ -54,10 +54,6 @@ type t = {
           aggregate; bit-identical results and logical stats vs the
           row engine. An executor concern, so [unoptimized] keeps it
           on *)
-  use_rule_engine : bool;
-      (** route optimizer passes through the rule-combinator engine
-          with per-rule logging; compiled programs are bit-identical
-          either way, so [unoptimized] keeps it on *)
   cost_based_rewrites : bool;
       (** arbitrate predicate-push vs common-result-hoist by estimated
           cost when a statistics source is available *)
@@ -69,5 +65,13 @@ val default : t
 (** All paper optimizations off — the naive rewrite used as the
     experimental baseline. *)
 val unoptimized : t
+
+(** The on/off switches settable by name, shared by the server's
+    [SET key on|off] and the REPL's [\set key on|off]. *)
+val bool_option_keys : string list
+
+(** [set_bool_option t key enabled] flips the switch named [key];
+    [None] when [key] is not in {!bool_option_keys}. *)
+val set_bool_option : t -> string -> bool -> t option
 
 val to_string : t -> string

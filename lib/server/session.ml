@@ -72,21 +72,6 @@ let run_script t sql =
 (* SET: per-session options (the server-side mirror of the REPL's
    [\set] meta commands)                                               *)
 
-let set_bool_option options key enabled =
-  match key with
-  | "rename" -> Some { options with Options.use_rename = enabled }
-  | "common" -> Some { options with Options.use_common_result = enabled }
-  | "pushdown" -> Some { options with Options.use_pushdown = enabled }
-  | "fold" -> Some { options with Options.use_constant_folding = enabled }
-  | "exec_cache" | "cache" ->
-    Some { options with Options.use_exec_cache = enabled }
-  | "delta" -> Some { options with Options.use_delta = enabled }
-  | "columnar" -> Some { options with Options.use_columnar = enabled }
-  | "rule_engine" -> Some { options with Options.use_rule_engine = enabled }
-  | "cost_rewrites" ->
-    Some { options with Options.cost_based_rewrites = enabled }
-  | _ -> None
-
 let parse_bool = function
   | "on" | "true" | "1" -> Some true
   | "off" | "false" | "0" -> Some false
@@ -175,7 +160,7 @@ let set t key value : (string, string) result =
   | _ -> (
     match parse_bool value with
     | Some enabled -> (
-      match set_bool_option options key enabled with
+      match Options.set_bool_option options key enabled with
       | Some options ->
         Engine.set_options t.engine options;
         Ok (Printf.sprintf "%s %b" key enabled)
@@ -183,8 +168,9 @@ let set t key value : (string, string) result =
         Error
           (Printf.sprintf
              "unknown option %s \
-              (rename|common|pushdown|fold|cache|delta|columnar|rule_engine|cost_rewrites|deadline|statement_timeout|budget|workers|max_iterations|trace|plan_cache)"
-             key))
+              (%s|deadline|statement_timeout|budget|workers|max_iterations|trace|plan_cache)"
+             key
+             (String.concat "|" Options.bool_option_keys)))
     | None -> Error (Printf.sprintf "SET %s expects on|off" key))
 
 (** The session's trace buffer as NDJSON ("" when tracing is off). *)

@@ -245,6 +245,31 @@ let test_update_forms () =
   | _ -> Alcotest.fail "keyed update");
   check_query e "SELECT age FROM people WHERE id = 1" [ "age" ] [ [ vi 0 ] ]
 
+(** Several FROM rows share the key: the hash path must take the first
+    one in FROM order that passes the residual, as the nested loop
+    does, not just the first row with the key. *)
+let test_update_from_duplicate_keys () =
+  List.iter
+    (fun cond ->
+      let e = Engine.create () in
+      List.iter
+        (fun sql -> ignore (Engine.execute e sql))
+        [
+          "CREATE TABLE t (k INT, v INT)";
+          "CREATE TABLE f (k INT, x INT)";
+          "INSERT INTO t VALUES (1, 15)";
+          "INSERT INTO f VALUES (1, 10), (1, 20)";
+        ];
+      (match
+         Engine.execute e
+           ("UPDATE t SET v = f.x FROM f WHERE " ^ cond ^ " AND f.x < t.v")
+       with
+      | Engine.Affected 1 -> ()
+      | Engine.Affected n -> Alcotest.failf "%s: %d rows affected" cond n
+      | _ -> Alcotest.fail "expected a row count");
+      check_query e "SELECT v FROM t" [ "v" ] [ [ vi 10 ] ])
+    [ "t.k = f.k"; "t.k - f.k = 0" ]
+
 let test_delete_and_truncate () =
   let e = shop_engine () in
   (match Engine.execute e "DELETE FROM orders WHERE total < 4" with
@@ -605,6 +630,8 @@ let () =
           Alcotest.test_case "ddl-lifecycle" `Quick test_ddl_lifecycle;
           Alcotest.test_case "insert" `Quick test_insert_variants;
           Alcotest.test_case "update" `Quick test_update_forms;
+          Alcotest.test_case "update-from-duplicate-keys" `Quick
+            test_update_from_duplicate_keys;
           Alcotest.test_case "delete-truncate" `Quick test_delete_and_truncate;
           Alcotest.test_case "views" `Quick test_views;
           Alcotest.test_case "transactions" `Quick test_transactions;

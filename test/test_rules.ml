@@ -5,9 +5,9 @@
     - golden rule-log checks for every migrated pass (constant-fold,
       outer-to-inner, common-result, predicate-pushdown,
       semi-naive-delta, plan-filter-pushdown);
-    - engine-on vs engine-off bit-identity: same program text on the
-      paper workloads, and a property running random iterative queries
-      through all five executors;
+    - golden program texts for the paper workloads, and a property
+      checking random iterative queries on all five executors against
+      a naive OCaml loop;
     - the cost model's per-loop accounting, compound-predicate
       selectivity, and cardinality clamping;
     - cost-based rewrite arbitration, including the decision flip: the
@@ -38,8 +38,6 @@ module Graph_gen = Dbspinner_graph.Graph_gen
 module Loader = Dbspinner_workload.Loader
 module Queries = Dbspinner_workload.Queries
 open Helpers
-
-let engine_off = { Options.default with Options.use_rule_engine = false }
 
 let lookup name =
   match String.lowercase_ascii name with
@@ -219,32 +217,175 @@ let test_log_plan_filter_pushdown () =
   Alcotest.(check bool) "plan-filter-pushdown fired" true
     (fired r "plan-filter-pushdown" > 0)
 
-let test_log_empty_with_engine_off () =
-  let _, r = compile_report ~options:engine_off ff_query in
-  Alcotest.(check (list string)) "no log entries" []
-    (Rule.to_lines r.Iterative_rewrite.rewrite_log);
-  (* The legacy counters still work without the engine. *)
-  Alcotest.(check int) "legacy pushdown counter" 1
-    r.Iterative_rewrite.predicates_pushed;
-  Alcotest.(check int) "legacy delta counter" 1 r.Iterative_rewrite.delta_paths
+(** With every rewrite switched off no rule fires: the log is empty and
+    the counters derived from it are zero. *)
+let test_log_empty_with_rewrites_off () =
+  List.iter
+    (fun (name, sql) ->
+      let _, r = compile_report ~options:Options.unoptimized sql in
+      Alcotest.(check (list string)) (name ^ ": no log entries") []
+        (Rule.to_lines r.Iterative_rewrite.rewrite_log);
+      Alcotest.(check (list int))
+        (name ^ ": common, pushed and delta counters") [ 0; 0; 0 ]
+        [
+          r.Iterative_rewrite.common_results_extracted;
+          r.Iterative_rewrite.predicates_pushed;
+          r.Iterative_rewrite.delta_paths;
+        ])
+    [ ("pr-vs", pr_vs_query); ("ff", ff_query) ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine on/off bit-identity                                          *)
+(* Golden programs and a reference loop                                *)
+
+(* The programs the paper workloads compile to under the default
+   options. Any change here is a change to what the optimizer emits. *)
+
+let golden_pr =
+  {| 1. Materialize PageRank:
+      Project [$0 AS Node, $1 AS Rank, $2 AS delta]
+        Project [$0 AS src, 0 AS _col1, 0.15 AS _col2]
+          Distinct
+            Union
+              Project [$0 AS src]
+                Scan edges
+              Project [$1 AS dst]
+                Scan edges
+ 2. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
+ 3. Snapshot #0
+ 4. DeltaMaterialize PageRank#work (1 affected-key plan):
+      Project [$0 AS Node, $1 AS Rank, $2 AS delta]
+        Project [$0 AS node, $1 AS _col1, COALESCE((0.85 * $2), 0) AS coalesce]
+          Aggregate keys=[$0, ($1 + $2)] aggs=[SUM(($8 * $5))]
+            LeftOuterJoin ON ($6 = $3)
+              LeftOuterJoin ON ($0 = $4)
+                SemiJoin (IN $0)
+                  Scan PageRank
+                  Scan PageRank#affected
+                Scan edges
+              Scan PageRank
+ 5. AssertUniqueKey PageRank#work (column 0)
+ 6. Rename PageRank#work -> PageRank
+ 7. LoopEnd #0: go to step 3 while continue
+ 8. Return:
+      Project [$0 AS Node, $1 AS Rank]
+        Scan PageRank|}
+
+let golden_pr_vs =
+  {| 1. Materialize pagerank__common1:
+      Project [$0 AS incomingedges_src, $1 AS incomingedges_dst, $2 AS incomingedges_weight, $3 AS avail_pr_node, $4 AS avail_pr_status]
+        InnerJoin ON ($3 = $1)
+          Scan edges
+          Filter ($1 <> 0)
+            Scan vertexStatus
+ 2. Materialize PageRank:
+      Project [$0 AS Node, $1 AS Rank, $2 AS delta]
+        Project [$0 AS src, 0 AS _col1, 0.15 AS _col2]
+          Distinct
+            Union
+              Project [$0 AS src]
+                Scan edges
+              Project [$1 AS dst]
+                Scan edges
+ 3. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
+ 4. Snapshot #0
+ 5. DeltaMaterialize PageRank#work (1 affected-key plan):
+      Project [$0 AS Node, $1 AS Rank, $2 AS delta]
+        Project [$0 AS node, $1 AS _col1, COALESCE((0.85 * $2), 0) AS coalesce]
+          Aggregate keys=[$0, ($1 + $2)] aggs=[SUM(($10 * $5))]
+            LeftOuterJoin ON ($8 = $3)
+              InnerJoin ON ($0 = $4)
+                SemiJoin (IN $0)
+                  Scan PageRank
+                  Scan PageRank#affected
+                Scan pagerank__common1
+              Scan PageRank
+ 6. AssertUniqueKey PageRank#work (column 0)
+ 7. Materialize PageRank#merge:
+      Project [CASE WHEN ($3 IS NOT NULL) THEN $3 ELSE $0 END AS Node, CASE WHEN ($3 IS NOT NULL) THEN $4 ELSE $1 END AS Rank, CASE WHEN ($3 IS NOT NULL) THEN $5 ELSE $2 END AS delta]
+        LeftOuterJoin ON ($0 = $3)
+          Scan PageRank
+          Scan PageRank#work
+ 8. Rename PageRank#merge -> PageRank
+ 9. Drop PageRank#work
+10. LoopEnd #0: go to step 4 while continue
+11. Return:
+      Project [$0 AS Node, $1 AS Rank]
+        Scan PageRank|}
+
+let golden_sssp =
+  {| 1. Materialize sssp:
+      Project [$0 AS Node, $1 AS Distance, $2 AS delta]
+        Project [$0 AS src, 9999999 AS _col1, CASE WHEN ($0 = 1) THEN 0 ELSE 9999999 END AS _col2]
+          Distinct
+            Union
+              Project [$0 AS src]
+                Scan edges
+              Project [$1 AS dst]
+                Scan edges
+ 2. InitLoop #0 over sssp <<Metadata(iterations=10)>>
+ 3. Snapshot #0
+ 4. DeltaMaterialize sssp#work (1 affected-key plan):
+      Project [$0 AS Node, $1 AS Distance, $2 AS delta]
+        Project [$0 AS node, $1 AS least, COALESCE($2, 9999999) AS coalesce]
+          Aggregate keys=[$0, LEAST($1, $2)] aggs=[MIN(($8 + $5))]
+            InnerJoin ON ($6 = $3)
+              LeftOuterJoin ON ($0 = $4)
+                SemiJoin (IN $0)
+                  Scan sssp
+                  Scan sssp#affected
+                Scan edges
+              Filter ($2 <> 9999999)
+                Scan sssp
+ 5. AssertUniqueKey sssp#work (column 0)
+ 6. Materialize sssp#merge:
+      Project [CASE WHEN ($3 IS NOT NULL) THEN $3 ELSE $0 END AS Node, CASE WHEN ($3 IS NOT NULL) THEN $4 ELSE $1 END AS Distance, CASE WHEN ($3 IS NOT NULL) THEN $5 ELSE $2 END AS delta]
+        LeftOuterJoin ON ($0 = $3)
+          Scan sssp
+          Scan sssp#work
+ 7. Rename sssp#merge -> sssp
+ 8. Drop sssp#work
+ 9. LoopEnd #0: go to step 3 while continue
+10. Return:
+      Project [$0 AS Node, $1 AS Distance, $2 AS delta]
+        Scan sssp|}
+
+let golden_ff =
+  {| 1. Materialize forecast:
+      Project [$0 AS node, $1 AS friends, $2 AS friendsPrev]
+        Project [$0 AS node, $1 AS friends, CEILING(($1 * (1.0 - (($0 % 10) / 100.0)))) AS friendsPrev]
+          Aggregate keys=[$0] aggs=[COUNT($1)]
+            Filter (($0 % 10) = 0)
+              Scan edges
+ 2. InitLoop #0 over forecast <<Metadata(iterations=5)>>
+ 3. Snapshot #0
+ 4. DeltaMaterialize forecast#work (0 affected-key plans):
+      Project [$0 AS node, $1 AS friends, $2 AS friendsPrev]
+        Project [$0 AS node, ROUND(CAST((($1 / $2) * $1) AS FLOAT), 5) AS friends, $1 AS friendsPrev]
+          SemiJoin (IN $0)
+            Scan forecast
+            Scan forecast#affected
+ 5. AssertUniqueKey forecast#work (column 0)
+ 6. Rename forecast#work -> forecast
+ 7. LoopEnd #0: go to step 3 while continue
+ 8. Return:
+      Limit 10
+        Sort [$1 DESC, $0 ASC]
+          Project [$0 AS node, $1 AS friends]
+            Filter (($0 % 10) = 0)
+              Scan forecast|}
 
 let test_same_program_text_on_workloads () =
   List.iter
-    (fun (name, sql) ->
-      let on = compile sql in
-      let off = compile ~options:engine_off sql in
+    (fun (name, sql, golden) ->
       Alcotest.(check string)
-        (name ^ ": engine on and off compile the same program")
-        (Explain.program_to_string off)
-        (Explain.program_to_string on))
+        (name ^ ": program matches the golden text")
+        golden
+        (Explain.program_to_string (compile sql)))
     [
-      ("pr", Queries.pr ~iterations:10 ());
-      ("pr-vs", pr_vs_query);
-      ("sssp", Queries.sssp ~source:1 ~iterations:10 ());
-      ("ff", ff_query);
+      ("pr", Queries.pr ~iterations:10 (), golden_pr);
+      ("pr-vs", pr_vs_query, golden_pr_vs);
+      ("sssp", Queries.sssp ~source:1 ~iterations:10 (), golden_sssp);
+      ("ff", ff_query, golden_ff);
     ]
 
 let kv_engine rows =
@@ -310,6 +451,32 @@ let run_all_executors e program =
          ("distributed", dist, s_dist);
        ])
 
+(** Naive reference for [kv_sql], written without the engine: R0 is
+    the MIN of [b] per [a]; each round applies [step] to the rows that
+    pass [where] (the merge path) or to every row when there is no
+    WHERE clause (the full update), keeping the old value elsewhere. *)
+let kv_reference rows ~step ~where ~rounds =
+  let r0 =
+    List.fold_left
+      (fun acc (a, b) ->
+        match List.assoc_opt a acc with
+        | Some m when m <= b -> acc
+        | _ -> (a, b) :: List.remove_assoc a acc)
+      [] rows
+  in
+  let round r =
+    List.map
+      (fun (k, v) ->
+        match where with
+        | Some keep when not (keep k v) -> (k, v)
+        | _ -> (k, step k v))
+      r
+  in
+  let rec go n r = if n = 0 then r else go (n - 1) (round r) in
+  rel [ "k"; "v" ] (List.map (fun (k, v) -> [ vi k; vi v ]) (go rounds r0))
+
+(* The test name predates the reference loop; it is kept so the suite
+   prints the same names. *)
 let prop_engine_on_off =
   let open QCheck2 in
   let rows_gen =
@@ -318,54 +485,61 @@ let prop_engine_on_off =
   let query_gen =
     Gen.(
       let* key_expr = oneofl [ "k"; "k"; "k + 0" ] in
-      let* step_expr =
-        oneofl [ "v + 1"; "v + k"; "LEAST(v, k)"; "v * 2"; "LEAST(v, 0)" ]
+      let* step =
+        oneofl
+          [
+            ("v + 1", fun _ v -> v + 1);
+            ("v + k", fun k v -> v + k);
+            ("LEAST(v, k)", fun k v -> min v k);
+            ("v * 2", fun _ v -> v * 2);
+            ("LEAST(v, 0)", fun _ v -> min v 0);
+          ]
       in
-      let* where = oneofl [ ""; "v < 5"; "k > 2" ] in
+      let* where =
+        oneofl
+          [
+            ("", None);
+            ("v < 5", Some (fun _ v -> v < 5));
+            ("k > 2", Some (fun k _ -> k > 2));
+          ]
+      in
       let* rounds = int_range 1 4 in
-      return (key_expr, step_expr, where, rounds))
+      return (key_expr, step, where, rounds))
+  in
+  let sql_of (key_expr, (step_expr, _), (where, _), rounds) =
+    kv_sql ~key_expr ~where ~step_expr
+      ~until:(Printf.sprintf "%d ITERATIONS" rounds)
+      ()
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:50
        ~name:"rule engine on = off across all executors"
-       ~print:(fun (rows, (key_expr, step_expr, where, rounds)) ->
-         Printf.sprintf "%s over %d rows"
-           (kv_sql ~key_expr ~where ~step_expr
-              ~until:(Printf.sprintf "%d ITERATIONS" rounds)
-              ())
-           (List.length rows))
+       ~print:(fun (rows, query) ->
+         Printf.sprintf "%s over %d rows" (sql_of query) (List.length rows))
        (Gen.pair rows_gen query_gen)
-       (fun (rows, (key_expr, step_expr, where, rounds)) ->
+       (fun (rows, ((_, (_, step), (_, where), rounds) as query)) ->
          let e = kv_engine rows in
-         let sql =
-           kv_sql ~key_expr ~where ~step_expr
-             ~until:(Printf.sprintf "%d ITERATIONS" rounds)
-             ()
-         in
-         let p_on = compile_on_engine e sql in
-         let p_off = compile_on_engine ~options:engine_off e sql in
-         if
-           Explain.program_to_string p_on <> Explain.program_to_string p_off
-         then
-           QCheck2.Test.fail_reportf "programs differ:\n%s\nvs\n%s"
-             (Explain.program_to_string p_on)
-             (Explain.program_to_string p_off)
-         else begin
-           let on_runs = run_all_executors e p_on in
-           let off_runs = run_all_executors e p_off in
-           List.iter2
-             (fun (name, r_on, s_on) (_, r_off, s_off) ->
-               if not (Relation.equal_bag r_on r_off) then
-                 QCheck2.Test.fail_reportf "%s: rows differ:\non:\n%s\noff:\n%s"
-                   name
-                   (Relation.to_table_string r_on)
-                   (Relation.to_table_string r_off)
-               else if not (Stats.logical_equal s_on s_off) then
-                 QCheck2.Test.fail_reportf "%s: stats differ:\n%s\nvs\n%s" name
-                   (Stats.to_string s_on) (Stats.to_string s_off))
-             on_runs off_runs;
-           true
-         end))
+         let expected = kv_reference rows ~step ~where ~rounds in
+         match run_all_executors e (compile_on_engine e (sql_of query)) with
+         | [] -> assert false
+         | (_, _, s_seq) :: _ as runs ->
+           List.iter
+             (fun (name, r, s) ->
+               if not (Relation.equal_bag r expected) then
+                 QCheck2.Test.fail_reportf
+                   "%s: rows differ:\ngot:\n%s\nreference:\n%s" name
+                   (Relation.to_table_string r)
+                   (Relation.to_table_string expected)
+               (* The distributed backend partitions its operators and
+                  checkpoints loop state, so its counters differ by
+                  design; the single-node executors must agree exactly. *)
+               else if name <> "distributed" && not (Stats.logical_equal s s_seq)
+               then
+                 QCheck2.Test.fail_reportf
+                   "%s: stats differ from sequential:\n%s\nvs\n%s" name
+                   (Stats.to_string s) (Stats.to_string s_seq))
+             runs;
+           true))
 
 (* ------------------------------------------------------------------ *)
 (* Cost model: per-loop accounting, selectivity, clamping              *)
@@ -556,7 +730,7 @@ let test_explain_shows_rewrite_log () =
       (contains text "rule semi-naive-delta: fired 1")
   | _ -> Alcotest.fail "expected EXPLAIN output"
 
-let test_explain_log_silent_with_engine_off () =
+let test_explain_log_silent_with_rewrites_off () =
   let e = tiny_graph_engine () in
   let explain_ff () =
     match
@@ -565,22 +739,16 @@ let test_explain_log_silent_with_engine_off () =
     | Engine.Explained text -> text
     | _ -> Alcotest.fail "expected EXPLAIN output"
   in
-  (* Engine off: the pass rules stop logging, but cost arbitration is
-     an independent knob and still prices its decisions. *)
+  (* Cost arbitration off: the pass rules still log, but no decision is
+     priced. *)
   Engine.set_options e
-    { (Engine.options e) with Options.use_rule_engine = false };
+    { (Engine.options e) with Options.cost_based_rewrites = false };
   let text = explain_ff () in
-  Alcotest.(check bool) "no pass-rule lines" false
-    (contains text "rule predicate-pushdown:");
-  Alcotest.(check bool) "cost decisions still surface" true
-    (contains text "cost:no-predicate-pushdown");
-  (* Both off: nothing left to log. *)
-  Engine.set_options e
-    {
-      (Engine.options e) with
-      Options.use_rule_engine = false;
-      Options.cost_based_rewrites = false;
-    };
+  Alcotest.(check bool) "pass-rule lines remain" true
+    (contains text "rule predicate-pushdown: fired 1");
+  Alcotest.(check bool) "no cost decisions" false (contains text "cost:");
+  (* Every rewrite off: nothing fires, so nothing is logged. *)
+  Engine.set_options e Options.unoptimized;
   Alcotest.(check bool) "no log section at all" false
     (contains (explain_ff ()) "Rewrite log:")
 
@@ -609,7 +777,7 @@ let () =
           Alcotest.test_case "plan-filter-pushdown" `Quick
             test_log_plan_filter_pushdown;
           Alcotest.test_case "engine-off-empty" `Quick
-            test_log_empty_with_engine_off;
+            test_log_empty_with_rewrites_off;
         ] );
       ( "equivalence",
         [
@@ -644,6 +812,6 @@ let () =
           Alcotest.test_case "shows-rewrite-log" `Quick
             test_explain_shows_rewrite_log;
           Alcotest.test_case "silent-when-off" `Quick
-            test_explain_log_silent_with_engine_off;
+            test_explain_log_silent_with_rewrites_off;
         ] );
     ]

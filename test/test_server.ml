@@ -7,6 +7,7 @@ module Client = Dbspinner_server.Client
 module Protocol = Dbspinner_server.Protocol
 module Admission = Dbspinner_server.Admission
 module Metrics = Dbspinner_server.Metrics
+module Session = Dbspinner_server.Session
 module Engine = Dbspinner.Engine
 module Catalog = Dbspinner_storage.Catalog
 module Options = Dbspinner_rewrite.Options
@@ -946,6 +947,32 @@ let test_session_set_and_stats () =
           | Error _ -> ()
           | Ok _ -> Alcotest.fail "unknown option must be rejected"))
 
+(** [SET] takes every key of the shared on/off table and applies it as
+    {!Options.set_bool_option} does; a key outside the table, such as
+    the deleted rule-engine switch, gets the unknown-option error. *)
+let test_session_set_bool_keys () =
+  let fresh () =
+    Session.create ~id:0 ~options:Options.default
+      ~shared_catalog:(Catalog.create ())
+  in
+  List.iter
+    (fun key ->
+      let s = fresh () in
+      (match Session.set s key "off" with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "SET %s off: %s" key m);
+      Alcotest.(check bool)
+        (key ^ " applied") true
+        (Options.set_bool_option Options.default key false
+        = Some (Engine.options (Session.engine s))))
+    Options.bool_option_keys;
+  let removed = "rule" ^ "_engine" in
+  match Session.set (fresh ()) removed "off" with
+  | Error m ->
+    Alcotest.(check bool) "unknown-option error" true
+      (Helpers.contains m ("unknown option " ^ removed))
+  | Ok _ -> Alcotest.failf "%s must be rejected" removed
+
 let () =
   Alcotest.run "server"
     [
@@ -990,6 +1017,7 @@ let () =
           Alcotest.test_case "temp-isolation" `Quick test_session_temp_isolation;
           Alcotest.test_case "shared-ddl" `Quick test_shared_base_ddl_visible;
           Alcotest.test_case "set-options" `Quick test_session_set_and_stats;
+          Alcotest.test_case "set-bool-keys" `Quick test_session_set_bool_keys;
           Alcotest.test_case "statement-timeout" `Quick
             test_statement_timeout_guard;
         ] );
