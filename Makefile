@@ -173,15 +173,16 @@ rewrite-smoke: build
 	@rm -f rewrite_smoke_on.out rewrite_smoke_off.out
 	@echo "rewrite-smoke: cost arbitration on/off outputs identical"
 
-# Benchmark smoke: short frontier-sssp and paper-iterative runs of the
-# repository benchmark (perfbench/). Every answer a run checks against
-# its reference implementation must match, so a kernel change that
-# breaks oracle answers fails CI even when the test suite misses it.
-# paper-iterative covers PR, PR-VS and SSSP-VS, whose float SUMs are
-# fed by join output order.
+# Benchmark smoke: short frontier-sssp, paper-iterative and
+# server-mixed runs of the repository benchmark (perfbench/). Every
+# answer a run checks against its reference implementation must match,
+# so a kernel change that breaks oracle answers fails CI even when the
+# test suite misses it. paper-iterative covers PR, PR-VS and SSSP-VS,
+# whose float SUMs are fed by join output order; server-mixed covers
+# the server read path, whose short loops reuse join probes too.
 perfbench-smoke: build
 	@set -e; \
-	for WL in frontier-sssp paper-iterative; do \
+	for WL in frontier-sssp paper-iterative server-mixed; do \
 	  OUT=$$(sh perfbench/run.sh --workload $$WL --seed 1 --seconds 3 --trace 0); \
 	  LINE=$$(echo "$$OUT" | tail -1); \
 	  echo "$$LINE"; \
@@ -211,8 +212,8 @@ check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-sm
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (golden programs + reference-loop property +
 # cost-arbitration on/off output equivalence), and the benchmark smoke
-# (oracle-checked answers from short frontier-sssp and paper-iterative
-# runs).
+# (oracle-checked answers from short frontier-sssp, paper-iterative and
+# server-mixed runs).
 ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:

@@ -18,6 +18,10 @@
     - {e compiled expressions} ({!Eval.compile} closures) are memoized
       by the bound-expression value itself, so a filter or join key
       inside a 50-iteration loop is compiled once, not 50 times.
+    - {e join and aggregate sites} ({!join_site}, {!agg_site}) remember
+      their previous call: a single-Int-key probe whose key columns are
+      unchanged reuses its selection vectors, the gathers through them
+      and the aggregate's source-row numbering (join-index reuse).
 
     Each entry stores a {!Stats.clone_logical} snapshot of the logical
     counters its build accrued; a hit replays that snapshot into the
@@ -30,11 +34,12 @@
     mutex-guarded. The build/set memos are touched exclusively by the
     single-threaded program executor — and their miss thunks recurse
     into nested cache lookups, so guarding them with the same lock would
-    deadlock. *)
+    deadlock. Sites likewise belong to the program executor alone. *)
 
 module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Relation = Dbspinner_storage.Relation
+module Colbatch = Dbspinner_storage.Colbatch
 module Bound_expr = Dbspinner_plan.Bound_expr
 module Logical = Dbspinner_plan.Logical
 
@@ -106,6 +111,39 @@ type sub_set = {
   ss_members : (Value.t, unit) Hashtbl.t;
 }
 
+(** A join site's previous single-Int-key columnar probe: both key
+    columns, the mirror built over the build key, and the output
+    vectors. *)
+type probe_memo = {
+  pm_probe_key : Colbatch.col;
+  pm_build_key : Colbatch.col;
+  pm_mirror : int_mirror;
+  pm_lsel : int array;
+  pm_rsel : int array;
+  pm_padded : bool;  (** [pm_rsel] holds a pad *)
+}
+
+(** Per-join-site state: the previous probe, and what each side's
+    output gather remembers. *)
+type join_site = {
+  mutable js_probe : probe_memo option;
+  mutable js_left : Colbatch.reuse;
+  mutable js_right : Colbatch.reuse;
+}
+
+(** An aggregate's source-row numbering for one chain of selection
+    vectors: each input row's position among the distinct source rows,
+    the source row behind each position, and whether a pad is among
+    them. *)
+type source_memo = {
+  sm_chain : int array list;
+  sm_pos : int array;
+  sm_csel : int array;
+  sm_pad : bool;
+}
+
+type agg_site = { mutable as_source : source_memo option }
+
 type 'a entry = {
   value : 'a;
   replay : Stats.t;  (** logical counters the build accrued *)
@@ -118,6 +156,10 @@ type t = {
   compiled_vec : (Bound_expr.t, Vec_eval.kernel) Hashtbl.t;
   builds : (build_key, join_build entry) Hashtbl.t;
   sets : (set_key, sub_set entry) Hashtbl.t;
+  mutable join_sites : (Logical.t * join_site) list;
+      (** by plan node, compared physically: a loop body's step plan
+          is one value evaluated every iteration *)
+  mutable agg_sites : (Logical.t * agg_site) list;
 }
 
 let create () =
@@ -127,6 +169,8 @@ let create () =
     compiled_vec = Hashtbl.create 64;
     builds = Hashtbl.create 16;
     sets = Hashtbl.create 16;
+    join_sites = [];
+    agg_sites = [];
   }
 
 (* Generic memoization with stats replay. On a miss the build runs
@@ -221,3 +265,38 @@ let invalidate_temp t name =
       t.sets []
   in
   List.iter (Hashtbl.remove t.sets) stale_sets
+
+(* Find or add the state of plan node [plan] in an assoc list keyed
+   physically. *)
+let site sites plan make =
+  match List.assq_opt plan sites with
+  | Some s -> (s, sites)
+  | None ->
+    let s = make () in
+    (s, (plan, s) :: sites)
+
+let join_site t plan =
+  let s, sites =
+    site t.join_sites plan (fun () ->
+        { js_probe = None; js_left = Colbatch.no_reuse; js_right = Colbatch.no_reuse })
+  in
+  t.join_sites <- sites;
+  s
+
+let agg_site t plan =
+  let s, sites = site t.agg_sites plan (fun () -> { as_source = None }) in
+  t.agg_sites <- sites;
+  s
+
+(** Whether some join site's memo holds [sel] (physically): a vector a
+    probe returned and may return again. *)
+let holds_vector t sel =
+  List.exists
+    (fun (_, s) ->
+      match s.js_probe with
+      | Some pm -> pm.pm_lsel == sel || pm.pm_rsel == sel
+      | None -> false)
+    t.join_sites
+
+let join_sites t = List.map snd t.join_sites
+let agg_sites t = List.map snd t.agg_sites

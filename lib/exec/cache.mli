@@ -6,11 +6,18 @@
     iterations and hit; the iterative temp is rebound with a fresh
     generation each iteration and misses naturally. Hits replay the
     build's logical {!Stats} counters, so cache-on and cache-off runs
-    are {!Stats.logical_equal}. *)
+    are {!Stats.logical_equal}.
+
+    It also holds per-site state for join-index reuse: each join and
+    aggregate plan node remembers its previous call ({!join_site},
+    {!agg_site}), so a loop-body probe whose key columns come back
+    unchanged returns the same selection vectors, and what was gathered
+    or numbered through them is not redone. *)
 
 module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Relation = Dbspinner_storage.Relation
+module Colbatch = Dbspinner_storage.Colbatch
 module Bound_expr = Dbspinner_plan.Bound_expr
 module Logical = Dbspinner_plan.Logical
 
@@ -84,9 +91,58 @@ type sub_set = {
   ss_members : (Value.t, unit) Hashtbl.t;
 }
 
+(** A join site's previous single-Int-key columnar probe (see
+    {!Operators.hash_join_probe}): both key columns, the mirror built
+    over the build key, and the output selection vectors. *)
+type probe_memo = {
+  pm_probe_key : Colbatch.col;
+  pm_build_key : Colbatch.col;
+  pm_mirror : int_mirror;
+  pm_lsel : int array;
+  pm_rsel : int array;
+  pm_padded : bool;  (** [pm_rsel] holds a pad *)
+}
+
+(** Per-join-site state: the previous probe, and what each side's
+    output gather remembers ({!Colbatch.gather_pad_reusing}). *)
+type join_site = {
+  mutable js_probe : probe_memo option;
+  mutable js_left : Colbatch.reuse;
+  mutable js_right : Colbatch.reuse;
+}
+
+(** An aggregate's source-row numbering for one chain of selection
+    vectors ({!Colbatch.gather_chain}): each input row's position among
+    the distinct source rows, the source row behind each position, and
+    whether a pad is among them. Never mutate the arrays. *)
+type source_memo = {
+  sm_chain : int array list;
+  sm_pos : int array;
+  sm_csel : int array;
+  sm_pad : bool;
+}
+
+type agg_site = { mutable as_source : source_memo option }
+
 type t
 
 val create : unit -> t
+
+(** The state of the join plan node [plan] (found by physical
+    equality, added on first use). Program-executor callers only. *)
+val join_site : t -> Logical.t -> join_site
+
+(** The state of the aggregate plan node [plan]; as {!join_site}. *)
+val agg_site : t -> Logical.t -> agg_site
+
+(** Whether some join site's probe memo holds the vector [sel]
+    (physically): a vector a probe returned and may return again. *)
+val holds_vector : t -> int array -> bool
+
+(** The sites created so far, for tests of what the memo retains. *)
+val join_sites : t -> join_site list
+
+val agg_sites : t -> agg_site list
 
 (** [join_build t ~stats key build] returns the cached build table for
     [key], or runs [build] against a private stats instance, accruing

@@ -102,7 +102,9 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
        generations. A loop-invariant side (the common-result temp, or a
        base table like [edges]) keeps its generation across iterations
        and hits; the iterative temp is rebound each iteration and
-       misses. Falls back to the ordinary join when no equi-key exists
+       misses. The node's site in the cache lets a probe whose key
+       columns come back unchanged reuse its previous selection
+       vectors. Falls back to the ordinary join when no equi-key exists
        or the side is not eligible. *)
     let cached =
       match cache, cond with
@@ -128,7 +130,8 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
             in
             Some
               (Operators.hash_join_probe ?parallel ?cache ?guards ?columnar
-                 ~stats kind keys residual build l join_schema)))
+                 ~site:(Cache.join_site c plan) ~stats kind keys residual
+                 build l join_schema)))
       | _ -> None
     in
     match cached with
@@ -138,7 +141,9 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
       Operators.join ?parallel ?cache ?guards ?columnar ~stats kind cond l r
         join_schema)
   | Logical.L_aggregate { keys; aggs; input; agg_schema } ->
-    Operators.aggregate ?cache ?guards ?columnar ~stats ~keys ~aggs
+    Operators.aggregate ?cache ?guards ?columnar
+      ?site:(Option.map (fun c -> Cache.agg_site c plan) cache)
+      ~stats ~keys ~aggs
       (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
       agg_schema
   | Logical.L_distinct input ->

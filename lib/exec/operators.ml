@@ -471,15 +471,23 @@ let int_mirror_of_column (ka : int array) (nulls : bool array option) =
   done;
   { Cache.im_layout = layout; im_start = start; im_rows = rows }
 
-let int_mirror ?cache ~(stats : Stats.t) keys (build : Cache.join_build) =
+(* [build_key], when given, is the single build key column already
+   evaluated over the build relation. *)
+let int_mirror ?cache ?build_key ~(stats : Stats.t) keys
+    (build : Cache.join_build) =
   match build.Cache.jb_int with
   | Some m -> m
   | None ->
     let direct =
       match keys with
       | [ (_, rexpr) ] -> (
-        let rk = compiled_kernel ?cache ~stats rexpr in
-        let c = rk (Relation.columnar build.Cache.jb_rel) in
+        let c =
+          match build_key with
+          | Some c -> c
+          | None ->
+            compiled_kernel ?cache ~stats rexpr
+              (Relation.columnar build.Cache.jb_rel)
+        in
         match c.Colbatch.data with
         | Colbatch.D_int ka ->
           Some (Some (int_mirror_of_column ka c.Colbatch.nulls))
@@ -521,9 +529,19 @@ let int_mirror ?cache ~(stats : Stats.t) keys (build : Cache.join_build) =
     size in place. Candidate order, pad placement, [join_probes] and
     [rows_joined] are exactly the row probe's. Only called when there
     is no residual predicate (a residual wants the combined row; those
-    joins stay row-based). *)
-let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
-    keys (build : Cache.join_build) (left : Relation.t) schema : Relation.t =
+    joins stay row-based).
+
+    With a [site], an inner or left-outer single-key probe whose probe
+    and build key columns are both unboxed ints is memoized: when both
+    columns are {!Colbatch.same_int_column} to the previous call's at the
+    site, the previous [lsel]/[rsel] are returned as they are — the
+    same inputs give the same vectors — with [join_probes], the guard
+    ticks and [rows_joined] applied in bulk as the probe applies them
+    ({!Stats.probe_reuses} counts the hit). An unchanged build key also
+    reuses the previous mirror. The output gathers then reuse the
+    cells of earlier calls ({!Colbatch.gather_pad_reusing}). *)
+let hash_join_probe_columnar ?parallel ?cache ?guards ?site ~(stats : Stats.t)
+    kind keys (build : Cache.join_build) (left : Relation.t) schema : Relation.t =
   let right = build.Cache.jb_rel in
   let key_kerns =
     Array.of_list
@@ -545,17 +563,55 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
   in
   let lbatch = Relation.columnar left in
   let n = Colbatch.length lbatch in
+  let key_cols = Array.map (fun k -> k lbatch) key_kerns in
+  (* The memoizable shape, with the build key column evaluated. *)
+  let memo =
+    match site, kind, keys, key_cols with
+    | ( Some (s : Cache.join_site),
+        (Logical.Inner | Logical.Left_outer),
+        [ (_, rexpr) ],
+        [| ({ Colbatch.data = Colbatch.D_int _; _ } as pk) |] ) -> (
+      let bk = compiled_kernel ?cache ~stats rexpr (Relation.columnar right) in
+      match bk.Colbatch.data with
+      | Colbatch.D_int _ -> Some (s, pk, bk)
+      | _ -> None)
+    | _ -> None
+  in
+  (* The previous probe at the site, when the build key is unchanged
+     (its mirror serves again), and the probe to reuse when the probe
+     key is unchanged too. *)
+  let same_build =
+    match memo with
+    | Some ({ Cache.js_probe = Some pm; _ }, _, bk)
+      when Colbatch.same_int_column pm.Cache.pm_build_key bk ->
+      Some pm
+    | _ -> None
+  in
+  let reused =
+    match memo, same_build with
+    | Some (_, pk, _), Some pm
+      when Colbatch.same_int_column pm.Cache.pm_probe_key pk ->
+      Some pm
+    | _ -> None
+  in
   (* Forced here, on the coordinator, so worker domains never write
      the memo field. *)
   let mirror =
-    if Array.length key_kerns = 1 then int_mirror ?cache ~stats keys build
-    else None
+    match same_build with
+    | Some pm ->
+      if Option.is_none build.Cache.jb_int then
+        build.Cache.jb_int <- Some (Some pm.Cache.pm_mirror);
+      Some pm.Cache.pm_mirror
+    | None ->
+      if Array.length key_kerns = 1 then
+        int_mirror ?cache
+          ?build_key:(Option.map (fun (_, _, bk) -> bk) memo)
+          ~stats keys build
+      else None
   in
   (* Returns the chunk's selection vectors and whether it emitted a
      left-row pad (a [-1] in the right selection). *)
   let probe (st : Stats.t) lo len =
-    let sub = Colbatch.slice lbatch lo len in
-    let key_cols = Array.map (fun k -> k sub) key_kerns in
     let gprobe = Guards.probe () in
     let size = ref 0 and padded = ref false in
     match mirror, key_cols with
@@ -570,8 +626,8 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
       let start = im.Cache.im_start and rows = im.Cache.im_rows in
       let slots = Array.make len (-1) in
       for j = 0 to len - 1 do
-        let isnull = match nulls with Some m -> m.(j) | None -> false in
-        let s = if isnull then -1 else mirror_slot im ka.(j) in
+        let isnull = match nulls with Some m -> m.(lo + j) | None -> false in
+        let s = if isnull then -1 else mirror_slot im ka.(lo + j) in
         if s >= 0 then begin
           slots.(j) <- s;
           size := !size + start.(s + 1) - start.(s)
@@ -605,7 +661,7 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
       for j = 0 to len - 1 do
         Guards.tick guards gprobe ~stats:st;
         st.Stats.join_probes <- st.Stats.join_probes + 1;
-        let k = Array.map (fun c -> Colbatch.get c j) key_cols in
+        let k = Array.map (fun c -> Colbatch.get c (lo + j)) key_cols in
         let bucket =
           if key_has_null k then []
           else Option.value (Row_tbl.find_opt table k) ~default:[]
@@ -639,39 +695,79 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
       done;
       (lsel, rsel, !padded)
   in
-  let chunks = Parallel.chunked parallel ~stats ~n probe in
-  (* Right/full outer: unmatched build rows, ascending, after every
-     chunk. *)
-  let right_pad =
-    Option.map
-      (fun arr ->
-        let rsel =
-          Array.of_seq
-            (Seq.filter (fun ridx -> not arr.(ridx))
-               (Seq.init (Array.length arr) Fun.id))
-        in
-        (Array.make (Array.length rsel) (-1), rsel))
-      right_matched
-  in
-  let lsel, rsel =
-    match chunks, right_pad with
-    | [| (lsel, rsel, _) |], None -> (lsel, rsel)
-    | _ ->
-      let parts =
-        Array.to_list (Array.map (fun (l, r, _) -> (l, r)) chunks)
-        @ Option.to_list right_pad
+  let lsel, rsel, left_padded, right_padded =
+    match reused with
+    | Some pm ->
+      stats.Stats.probe_reuses <- stats.Stats.probe_reuses + 1;
+      stats.Stats.join_probes <- stats.Stats.join_probes + n;
+      Guards.tick_n guards (Guards.probe ()) ~stats n;
+      (pm.Cache.pm_lsel, pm.Cache.pm_rsel, false, pm.Cache.pm_padded)
+    | None ->
+      let chunks = Parallel.chunked parallel ~stats ~n probe in
+      (* Right/full outer: unmatched build rows, ascending, after every
+         chunk. *)
+      let right_pad =
+        Option.map
+          (fun arr ->
+            let rsel =
+              Array.of_seq
+                (Seq.filter (fun ridx -> not arr.(ridx))
+                   (Seq.init (Array.length arr) Fun.id))
+            in
+            (Array.make (Array.length rsel) (-1), rsel))
+          right_matched
       in
-      (Array.concat (List.map fst parts), Array.concat (List.map snd parts))
+      let lsel, rsel =
+        match chunks, right_pad with
+        | [| (lsel, rsel, _) |], None -> (lsel, rsel)
+        | _ ->
+          let parts =
+            Array.to_list (Array.map (fun (l, r, _) -> (l, r)) chunks)
+            @ Option.to_list right_pad
+          in
+          (Array.concat (List.map fst parts), Array.concat (List.map snd parts))
+      in
+      let left_padded =
+        match right_pad with Some (l, _) -> Array.length l > 0 | None -> false
+      in
+      (lsel, rsel, left_padded, Array.exists (fun (_, _, p) -> p) chunks)
   in
-  let left_padded =
-    match right_pad with Some (l, _) -> Array.length l > 0 | None -> false
-  in
-  let right_padded = Array.exists (fun (_, _, p) -> p) chunks in
   stats.Stats.rows_joined <- stats.Stats.rows_joined + Array.length lsel;
+  let rbatch = Relation.columnar right in
   let out =
-    Colbatch.hstack
-      (Colbatch.gather_pad ~has_neg:left_padded lbatch lsel)
-      (Colbatch.gather_pad ~has_neg:right_padded (Relation.columnar right) rsel)
+    match memo, mirror with
+    | Some (s, pk, bk), Some im ->
+      (* Each call stores its own key columns: a stable column then
+         compares physically next time. *)
+      s.Cache.js_probe <-
+        Some
+          {
+            Cache.pm_probe_key = pk;
+            pm_build_key = bk;
+            pm_mirror = im;
+            pm_lsel = lsel;
+            pm_rsel = rsel;
+            pm_padded = right_padded;
+          };
+      let l, lr =
+        Colbatch.gather_pad_reusing s.Cache.js_left ~has_neg:left_padded lbatch lsel
+      in
+      let r, rr =
+        Colbatch.gather_pad_reusing s.Cache.js_right ~has_neg:right_padded rbatch rsel
+      in
+      s.Cache.js_left <- lr;
+      s.Cache.js_right <- rr;
+      Colbatch.hstack l r
+    | _ ->
+      Option.iter
+        (fun (s : Cache.join_site) ->
+          s.Cache.js_probe <- None;
+          s.Cache.js_left <- Colbatch.no_reuse;
+          s.Cache.js_right <- Colbatch.no_reuse)
+        site;
+      Colbatch.hstack
+        (Colbatch.gather_pad ~has_neg:left_padded lbatch lsel)
+        (Colbatch.gather_pad ~has_neg:right_padded rbatch rsel)
   in
   Relation.of_batch schema out
 
@@ -680,13 +776,13 @@ let hash_join_probe_columnar ?parallel ?cache ?guards ~(stats : Stats.t) kind
     is chunk-parallel over the left rows, with per-chunk outputs
     concatenated in chunk order (probe order == left order, identical
     to sequential). *)
-let hash_join_probe ?parallel ?cache ?guards ?(columnar = false)
+let hash_join_probe ?parallel ?cache ?guards ?(columnar = false) ?site
     ~(stats : Stats.t) kind keys residual (build : Cache.join_build)
     (left : Relation.t) schema : Relation.t =
   Stats.timed stats Stats.Op_join @@ fun () ->
   if columnar && residual = [] then
-    hash_join_probe_columnar ?parallel ?cache ?guards ~stats kind keys build
-      left schema
+    hash_join_probe_columnar ?parallel ?cache ?guards ?site ~stats kind keys
+      build left schema
   else begin
   let right = build.Cache.jb_rel in
   let table = build.Cache.jb_table () in
@@ -1153,15 +1249,17 @@ let boxed_columns (boxed : (Logical.agg * Colbatch.col) option array) gid ng :
          Colbatch.of_values (Array.map (finalize a.agg_kind) accs)))
     cells
 
-(** The distinct source rows of a batch that gathers [root] through the
-    composed selection [sel] of length [n] (see
-    {!Colbatch.gather_source}): the gather of [root] at each source row
-    in first-appearance order, with every pad sharing one all-NULL row,
-    and each input row's position in it. *)
-let source_rows (root : Colbatch.t) sel n : int array * Colbatch.t =
+(** The source-row numbering of a batch of [n] rows that gathers a
+    source of [len] rows through [chain] (see
+    {!Colbatch.gather_chain}): each input row's position among the
+    distinct source rows in first-appearance order, the source row
+    behind each position (every pad shares one position, [-1]), and
+    whether a pad is among them. *)
+let source_rows len chain n : Cache.source_memo =
+  let sel = Colbatch.compose_chain chain in
   let pos = Array.make n 0 in
-  let slot = Array.make (Colbatch.length root) (-1) in
-  let csel = Array.make (min n (Colbatch.length root + 1)) 0 in
+  let slot = Array.make len (-1) in
+  let csel = Array.make (min n (len + 1)) 0 in
   let m = ref 0 and pad = ref (-1) in
   let fresh s =
     let c = !m in
@@ -1181,7 +1279,12 @@ let source_rows (root : Colbatch.t) sel n : int array * Colbatch.t =
          slot.(s)
        end)
   done;
-  (pos, Colbatch.gather_pad ~has_neg:(!pad >= 0) root (Array.sub csel 0 !m))
+  {
+    Cache.sm_chain = chain;
+    sm_pos = pos;
+    sm_csel = Array.sub csel 0 !m;
+    sm_pad = !pad >= 0;
+  }
 
 (** Columnar hash aggregation: number the groups (phase 1), fold every
     aggregate's argument column, vectorized over the whole batch, into
@@ -1200,18 +1303,38 @@ let source_rows (root : Colbatch.t) sel n : int array * Colbatch.t =
     that raises on some source row raises exactly when that row
     appears in the input. Any other batch (keys from both join sides,
     row-built, sliced or concatenated) evaluates the keys over all [n]
-    rows. *)
-let columnar_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
-    (input : Relation.t) schema : Relation.t =
+    rows.
+
+    The numbering depends only on the chain's vectors, so with a [site]
+    a chain physically equal to the previous call's reuses that call's
+    numbering without composing the chain; a numbering is kept only
+    when every vector of its chain is one a join site holds. *)
+let columnar_aggregate ?cache ?guards ?site ~stats ~keys
+    ~(aggs : Logical.agg array) (input : Relation.t) schema : Relation.t =
   let batch = Relation.columnar input in
   let n = Colbatch.length batch in
   let eval b e = (compiled_kernel ?cache ~stats e) b in
   let by_source =
     match
-      Colbatch.gather_source batch (List.concat_map Bound_expr.columns_of keys)
+      Colbatch.gather_chain batch (List.concat_map Bound_expr.columns_of keys)
     with
-    | Some (root, sel) when Colbatch.length root <= n ->
-      Some (source_rows root sel n)
+    | Some (root, chain) when Colbatch.length root <= n ->
+      let len = Colbatch.length root in
+      let sm =
+        match site, cache with
+        | Some (s : Cache.agg_site), Some c -> (
+          match s.Cache.as_source with
+          | Some sm when List.equal ( == ) sm.Cache.sm_chain chain -> sm
+          | _ ->
+            let sm = source_rows len chain n in
+            s.Cache.as_source <-
+              (if List.for_all (Cache.holds_vector c) chain then Some sm else None);
+            sm)
+        | _ -> source_rows len chain n
+      in
+      Some
+        ( sm.Cache.sm_pos,
+          Colbatch.gather_pad ~has_neg:sm.Cache.sm_pad root sm.Cache.sm_csel )
     | _ -> None
   in
   let key_rows =
@@ -1235,12 +1358,18 @@ let columnar_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
       let cgid, rep =
         group_ids ~tick:ignore key_cols (Colbatch.length compact)
       in
-      (* Remap in place; the guards still count all [n] input rows. *)
-      for r = 0 to n - 1 do
-        if r land 4095 = 0 then tick (min 4096 (n - r));
-        pos.(r) <- cgid.(pos.(r))
+      (* The guards still count all [n] input rows. When every source
+         row is its own group (a unique key), the groups are numbered
+         as the source rows are and [pos] is already the answer;
+         otherwise remap into a fresh array, as [pos] may be a kept
+         numbering. Nothing downstream writes [gid]. *)
+      let r = ref 0 in
+      while !r < n do
+        tick (min 4096 (n - !r));
+        r := !r + 4096
       done;
-      (pos, rep)
+      if Array.length rep = Array.length cgid then (pos, rep)
+      else (Array.map (fun p -> cgid.(p)) pos, rep)
   in
   let ng = Array.length rep in
   let typed = Array.mapi (fun i a -> agg_column a arg_cols.(i) gid ng) aggs in
@@ -1328,11 +1457,12 @@ let row_aggregate ?cache ?guards ~stats ~keys ~(aggs : Logical.agg array)
   in
   Relation.make_trusted schema rows
 
-let aggregate ?cache ?guards ?(columnar = false) ~(stats : Stats.t) ~keys
+let aggregate ?cache ?guards ?(columnar = false) ?site ~(stats : Stats.t) ~keys
     ~(aggs : Logical.agg list) (input : Relation.t) schema : Relation.t =
   Stats.timed stats Stats.Op_aggregate @@ fun () ->
   stats.Stats.rows_aggregated <-
     stats.Stats.rows_aggregated + Relation.cardinality input;
   let aggs = Array.of_list aggs in
-  if columnar then columnar_aggregate ?cache ?guards ~stats ~keys ~aggs input schema
+  if columnar then
+    columnar_aggregate ?cache ?guards ?site ~stats ~keys ~aggs input schema
   else row_aggregate ?cache ?guards ~stats ~keys ~aggs input schema

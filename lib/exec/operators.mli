@@ -126,12 +126,23 @@ val make_join_build :
   Cache.join_build
 
 (** Probe a {!make_join_build} table with the left rows; [residual]
-    filters combined rows. Chunk-parallel over the left rows. *)
+    filters combined rows. Chunk-parallel over the left rows.
+
+    [site] is the join plan node's state in the per-run {!Cache}. With
+    it, a columnar inner or left-outer probe on one key, whose probe
+    and build key columns are both unboxed ints, returns the previous
+    call's selection vectors when both columns are
+    {!Colbatch.same_int_column} to that call's (counted in
+    {!Stats.probe_reuses}; every logical counter is applied as a probe
+    applies it), and its output gathers reuse earlier calls' cells
+    ({!Colbatch.gather_pad_reusing}). Rows, row order and logical
+    stats are those of a probe without [site]. *)
 val hash_join_probe :
   ?parallel:Parallel.ctx ->
   ?cache:Cache.t ->
   ?guards:Guards.t ->
   ?columnar:bool ->
+  ?site:Cache.join_site ->
   stats:Stats.t ->
   Logical.join_kind ->
   (Bound_expr.t * Bound_expr.t) list ->
@@ -185,11 +196,18 @@ val join :
 
 (** Hash aggregation; grouped output is keys then aggregates, in first-
     appearance group order. A global aggregate over an empty input
-    yields one default row. *)
+    yields one default row.
+
+    [site] is the aggregate plan node's state in [cache]. With both,
+    the columnar path reuses the previous call's source-row numbering
+    when its input gathers the source through the physically same
+    chain of selection vectors, and keeps a numbering only for a chain
+    of vectors some join site holds ({!Cache.holds_vector}). *)
 val aggregate :
   ?cache:Cache.t ->
   ?guards:Guards.t ->
   ?columnar:bool ->
+  ?site:Cache.agg_site ->
   stats:Stats.t ->
   keys:Bound_expr.t list ->
   aggs:Logical.agg list ->

@@ -84,6 +84,10 @@ type t = {
           (first iteration, large deltas, post-recovery restarts) *)
   mutable cache_hits : int;  (** executor-cache lookups served from cache *)
   mutable cache_misses : int;  (** executor-cache lookups that built fresh *)
+  mutable probe_reuses : int;
+      (** join probes answered from the previous call's selection
+          vectors because both key columns were unchanged; a cache
+          counter, outside {!logical_equal} like [cache_hits] *)
   mutable build_ms_saved : float;
       (** wall milliseconds of build work avoided by cache hits
           (measured at miss time, so not deterministic) *)
@@ -116,6 +120,7 @@ let create () =
     full_reevals = 0;
     cache_hits = 0;
     cache_misses = 0;
+    probe_reuses = 0;
     build_ms_saved = 0.0;
     op_wall = Array.make op_count 0.0;
   }
@@ -143,6 +148,7 @@ let reset t =
   t.full_reevals <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
+  t.probe_reuses <- 0;
   t.build_ms_saved <- 0.0;
   Array.fill t.op_wall 0 op_count 0.0
 
@@ -170,6 +176,7 @@ let add ~into (src : t) =
   into.full_reevals <- into.full_reevals + src.full_reevals;
   into.cache_hits <- into.cache_hits + src.cache_hits;
   into.cache_misses <- into.cache_misses + src.cache_misses;
+  into.probe_reuses <- into.probe_reuses + src.probe_reuses;
   into.build_ms_saved <- into.build_ms_saved +. src.build_ms_saved;
   for i = 0 to op_count - 1 do
     into.op_wall.(i) <- into.op_wall.(i) +. src.op_wall.(i)
@@ -208,6 +215,7 @@ let clone_logical (src : t) =
   Array.fill c.op_wall 0 op_count 0.0;
   c.cache_hits <- 0;
   c.cache_misses <- 0;
+  c.probe_reuses <- 0;
   c.build_ms_saved <- 0.0;
   c
 
@@ -272,8 +280,9 @@ let pp fmt t =
       t.delta_rows_evaluated t.full_reevals;
   (* Cache counters only appear when the executor cache saw traffic. *)
   if t.cache_hits > 0 || t.cache_misses > 0 then
-    Format.fprintf fmt " cache_hits=%d cache_misses=%d build_ms_saved=%.1f"
-      t.cache_hits t.cache_misses t.build_ms_saved;
+    Format.fprintf fmt
+      " cache_hits=%d cache_misses=%d probe_reuses=%d build_ms_saved=%.1f"
+      t.cache_hits t.cache_misses t.probe_reuses t.build_ms_saved;
   (* Per-operator wall-time buckets, only once something was timed. *)
   if Array.exists (fun s -> s > 0.0) t.op_wall then begin
     Format.fprintf fmt "@\n  op wall time:";

@@ -48,6 +48,10 @@ type t = {
           (first iteration, large deltas, post-recovery restarts) *)
   mutable cache_hits : int;  (** executor-cache lookups served from cache *)
   mutable cache_misses : int;  (** executor-cache lookups that built fresh *)
+  mutable probe_reuses : int;
+      (** join probes answered from the previous call's selection
+          vectors because both key columns were unchanged; a cache
+          counter, outside {!logical_equal} like [cache_hits] *)
   mutable build_ms_saved : float;
       (** wall milliseconds of build work avoided by cache hits
           (measured, not deterministic) *)

@@ -41,8 +41,9 @@ type col = {
 (** One lazily-materialized column. [src] says how to build it; [memo]
     caches the result. [S_gather] keeps enough structure for the force
     path to flatten gather-of-gather chains by composing selection
-    vectors. *)
-type cell = { memo : col option Atomic.t; src : src }
+    vectors. [id] is unique per cell, so a {!reuse} can recognize a
+    base cell across calls without holding on to it. *)
+type cell = { id : int; memo : col option Atomic.t; src : src }
 
 and src =
   | S_col of col  (** a column built eagerly ({!make}, {!of_rows}) *)
@@ -56,9 +57,13 @@ type t = {
   cells : cell array;
 }
 
-let cell_of_col c = { memo = Atomic.make (Some c); src = S_col c }
-
-let cell_of_thunk f = { memo = Atomic.make None; src = S_thunk f }
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+let cell_of_src memo src = { id = fresh_id (); memo = Atomic.make memo; src }
+let cell_of_col c = cell_of_src (Some c) (S_col c)
+let cell_of_thunk f = cell_of_src None (S_thunk f)
+let gather_cell base sel has_neg =
+  cell_of_src None (S_gather (base, sel, has_neg))
 
 let length t = t.len
 let arity t = Array.length t.cells
@@ -283,8 +288,7 @@ let const v len : col =
 let gather_cells t sel has_neg =
   {
     len = Array.length sel;
-    cells =
-      Array.map (fun cell -> { memo = Atomic.make None; src = S_gather (cell, sel, has_neg) }) t.cells;
+    cells = Array.map (fun cell -> gather_cell cell sel has_neg) t.cells;
   }
 
 (** Dense gather: keep exactly the rows listed in [sel], in order.
@@ -305,12 +309,12 @@ let gather_pad ?has_neg t (sel : int array) : t =
 
 (** Where columns [cols] of [t] come from, when each is a lazy gather
     through one chain of selection vectors over eagerly built root
-    columns of one length. Returns [(root, sel)]: [root] has the roots'
-    length, with the root of column [j] at index [j] for each [j] in
-    [cols] (other indices hold unread all-NULL placeholders), and cell
-    [i] of column [j] of [t] is cell [sel.(i)] of that root, or NULL
-    where [sel.(i) = -1]. [sel] may be shared with [t]: never mutate
-    it.
+    columns of one length. Returns [(root, sels)]: [root] has the
+    roots' length, with the root of column [j] at index [j] for each
+    [j] in [cols] (other indices hold unread all-NULL placeholders),
+    and [sels] is the chain, innermost first — the physical vectors
+    the gathers hold, so callers may compare them with [==] but must
+    never mutate them.
 
     Only [src] links are walked, never memo cells, so the answer
     depends on how [t] was built, not on which of its columns some
@@ -319,7 +323,7 @@ let gather_pad ?has_neg t (sel : int array) : t =
     compared physically), when a root is a thunk (a {!slice}, a
     {!concat} or a deferred builder), or when the roots' lengths
     differ. *)
-let gather_source t (cols : int list) : (t * int array) option =
+let gather_chain t (cols : int list) : (t * int array list) option =
   (* A cell's selections, innermost first, and its root column. *)
   let rec walk sels cell =
     match cell.src with
@@ -329,7 +333,7 @@ let gather_source t (cols : int list) : (t * int array) option =
   in
   let walked = List.map (fun j -> (j, walk [] t.cells.(j))) cols in
   match walked with
-  | (_, Some ((inner :: outer as sels), root0)) :: _ ->
+  | (_, Some ((_ :: _ as sels), root0)) :: _ ->
     let len = data_length root0.data in
     let same = function
       | _, Some (s, r) -> List.equal ( == ) s sels && data_length r.data = len
@@ -344,10 +348,86 @@ let gather_source t (cols : int list) : (t * int array) option =
       List.iter
         (function j, Some (_, r) -> cells.(j) <- cell_of_col r | _ -> ())
         walked;
-      let sel = List.fold_left (fun acc s -> fst (compose acc s)) inner outer in
-      Some ({ len; cells }, sel)
+      Some ({ len; cells }, sels)
     end
   | _ -> None
+
+(** The selection vector equivalent to gathering through [sels],
+    innermost first (non-empty). A one-vector chain returns that
+    vector itself. *)
+let compose_chain = function
+  | [] -> invalid_arg "Colbatch.compose_chain: empty chain"
+  | inner :: outer ->
+    List.fold_left (fun acc s -> fst (compose acc s)) inner outer
+
+(* ------------------------------------------------------------------ *)
+(* Gather reuse across calls                                           *)
+
+(** What one gather site remembers of its previous call: the selection
+    vector, the ids of the cells it gathered, and the output cells it
+    keeps, by base id. Only ids are kept of the bases, so a base that
+    dies (a per-iteration column) is not held alive. *)
+type reuse = {
+  ru_sel : int array;
+  ru_seen : int array;
+  ru_kept : (int * cell) list;
+}
+
+let no_reuse = { ru_sel = [||]; ru_seen = [||]; ru_kept = [] }
+
+(** [gather_pad_reusing r ~has_neg t sel] is [gather_pad ~has_neg t
+    sel] that hands back, for each column, the very cell of an earlier
+    call when that call gathered the same base cell through the
+    physically same [sel] — so a column forced once stays forced. An
+    output cell is kept for the next call only when [sel] is the
+    previous call's and its base was gathered by the previous call too
+    (a base seen two calls running, such as a loop-invariant table's
+    column); a base seen once is gathered afresh and not kept. Cells
+    are immutable apart from their memo, and equal base and [sel] give
+    an equal column, so the result is exactly [gather_pad]'s. *)
+let gather_pad_reusing (r : reuse) ~has_neg t (sel : int array) : t * reuse =
+  let same = r.ru_sel == sel in
+  let kept = ref [] in
+  let cells =
+    Array.map
+      (fun (base : cell) ->
+        let reused =
+          if same then List.assoc_opt base.id r.ru_kept else None
+        in
+        match reused with
+        | Some c ->
+          kept := (base.id, c) :: !kept;
+          c
+        | None ->
+          let c = gather_cell base sel has_neg in
+          if same && Array.mem base.id r.ru_seen then
+            kept := (base.id, c) :: !kept;
+          c)
+      t.cells
+  in
+  ( { len = Array.length sel; cells },
+    {
+      ru_sel = sel;
+      ru_seen = Array.map (fun (c : cell) -> c.id) t.cells;
+      ru_kept = !kept;
+    } )
+
+let kept_cells r = List.length r.ru_kept
+
+(** Whether two columns are the same int column cell for cell: both
+    [D_int], with equal values and equal NULL masks (masked slots'
+    placeholders included). Physically equal arrays answer at once;
+    otherwise the comparison stops at the first difference. Any other
+    representation answers [false]. *)
+let same_int_column (a : col) (b : col) =
+  (match (a.nulls, b.nulls) with
+  | None, None -> true
+  | Some m, Some m' -> m == m' || m = m'
+  | _ -> false)
+  &&
+  match (a.data, b.data) with
+  | D_int x, D_int y -> x == y || x = y
+  | _ -> false
 
 let slice_col c lo len : col =
   let data =

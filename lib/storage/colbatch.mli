@@ -76,19 +76,52 @@ val gather : t -> int array -> t
     says whether [sel] holds any negative index, sparing the scan. *)
 val gather_pad : ?has_neg:bool -> t -> int array -> t
 
-(** [gather_source t cols] — where columns [cols] of [t] come from,
+(** [gather_chain t cols] — where columns [cols] of [t] come from,
     when each is a lazy gather ({!gather}, {!gather_pad}) through the
     physically same chain of selection vectors over eagerly built root
-    columns ({!make}, {!of_rows}) of one length: [Some (root, sel)],
+    columns ({!make}, {!of_rows}) of one length: [Some (root, sels)],
     where column [j] of [root] is the root of column [j] of [t] (for
     [j] in [cols]; other columns of [root] are unread placeholders) and
-    cell [i] of column [j] of [t] is cell [sel.(i)] of [root]'s column
-    [j], or NULL where [sel.(i) = -1]. Only how [t] was built matters,
-    never which columns were already forced. [None] for an empty
-    [cols], a column that is no gather, differing chains, a thunk root
-    (slice, concat) or roots of unequal length. [sel] may be shared:
-    never mutate it. *)
-val gather_source : t -> int list -> (t * int array) option
+    [sels] is the chain, innermost first. Only how [t] was built
+    matters, never which columns were already forced. [None] for an
+    empty [cols], a column that is no gather, differing chains, a thunk
+    root (slice, concat) or roots of unequal length. The vectors are
+    the gathers' own: compare them with [==], never mutate them. *)
+val gather_chain : t -> int list -> (t * int array list) option
+
+(** The selection equivalent to gathering through a non-empty chain,
+    innermost first (a one-vector chain is returned as is).
+    @raise Invalid_argument on an empty chain. *)
+val compose_chain : int array list -> int array
+
+(** What one gather site remembers of its previous call (see
+    {!gather_pad_reusing}). Holds the previous selection vector and the
+    output cells it keeps, never the gathered batch. *)
+type reuse
+
+(** The state of a site that has not gathered yet. *)
+val no_reuse : reuse
+
+(** [gather_pad_reusing r ~has_neg t sel] is [gather_pad ~has_neg t
+    sel], except that a column whose base cell the previous call
+    gathered through the physically same [sel] may come back as that
+    call's very cell — forced already if someone read it. A cell is
+    kept for the next call only when its base was gathered by the
+    previous call as well (a base seen two calls running, such as a
+    loop-invariant table's column), so a per-iteration column is never
+    held. Returns the batch and the state for the next call. *)
+val gather_pad_reusing : reuse -> has_neg:bool -> t -> int array -> t * reuse
+
+(** Number of output cells a {!reuse} keeps. *)
+val kept_cells : reuse -> int
+
+(** Whether two columns are the same int column cell for cell: both
+    [D_int], with equal values and equal NULL masks (masked slots'
+    placeholders included, which can only turn an equal pair into a
+    miss). Physically equal arrays answer at once; otherwise the
+    comparison stops at the first difference. Any other representation
+    answers [false], so [Int 3] never matches [Float 3.0]. *)
+val same_int_column : col -> col -> bool
 
 (** [slice t lo len] — contiguous row range as a fresh batch (returns
     [t] itself for the full range). *)

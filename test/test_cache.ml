@@ -440,6 +440,140 @@ let test_workload_cache_on_off_equivalence () =
     workload_queries
 
 (* ------------------------------------------------------------------ *)
+(* Join-index reuse: what the per-run memo keeps                       *)
+
+(** The join and aggregate nodes of every plan the program runs, with
+    multiplicity: an upper bound on the sites a run can create. *)
+let count_sites program =
+  let joins = ref 0 and aggs = ref 0 in
+  let rec walk (p : Logical.t) =
+    (match p with
+    | Logical.L_join _ -> incr joins
+    | Logical.L_aggregate _ -> incr aggs
+    | _ -> ());
+    ignore (Logical.map_children (fun c -> walk c; c) p)
+  in
+  Array.iter
+    (function
+      | Program.Materialize { plan; _ } | Program.Return plan -> walk plan
+      | Program.Delta_materialize { full_plan; restricted_plan; affected_plans; _ } ->
+        List.iter walk (full_plan :: restricted_plan :: affected_plans)
+      | _ -> ())
+    (Program.steps program);
+  (!joins, !aggs)
+
+(* Weak pointers to the columns of one CTE version, built in its own
+   function so no local keeps them alive. *)
+let weak_columns catalog name =
+  let b = Relation.columnar (Catalog.find_temp catalog name) in
+  let w = Weak.create (Dbspinner_storage.Colbatch.arity b) in
+  for j = 0 to Weak.length w - 1 do
+    Weak.set w j (Some (Dbspinner_storage.Colbatch.col b j))
+  done;
+  w
+
+(** A 25-iteration PR run on the single-node interpreter with a cache
+    of its own, so the memo can be inspected after the run. Returns the
+    weak columns of CTE versions 5 and 24 (the one the last iteration
+    read). *)
+let run_pr_with_cache () =
+  let engine =
+    Dbspinner_workload.Loader.engine_for
+      (Dbspinner_graph.Datasets.generate ~scale:0.04 Dbspinner_graph.Datasets.pokec_like)
+  in
+  let catalog = Engine.catalog engine in
+  let program = compile_on engine (Queries.pr ~iterations:25 ()) in
+  let cache = Cache.create () in
+  let stats = Stats.create () in
+  let invalidate n = Cache.invalidate_temp cache n in
+  let backend =
+    {
+      Executor.eval = Executor.run_plan ~cache ~columnar:true ~stats catalog;
+      find = Catalog.find_temp_opt catalog;
+      bind =
+        (fun name rel ->
+          Catalog.set_temp catalog name rel;
+          invalidate name);
+      rename =
+        (fun ~from_ ~into ->
+          Catalog.rename_temp catalog ~from_ ~into;
+          invalidate from_;
+          invalidate into);
+      drop =
+        (fun name ->
+          Catalog.drop_temp catalog name;
+          invalidate name);
+      gather = Fun.id;
+      scatter = Fun.id;
+      cardinality = Relation.cardinality;
+      recursive_cte =
+        (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_ ~max_recursion:_ ->
+          Alcotest.fail "no recursive CTE in PR");
+    }
+  in
+  let m = Executor.start backend ~stats ~guards:Dbspinner_exec.Guards.none program in
+  let v5 = ref None and v24 = ref None in
+  while not (Executor.halted m) do
+    let before = Executor.iteration m in
+    Executor.step m;
+    let it = Executor.iteration m in
+    if it <> before && it = 5 then v5 := Some (weak_columns catalog "pagerank");
+    if it <> before && it = 24 then v24 := Some (weak_columns catalog "pagerank")
+  done;
+  ignore (Executor.finish m);
+  (program, cache, stats, Option.get !v5, Option.get !v24)
+
+let test_memo_retention () =
+  let program, cache, stats, v5, v24 = run_pr_with_cache () in
+  Gc.full_major ();
+  Gc.full_major ();
+  let alive w j = Weak.check w j in
+  (* Versions 5 and 24 are dead to everything but the memo. The memo
+     may hold the key column the last iteration compared (version 24's
+     node), never a column whose values changed. *)
+  for j = 0 to Weak.length v5 - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "version 5 column %d collected" j)
+      false (alive v5 j)
+  done;
+  (* The held key column shows the weak pointers track live columns. *)
+  Alcotest.(check bool) "version 24 node held as the compared key" true (alive v24 0);
+  Alcotest.(check bool) "version 24 rank collected" false (alive v24 1);
+  Alcotest.(check bool) "version 24 delta collected" false (alive v24 2);
+  let joins, aggs = count_sites program in
+  let js = Cache.join_sites cache and ags = Cache.agg_sites cache in
+  let count f l = List.length (List.filter f l) in
+  Alcotest.(check bool)
+    (Printf.sprintf "join sites %d <= join nodes %d" (List.length js) joins)
+    true
+    (List.length js <= joins);
+  Alcotest.(check bool)
+    (Printf.sprintf "aggregate sites %d <= aggregate nodes %d" (List.length ags)
+       aggs)
+    true
+    (List.length ags <= aggs);
+  Alcotest.(check int) "one probe memo per loop-body join" 2
+    (count (fun s -> Option.is_some s.Cache.js_probe) js);
+  Alcotest.(check int) "one numbering for the loop-body aggregate" 1
+    (count (fun s -> Option.is_some s.Cache.as_source) ags);
+  let kept (s : Cache.join_site) =
+    Dbspinner_storage.Colbatch.(kept_cells s.Cache.js_left + kept_cells s.Cache.js_right)
+  in
+  Alcotest.(check bool) "invariant gathers kept" true
+    (List.exists (fun s -> kept s > 0) js);
+  (* Both loop-body probes reuse from the second iteration on. *)
+  Alcotest.(check int) "48 of 50 loop-body probes reused" 48 stats.Stats.probe_reuses
+
+let test_explain_analyze_reports_reuses () =
+  let engine = Dbspinner_workload.Loader.engine_for (Lazy.force graph) in
+  match Engine.execute engine ("EXPLAIN ANALYZE " ^ Queries.pr ~iterations:3 ()) with
+  | Engine.Explained text ->
+    Alcotest.(check bool) "probe_reuses printed" true (contains text "probe_reuses=4 ");
+    Alcotest.(check bool) "next to cache_hits" true
+      (contains text "cache_misses=")
+  | _ -> Alcotest.fail "EXPLAIN ANALYZE returned no plan text"
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "cache"
@@ -477,5 +611,11 @@ let () =
         [
           Alcotest.test_case "cache-on-vs-off" `Slow
             test_workload_cache_on_off_equivalence;
+        ] );
+      ( "join-index-reuse",
+        [
+          Alcotest.test_case "memo-retention" `Quick test_memo_retention;
+          Alcotest.test_case "explain-analyze-probe-reuses" `Quick
+            test_explain_analyze_reports_reuses;
         ] );
     ]

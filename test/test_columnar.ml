@@ -118,10 +118,17 @@ let test_colbatch_gather_of_gather () =
   Alcotest.check value_testable "composed head" (Value.Int 14)
     (Colbatch.value_at g2 0 2)
 
+(** {!Colbatch.gather_chain} with the chain composed: the root, and the
+    selection taking each row of [b] to its root row (-1 = pad). *)
+let gather_source b cols =
+  Option.map
+    (fun (root, chain) -> (root, Colbatch.compose_chain chain))
+    (Colbatch.gather_chain b cols)
+
 (* [gather_source] against the gathers themselves: cell [i] of each
    named column is the root's cell [sel.(i)], or NULL at a pad. *)
 let check_source ~msg b cols =
-  match Colbatch.gather_source b cols with
+  match gather_source b cols with
   | None -> Alcotest.failf "%s: no source" msg
   | Some (root, sel) ->
     Alcotest.(check int) (msg ^ ": selection length") (Colbatch.length b)
@@ -167,7 +174,7 @@ let test_gather_source_none () =
   let root = source_root () in
   let none msg b cols =
     Alcotest.(check bool) msg true
-      (Option.is_none (Colbatch.gather_source b cols))
+      (Option.is_none (gather_source b cols))
   in
   let sel = [| 1; 0; -1 |] in
   none "no columns" (Colbatch.gather root sel) [];
@@ -203,7 +210,7 @@ let test_gather_source_forced () =
   in
   let answer b cols =
     Option.map (fun (r, sel) -> (Colbatch.length r, sel))
-      (Colbatch.gather_source b cols)
+      (gather_source b cols)
   in
   let _, g2, mixed = build () in
   let lazy_g2 = answer g2 [ 0; 1 ] and lazy_mixed = answer mixed [ 0; 3 ] in
@@ -704,7 +711,7 @@ let gathered ~len cols levels =
     no shorter than the root. *)
 let by_source ~keys batch =
   match
-    Colbatch.gather_source batch (List.concat_map Bound_expr.columns_of keys)
+    gather_source batch (List.concat_map Bound_expr.columns_of keys)
   with
   | Some (root, _) -> Colbatch.length root <= Colbatch.length batch
   | None -> false
@@ -940,7 +947,7 @@ let prop_source_oracle =
          let want =
            naive_aggregate ~keys:(List.mapi (fun i _ -> ar + i) keys) ~aggs rows
          in
-         Option.is_some (Colbatch.gather_source batch (List.init ar Fun.id))
+         Option.is_some (gather_source batch (List.init ar Fun.id))
          && (same_rows got want
             || Test.fail_reportf "columnar\n%s\nreference\n%s" (show_rows got)
                  (show_rows want))))
@@ -1128,6 +1135,131 @@ let test_join_float_probe () =
   Alcotest.(check int) "3.0 matches both Int 3 rows" 2 (joined (Value.Float 3.0));
   Alcotest.(check int) "0.5 matches nothing" 0 (joined (Value.Float 0.5))
 
+(* Join-index reuse: two probes at one join site. The second call must
+   reuse the first call's vectors exactly when both key columns are
+   cell-for-cell unchanged, and either way agree with the order-exact
+   reference join. *)
+
+(** Probe [lkeys] against [rkeys] through [site] with the columnar
+    probe, check rows, [join_probes] and [rows_joined] against
+    {!naive_join}, and return the probe reuses the call counted. *)
+let probe_at_site ~msg ?parallel site kind lkeys rkeys =
+  let left = keyed_relation "l" lkeys and right = keyed_relation "r" rkeys in
+  let schema = Schema.append (Relation.schema left) (Relation.schema right) in
+  let build =
+    Operators.make_join_build ~stats:(Stats.create ()) [ Bound_expr.B_col 0 ] right
+  in
+  let stats = Stats.create () in
+  let got =
+    Operators.hash_join_probe ?parallel ~columnar:true ~site ~stats kind
+      [ (Bound_expr.B_col 0, Bound_expr.B_col 0) ]
+      [] build left schema
+  in
+  let cells keys idx =
+    if idx < 0 then [| Value.Null; Value.Null |] else [| keys.(idx); Value.Int idx |]
+  in
+  let want =
+    List.map
+      (fun (l, r) -> Array.append (cells lkeys l) (cells rkeys r))
+      (naive_join kind lkeys rkeys)
+  in
+  let got = Array.to_list (Relation.rows got) in
+  if not (same_rows got want) then
+    Alcotest.failf "%s: columnar\n%s\nreference\n%s" msg (show_rows got)
+      (show_rows want);
+  Alcotest.(check int)
+    (msg ^ ": join_probes") (Array.length lkeys) stats.Stats.join_probes;
+  Alcotest.(check int)
+    (msg ^ ": rows_joined") (List.length want) stats.Stats.rows_joined;
+  stats.Stats.probe_reuses
+
+(** A join site of its own, in a cache of its own. *)
+let fresh_site () =
+  Cache.join_site (Cache.create ()) (Logical.L_values (keyed_relation "s" [||]))
+
+let site_vectors (site : Cache.join_site) =
+  match site.Cache.js_probe with
+  | Some pm -> Some (pm.Cache.pm_lsel, pm.Cache.pm_rsel)
+  | None -> None
+
+let reuse_modes =
+  [ ("sequential", None); ("parallel", Parallel.context ~chunk_rows:4 ~workers:2 ()) ]
+
+(** Probe [(l1, r1)] then [(l2, r2)] at one fresh site, for inner and
+    left-outer joins in both modes: the second call reuses iff [hit],
+    and then returns the physically same vectors. *)
+let check_reuse ~msg ~hit (l1, r1) (l2, r2) =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (mode, parallel) ->
+          let msg = Printf.sprintf "%s (%s, %s)" msg (kind_label kind) mode in
+          let site = fresh_site () in
+          let first = probe_at_site ~msg:(msg ^ ": first") ?parallel site kind l1 r1 in
+          Alcotest.(check int) (msg ^ ": first call never reuses") 0 first;
+          let before = site_vectors site in
+          let second = probe_at_site ~msg:(msg ^ ": second") ?parallel site kind l2 r2 in
+          Alcotest.(check int) (msg ^ ": reuses") (if hit then 1 else 0) second;
+          let same =
+            match before, site_vectors site with
+            | Some (l, r), Some (l', r') -> l == l' && r == r'
+            | _ -> false
+          in
+          Alcotest.(check bool) (msg ^ ": same vectors") hit same)
+        reuse_modes)
+    [ Logical.Inner; Logical.Left_outer ]
+
+let reuse_probe = ints (fun i -> i * 7 mod 40) 60
+let reuse_build = ints (fun i -> i * 13 mod 35) 50
+
+let with_cell keys i v =
+  let keys = Array.copy keys in
+  keys.(i) <- v;
+  keys
+
+let test_reuse_hit () =
+  (* Fresh but equal relations: the O(n) comparison path. *)
+  check_reuse ~msg:"unchanged keys" ~hit:true
+    (reuse_probe, reuse_build)
+    (Array.copy reuse_probe, Array.copy reuse_build);
+  let masked = with_cell reuse_probe 5 Value.Null in
+  check_reuse ~msg:"unchanged masked keys" ~hit:true (masked, reuse_build)
+    (Array.copy masked, reuse_build)
+
+let test_reuse_probe_changes () =
+  let rev = Array.of_list (List.rev (Array.to_list reuse_probe)) in
+  check_reuse ~msg:"probe permuted" ~hit:false (reuse_probe, reuse_build)
+    (rev, reuse_build);
+  check_reuse ~msg:"probe value changed" ~hit:false (reuse_probe, reuse_build)
+    (with_cell reuse_probe 17 (Value.Int 99), reuse_build);
+  check_reuse ~msg:"probe gains a NULL" ~hit:false (reuse_probe, reuse_build)
+    (with_cell reuse_probe 3 Value.Null, reuse_build);
+  (* Int 3 -> Float 3.0 matches the same build rows, but the column is
+     no longer an unboxed int column. *)
+  let ints3 = with_cell reuse_probe 0 (Value.Int 3) in
+  check_reuse ~msg:"probe representation" ~hit:false (ints3, reuse_build)
+    (with_cell ints3 0 (Value.Float 3.0), reuse_build)
+
+let test_reuse_build_changes () =
+  check_reuse ~msg:"build value changed" ~hit:false (reuse_probe, reuse_build)
+    (reuse_probe, with_cell reuse_build 9 (Value.Int 21));
+  check_reuse ~msg:"build permuted" ~hit:false (reuse_probe, reuse_build)
+    (reuse_probe, Array.of_list (List.rev (Array.to_list reuse_build)));
+  check_reuse ~msg:"build gains a NULL" ~hit:false (reuse_probe, reuse_build)
+    (reuse_probe, with_cell reuse_build 0 Value.Null)
+
+let test_reuse_outer_kinds () =
+  (* Right and full outer joins keep today's probe: no reuse. *)
+  List.iter
+    (fun kind ->
+      let site = fresh_site () in
+      let msg = "unchanged keys (" ^ kind_label kind ^ ")" in
+      for _ = 1 to 2 do
+        Alcotest.(check int) (msg ^ ": reuses") 0
+          (probe_at_site ~msg site kind reuse_probe reuse_build)
+      done)
+    [ Logical.Right_outer; Logical.Full_outer ]
+
 (* ------------------------------------------------------------------ *)
 (* Cross-executor equivalence on a paper workload                      *)
 
@@ -1254,6 +1386,124 @@ let prop_columnar_on_off =
              (Stats.to_string s_row) (Stats.to_string s_col)
          else true))
 
+(* ------------------------------------------------------------------ *)
+(* Property: loop-body joins against a naive reference loop            *)
+
+(** The loop body joins the CTE to the invariant table [e] and back to
+    itself, the paper's PR shape; [key_expr] keeps, permutes (a
+    bijection on the generated keys 0..6) or rewrites the key. *)
+let join_loop_sql ~key_expr ~rounds =
+  Printf.sprintf
+    {|WITH ITERATIVE r (k, v) AS (
+  SELECT a, MIN(b) FROM t WHERE a IS NOT NULL GROUP BY a
+ITERATE SELECT %s, r.v + COALESCE(SUM(r2.v * e.w), 0)
+  FROM r LEFT JOIN e ON r.k = e.dst LEFT JOIN r AS r2 ON r2.k = e.src
+  GROUP BY %s, r.v
+UNTIL %d ITERATIONS )
+SELECT k, v FROM r|}
+    key_expr key_expr rounds
+
+(** Row-at-a-time reference for {!join_loop_sql}: R0 takes each key's
+    MIN over its non-NULL values; each round adds, to every row, the
+    products of its in-neighbours' values with the edge weights (NULL
+    values contribute nothing, no contribution adds 0), keeps a NULL
+    value NULL, and maps the key by [step]. *)
+let join_loop_reference rows edges ~step ~rounds =
+  let r0 =
+    List.fold_left
+      (fun acc (a, b) ->
+        let prev = List.assoc_opt a acc in
+        let m =
+          match prev, b with
+          | Some (Some p), Some b -> Some (min p b)
+          | Some p, None -> p
+          | (None | Some None), b -> b
+        in
+        (a, m) :: List.remove_assoc a acc)
+      [] rows
+  in
+  let round state =
+    List.map
+      (fun (k, v) ->
+        let inc =
+          List.fold_left
+            (fun acc (s, d, w) ->
+              if d <> k then acc
+              else
+                match List.assoc_opt s state with
+                | Some (Some v2) -> acc + (v2 * w)
+                | _ -> acc)
+            0 edges
+        in
+        (step k, Option.map (fun v -> v + inc) v))
+      state
+  in
+  let rec go n r = if n = 0 then r else go (n - 1) (round r) in
+  rel [ "k"; "v" ]
+    (List.map
+       (fun (k, v) -> [ vi k; Option.fold ~none:Value.Null ~some:vi v ])
+       (go rounds r0))
+
+let prop_join_loop_reference =
+  let open QCheck2 in
+  let rows_gen =
+    Gen.(list_size (int_range 0 12) (pair (int_range 0 6) (option (int_range (-8) 8))))
+  in
+  let edges_gen =
+    Gen.(
+      list_size (int_range 0 12)
+        (triple (int_range 0 6) (int_range 0 6) (int_range 1 3)))
+  in
+  let steps =
+    [
+      ("r.k", Fun.id);
+      ("MOD(r.k + 3, 7)", fun k -> (k + 3) mod 7);
+      ("r.k + 7", fun k -> k + 7);
+    ]
+  in
+  let gen =
+    Gen.(
+      quad rows_gen edges_gen (int_range 0 (List.length steps - 1)) (int_range 1 5))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100
+       ~name:"loop-body joins = naive reference loop at 1 and 2 workers"
+       ~print:(fun (rows, edges, s, rounds) ->
+         Printf.sprintf "%s over %d rows, edges [%s]"
+           (join_loop_sql ~key_expr:(fst (List.nth steps s)) ~rounds)
+           (List.length rows)
+           (String.concat "; "
+              (List.map (fun (a, b, w) -> Printf.sprintf "%d->%d:%d" a b w) edges)))
+       gen
+       (fun (rows, edges, s, rounds) ->
+         let key_expr, step = List.nth steps s in
+         let e = kv_engine rows in
+         ignore (Engine.execute e "CREATE TABLE e (src INT, dst INT, w INT)");
+         if edges <> [] then
+           ignore
+             (Engine.execute e
+                (Printf.sprintf "INSERT INTO e VALUES %s"
+                   (String.concat ", "
+                      (List.map
+                         (fun (a, b, w) -> Printf.sprintf "(%d, %d, %d)" a b w)
+                         edges))));
+         let p = compile e (join_loop_sql ~key_expr ~rounds) in
+         let expected = join_loop_reference rows edges ~step ~rounds in
+         let r1, s1 = run ~columnar:true e p in
+         let parallel = Parallel.context ~chunk_rows:2 ~workers:2 () in
+         let r2, s2 = run ?parallel ~columnar:true e p in
+         List.iter
+           (fun (name, r) ->
+             if not (Relation.equal_bag r expected) then
+               QCheck2.Test.fail_reportf "%s: rows differ:\ngot:\n%s\nreference:\n%s"
+                 name (Relation.to_table_string r)
+                 (Relation.to_table_string expected))
+           [ ("1 worker", r1); ("2 workers", r2) ];
+         if not (Stats.logical_equal s1 s2) then
+           QCheck2.Test.fail_reportf "logical stats differ across workers:\n%s\nvs\n%s"
+             (Stats.to_string s1) (Stats.to_string s2);
+         true))
+
 let () =
   Alcotest.run "columnar"
     [
@@ -1310,8 +1560,13 @@ let () =
           Alcotest.test_case "null-keys" `Quick test_join_null_keys;
           Alcotest.test_case "empty-sides" `Quick test_join_empty;
           Alcotest.test_case "float-probe-int-build" `Quick test_join_float_probe;
+          Alcotest.test_case "reuse-unchanged-keys" `Quick test_reuse_hit;
+          Alcotest.test_case "reuse-probe-key-changes" `Quick test_reuse_probe_changes;
+          Alcotest.test_case "reuse-build-key-changes" `Quick test_reuse_build_changes;
+          Alcotest.test_case "reuse-not-for-right-full" `Quick test_reuse_outer_kinds;
         ] );
       ( "executors",
         [ Alcotest.test_case "five-executors-agree" `Quick test_executors_agree ] );
-      ("properties", [ prop_columnar_on_off; prop_grouping_oracle ]);
+      ( "properties",
+        [ prop_columnar_on_off; prop_grouping_oracle; prop_join_loop_reference ] );
     ]
