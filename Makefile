@@ -133,17 +133,13 @@ durable-smoke: build
 	$(DUNE) exec test/test_durable.exe
 	$(DUNE) exec bench/main.exe -- ext-durable --fast --json BENCH_durable.json
 
-# Delta smoke: the semi-naive suite (eligibility, first-iteration and
-# empty-delta protocol, fallback on ineligible keys, cross-executor
-# agreement, and the delta-on vs delta-off property under a fixed
-# seed), then the fast delta bench, which re-checks on/off equivalence
-# across sequential / traced / parallel / cached / distributed runs
-# and writes its records (per-iteration on/off timings for SSSP and
-# friends-forecast) to the untracked BENCH_delta.smoke.json; the
-# committed BENCH_delta.json holds the full-scale run.
+# Delta smoke: the semi-naive suite under a fixed seed (eligibility,
+# first-iteration and empty-delta protocol, fallback on ineligible
+# keys, stitching of partial updates, cross-executor agreement, and
+# random iterative programs), every answer checked against the SSSP /
+# friends-forecast reference implementations or a naive kv loop.
 delta-smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_delta.exe
-	$(DUNE) exec bench/main.exe -- ext-delta --fast --json BENCH_delta.smoke.json
 
 # Columnar smoke: the vectorized-execution suite (null-bitmap corners,
 # five-executor agreement, and the columnar on/off property under a
@@ -161,17 +157,13 @@ columnar-smoke: build
 # (combinator laws, per-pass golden rule logs, golden compiled
 # programs for the paper workloads, random iterative queries on all
 # five executors checked against a naive reference loop, per-loop cost
-# accounting, and the cost-guard decision flip), then an end-to-end
-# pass: the demo script must print byte-identical results with
-# cost-based rewrite arbitration on and off — arbitration may change
-# plans, never answers.
+# accounting, and the cost-guard decision flip). Its
+# flip-preserves-semantics case also runs every statement of
+# examples/demo.sql compiled with and without catalog statistics and
+# requires identical output — arbitration may change plans, never
+# answers.
 rewrite-smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_rules.exe
-	$(DUNE) exec bin/dbspinner_cli.exe -- run examples/demo.sql > rewrite_smoke_on.out
-	$(DUNE) exec bin/dbspinner_cli.exe -- run --no-cost-rewrites examples/demo.sql > rewrite_smoke_off.out
-	cmp rewrite_smoke_on.out rewrite_smoke_off.out
-	@rm -f rewrite_smoke_on.out rewrite_smoke_off.out
-	@echo "rewrite-smoke: cost arbitration on/off outputs identical"
 
 # Benchmark smoke: short frontier-sssp, paper-iterative and
 # server-mixed runs of the repository benchmark (perfbench/). Every
@@ -208,10 +200,10 @@ check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-sm
 # the step interpreter), trace smoke (NDJSON + bench-record validation
 # with the fault path traced), the end-to-end server smoke (boot, workload, graceful drain), the
 # durability smoke (crash recovery + chaos harness), the delta smoke
-# (semi-naive on/off equivalence + bench records), and the columnar
+# (semi-naive loops against reference oracles), and the columnar
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (golden programs + reference-loop property +
-# cost-arbitration on/off output equivalence), and the benchmark smoke
+# demo-script answers with and without statistics), and the benchmark smoke
 # (oracle-checked answers from short frontier-sssp, paper-iterative and
 # server-mixed runs).
 ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke

@@ -74,7 +74,6 @@ type json_value =
   | J_num of float
   | J_int of int
   | J_bool of bool
-  | J_arr of json_value list
 
 let json_records : (string * json_value) list list ref = ref []
 let record_json fields = json_records := fields :: !json_records
@@ -96,13 +95,11 @@ let json_escape s =
   Buffer.contents b
 
 let write_json path =
-  let rec render = function
+  let render = function
     | J_str s -> Printf.sprintf "\"%s\"" (json_escape s)
     | J_num f -> Printf.sprintf "%.6f" f
     | J_int i -> string_of_int i
     | J_bool b -> if b then "true" else "false"
-    | J_arr items ->
-      Printf.sprintf "[%s]" (String.concat ", " (List.map render items))
   in
   let oc = open_out path in
   output_string oc "{\n  \"schema\": \"dbspinner-bench-v1\",\n  \"records\": [\n";
@@ -827,165 +824,6 @@ SELECT COUNT(*) FROM sssp|}
     \ parallel, and distributed executors — `equal` checks all of it)"
 
 (* ------------------------------------------------------------------ *)
-(* ext-delta: semi-naive (delta-driven) iteration vs full re-evaluation *)
-
-let ext_delta () =
-  header "Extension: semi-naive delta-driven iteration (restricted re-evaluation)";
-  let module Stats = Dbspinner_exec.Stats in
-  let module Executor = Dbspinner_exec.Executor in
-  let module Parallel = Dbspinner_exec.Parallel in
-  let module Catalog = Dbspinner_storage.Catalog in
-  let module Trace = Dbspinner_obs.Trace in
-  let compile_for catalog options sql =
-    let lookup name =
-      Option.map Dbspinner_storage.Table.schema
-        (Catalog.find_table_opt catalog name)
-    in
-    Dbspinner_rewrite.Iterative_rewrite.compile ~options ~lookup
-      (Dbspinner_sql.Parser.parse_query sql)
-  in
-  let delta_off = { Options.default with Options.use_delta = false } in
-  let n = iterations () in
-  (* SSSP's sweet spot: a chain core (narrow frontier — only a handful
-     of distances improve per iteration) under a heavy fan-in of edges
-     from nodes unreachable from the source. Full re-evaluation joins
-     the whole fan-in every iteration; the restricted passes only touch
-     the frontier. *)
-  let chain =
-    let v = if !fast then 1200 else 4000 in
-    Graph_gen.chain_with_fanin ~seed:7 ~num_nodes:v ~shortcut_every:10
-      ~upstream:(v / 10) ~fanout:220
-  in
-  let sssp_engine = Loader.engine_for ~with_vertex_status:false chain in
-  let ff_graph, ff_engine = engine_for_dataset Datasets.dblp_like in
-  ignore ff_graph;
-  Printf.printf
-    "datasets: chain+shortcuts (%d nodes, %d edges) for SSSP, dblp-like for FF\n"
-    (Graph_gen.num_nodes chain) (Graph_gen.num_edges chain);
-  let workloads =
-    [
-      ( "SSSP",
-        Engine.catalog sssp_engine,
-        Queries.sssp ~source:0 ~iterations:n () );
-      ("FF (mod 2)", Engine.catalog ff_engine, Queries.ff ~modulus:2 ~iterations:n ());
-      ("PR", Engine.catalog ff_engine, Queries.pr ~iterations:n ());
-    ]
-  in
-  Printf.printf "\n%-14s %11s %11s %12s %9s %6s %6s\n" "workload" "delta off"
-    "delta on" "improvement" "restr.rows" "full" "equal";
-  List.iter
-    (fun (label, catalog, sql) ->
-      let p_on = compile_for catalog Options.default sql in
-      let p_off = compile_for catalog delta_off sql in
-      (* One timed run per mode, then a traced run for the
-         per-iteration timeline (sliced out of the ring buffer with
-         [next_seq] so the timing run's spans don't mix in). *)
-      let run program =
-        let stats = Stats.create () in
-        let rel = ref (Relation.make (Dbspinner_storage.Schema.make []) [||]) in
-        let t =
-          timed (fun () ->
-              Catalog.clear_temps catalog;
-              Stats.reset stats;
-              rel := Executor.run_program ~stats catalog program)
-        in
-        let tr = Trace.create () in
-        let min_seq = Trace.next_seq tr in
-        Catalog.clear_temps catalog;
-        let traced = Executor.run_program ~trace:tr catalog program in
-        let per_iter =
-          List.map
-            (fun (s : Trace.span) -> s.Trace.wall_ms)
-            (Trace.iteration_spans ~min_seq tr)
-        in
-        (t, !rel, stats, traced, per_iter)
-      in
-      let off_t, off_rel, off_stats, off_traced, off_iters = run p_off in
-      let on_t, on_rel, on_stats, on_traced, on_iters = run p_on in
-      (* Equivalence across every executor with deltas on: the delta
-         protocol must be invisible to results everywhere. *)
-      let seq_equal =
-        Relation.equal_bag off_rel on_rel
-        && off_stats.Stats.loop_iterations = on_stats.Stats.loop_iterations
-      in
-      let traced_equal =
-        Relation.equal_bag on_rel on_traced
-        && Relation.equal_bag off_rel off_traced
-      in
-      let parallel = Parallel.context ~workers:2 () in
-      Catalog.clear_temps catalog;
-      let par_rel = Executor.run_program ?parallel catalog p_on in
-      Catalog.clear_temps catalog;
-      let unc_rel = Executor.run_program ~use_cache:false catalog p_on in
-      Catalog.clear_temps catalog;
-      let dist_rel, _ =
-        Dbspinner_mpp.Distributed.run_program ~workers:4 catalog p_on
-      in
-      Catalog.clear_temps catalog;
-      (* PR sums floats; distributed partition order moves the last
-         bits, so the distributed leg is compared with tolerance. *)
-      let close x y =
-        Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x +. Float.abs y)
-      in
-      let approx_equal_bag a b =
-        let module Value = Dbspinner_storage.Value in
-        Relation.cardinality a = Relation.cardinality b
-        &&
-        let sa = Relation.sorted a and sb = Relation.sorted b in
-        Array.for_all2
-          (fun ra rb ->
-            Array.for_all2
-              (fun va vb ->
-                match ((va : Value.t), (vb : Value.t)) with
-                | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _)
-                  ->
-                  close (Value.to_float va) (Value.to_float vb)
-                | _ -> Value.equal va vb)
-              ra rb)
-          (Relation.rows sa) (Relation.rows sb)
-      in
-      let executors_equal =
-        Relation.equal_bag on_rel par_rel
-        && Relation.equal_bag on_rel unc_rel
-        && approx_equal_bag on_rel dist_rel
-      in
-      let all_equal = seq_equal && traced_equal && executors_equal in
-      Printf.printf "%-14s %11s %11s %12s %9d %6d %6s\n" label (secs off_t)
-        (secs on_t) (improvement off_t on_t)
-        on_stats.Stats.delta_rows_evaluated on_stats.Stats.full_reevals
-        (if all_equal then "yes" else "NO!");
-      let ms_arr l = J_arr (List.map (fun ms -> J_num ms) l) in
-      record_json
-        [
-          ("section", J_str "ext-delta");
-          ("workload", J_str label);
-          ("delta_off_s", J_num off_t);
-          ("delta_on_s", J_num on_t);
-          ("speedup", J_num (off_t /. Float.max on_t 1e-12));
-          ( "improvement_pct",
-            J_num ((off_t -. on_t) /. Float.max off_t 1e-12 *. 100.0) );
-          ("iterations", J_int on_stats.Stats.loop_iterations);
-          ("delta_rows_evaluated", J_int on_stats.Stats.delta_rows_evaluated);
-          ("full_reevals", J_int on_stats.Stats.full_reevals);
-          ("per_iteration_off_ms", ms_arr off_iters);
-          ("per_iteration_on_ms", ms_arr on_iters);
-          ("sequential_equal", J_bool seq_equal);
-          ("traced_equal", J_bool traced_equal);
-          ("parallel_distributed_cached_equal", J_bool executors_equal);
-          ("results_equal", J_bool all_equal);
-        ])
-    workloads;
-  print_endline
-    "\n(delta off re-evaluates the full loop body every iteration; delta on\n\
-    \ diffs the CTE against its previous version and re-evaluates only the\n\
-    \ affected keys, stitching unchanged rows from the previous output.\n\
-    \ SSSP's frontier is narrow, so restricted passes win big; PR updates\n\
-    \ every key every iteration, so the cutoff falls back to full passes\n\
-    \ and merely must not regress. `equal` covers sequential, traced,\n\
-    \ parallel, cached and distributed runs)"
-
-
-(* ------------------------------------------------------------------ *)
 (* ext-columnar: vectorized columnar execution vs the row engine       *)
 
 let ext_columnar () =
@@ -1010,11 +848,6 @@ let ext_columnar () =
     Dbspinner_rewrite.Iterative_rewrite.compile ~options ~lookup
       (Dbspinner_sql.Parser.parse_query sql)
   in
-  (* The headline row-vs-columnar comparison runs with deltas off so
-     every iteration re-evaluates the full loop body — that is the
-     operator volume the vectorized engine accelerates. The delta legs
-     below measure the compounding when both are on. *)
-  let delta_off = { Options.default with Options.use_delta = false } in
   let n = iterations () in
   let workloads =
     [
@@ -1026,7 +859,7 @@ let ext_columnar () =
     ]
   in
   (* Distributed partition order reorders float additions, so that leg
-     is compared with tolerance (same as ext-delta / ext-trace). *)
+     is compared with tolerance (same as ext-trace). *)
   let close x y =
     Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x +. Float.abs y)
   in
@@ -1086,8 +919,7 @@ let ext_columnar () =
     "speedup" "equal";
   List.iter
     (fun (label, sql) ->
-      let p = compile_for delta_off sql in
-      let p_delta = compile_for Options.default sql in
+      let p = compile_for Options.default sql in
       (* Sequential (cached, the engine default). *)
       let row_t, row_rel, row_stats =
         best_of reps (fun () -> run ~columnar:false p)
@@ -1120,14 +952,6 @@ let ext_columnar () =
         && Relation.equal_bag col_rel unc_col_rel
         && Stats.logical_equal unc_row_stats unc_col_stats
       in
-      (* Semi-naive deltas on: the compounding configuration. *)
-      let d_row_t, d_row_rel, d_row_stats = run ~columnar:false p_delta in
-      let d_col_t, d_col_rel, d_col_stats = run ~columnar:true p_delta in
-      let delta_equal =
-        Relation.equal_bag d_row_rel d_col_rel
-        && Relation.equal_bag col_rel d_col_rel
-        && Stats.logical_equal d_row_stats d_col_stats
-      in
       (* Distributed. *)
       let dist_run ~columnar =
         let stats = Stats.create () in
@@ -1147,8 +971,7 @@ let ext_columnar () =
       in
       Catalog.clear_temps catalog;
       let all_equal =
-        seq_equal && parallel_equal && cached_equal && delta_equal
-        && distributed_equal
+        seq_equal && parallel_equal && cached_equal && distributed_equal
       in
       Printf.printf "%-18s %11s %11s %8.2fx %6s\n" label (secs row_t)
         (secs col_t)
@@ -1167,14 +990,10 @@ let ext_columnar () =
           ("parallel_columnar_s", J_num par_col_t);
           ( "parallel_speedup",
             J_num (par_row_t /. Float.max par_col_t 1e-12) );
-          ("delta_row_s", J_num d_row_t);
-          ("delta_columnar_s", J_num d_col_t);
-          ("delta_speedup", J_num (d_row_t /. Float.max d_col_t 1e-12));
           ("iterations", J_int col_stats.Stats.loop_iterations);
           ("sequential_equal", J_bool seq_equal);
           ("parallel_equal", J_bool parallel_equal);
           ("cached_equal", J_bool cached_equal);
-          ("delta_equal", J_bool delta_equal);
           ("distributed_equal", J_bool distributed_equal);
           ("results_equal", J_bool all_equal);
         ])
@@ -1183,8 +1002,8 @@ let ext_columnar () =
     "\n(row is the tuple-at-a-time interpreter; columnar evaluates compiled\n\
     \ kernels over typed column batches under selection vectors. Results\n\
     \ and logical stats must be bit-identical across the sequential,\n\
-    \ chunk-parallel, cached, delta and distributed executors - `equal`\n\
-    \ covers all five; the distributed leg uses the usual float tolerance)"
+    \ chunk-parallel, cached and distributed executors - `equal` covers\n\
+    \ all four; the distributed leg uses the usual float tolerance)"
 
 (* ------------------------------------------------------------------ *)
 (* ext-server: multi-session server throughput and admission control   *)
@@ -1761,7 +1580,6 @@ let sections =
     ("ext-parallel", ext_parallel);
     ("ext-cache", ext_cache);
     ("ext-trace", ext_trace);
-    ("ext-delta", ext_delta);
     ("ext-columnar", ext_columnar);
     ("ext-server", ext_server);
     ("ext-durable", ext_durable);

@@ -12,8 +12,8 @@
      \gen NAME [SCALE]        generate a synthetic dataset (dblp-like,
                               pokec-like, webgoogle-like) into edges /
                               vertexStatus
-     \set OPTION on|off       toggle rename | common | pushdown | fold |
-                              exec_cache | delta
+     \set OPTION on|off       toggle rename | common | pushdown |
+                              exec_cache | columnar
      \set trace on|off        emit NDJSON trace events to stdout
      \set deadline SECS|off   wall-clock budget per statement
      \set budget ROWS|off     rows-materialized budget per statement
@@ -166,11 +166,13 @@ let set_guard engine key value =
     | _ -> print_endline "usage: \\set retries N")
   | "workers" -> (
     match int_of_string_opt value with
-    | Some n when n >= 1 ->
+    | Some n when n >= 1 && n <= Dbspinner_exec.Parallel.max_workers ->
       Engine.set_options engine { options with Options.parallel_workers = n };
       Printf.printf "set workers = %d%s\n" n
         (if n = 1 then " (sequential)" else "")
-    | _ -> print_endline "usage: \\set workers N (N >= 1)")
+    | _ ->
+      Printf.printf "usage: \\set workers N (1 <= N <= %d)\n"
+        Dbspinner_exec.Parallel.max_workers)
   | "chunk" -> (
     match int_of_string_opt value with
     | Some n when n >= 1 ->
@@ -234,27 +236,19 @@ let handle_meta engine sink line =
 
 (** Session options for a CLI invocation: [--workers N] sets the
     Domain-pool size for chunk-parallel operators; [--no-exec-cache]
-    disables the iteration-aware executor cache; [--no-delta] disables
-    semi-naive (delta-driven) iterative evaluation; [--no-columnar]
-    falls back to row-at-a-time operators; [--no-cost-rewrites] keeps
-    the §V rewrites always-on instead of cost-arbitrated. *)
-let options_of_workers workers no_cache no_delta no_columnar no_cost_rewrites =
+    disables the iteration-aware executor cache; [--no-columnar] falls
+    back to row-at-a-time operators. *)
+let options_of_workers workers no_cache no_columnar =
   {
     Options.default with
     Options.parallel_workers = max 1 workers;
     use_exec_cache = not no_cache;
-    use_delta = not no_delta;
     use_columnar = not no_columnar;
-    cost_based_rewrites = not no_cost_rewrites;
   }
 
-let repl workers no_cache no_delta no_columnar no_cost_rewrites trace_dest =
+let repl workers no_cache no_columnar trace_dest =
   let engine =
-    Engine.create
-      ~options:
-        (options_of_workers workers no_cache no_delta no_columnar
-           no_cost_rewrites)
-      ()
+    Engine.create ~options:(options_of_workers workers no_cache no_columnar) ()
   in
   let sink = ref (Option.map (make_trace_sink engine) trace_dest) in
   print_endline "dbspinner shell — SQL with WITH ITERATIVE support.";
@@ -284,15 +278,12 @@ let repl workers no_cache no_delta no_columnar no_cost_rewrites trace_dest =
   loop ();
   0
 
-let run_file workers no_cache no_delta no_columnar no_cost_rewrites trace_dest
-    path =
+let run_file workers no_cache no_columnar trace_dest path =
   match In_channel.with_open_text path In_channel.input_all with
   | sql ->
     let engine =
       Engine.create
-        ~options:
-          (options_of_workers workers no_cache no_delta no_columnar
-             no_cost_rewrites)
+        ~options:(options_of_workers workers no_cache no_columnar)
         ()
     in
     let sink = Option.map (make_trace_sink engine) trace_dest in
@@ -309,13 +300,9 @@ let run_file workers no_cache no_delta no_columnar no_cost_rewrites trace_dest
     Printf.eprintf "%s\n" msg;
     1
 
-let demo workers no_cache no_delta no_columnar no_cost_rewrites trace_dest =
+let demo workers no_cache no_columnar trace_dest =
   let engine =
-    Engine.create
-      ~options:
-        (options_of_workers workers no_cache no_delta no_columnar
-           no_cost_rewrites)
-      ()
+    Engine.create ~options:(options_of_workers workers no_cache no_columnar) ()
   in
   let sink = Option.map (make_trace_sink engine) trace_dest in
   generate engine "dblp-like" 0.25;
@@ -551,16 +538,6 @@ let no_cache_arg =
            join-build reuse and compiled expressions). Results are \
            identical either way; use for perf comparisons.")
 
-let no_delta_arg =
-  Arg.(
-    value & flag
-    & info [ "no-delta" ]
-        ~doc:
-          "Disable semi-naive (delta-driven) iterative evaluation: every \
-           loop iteration re-evaluates its body over the whole CTE instead \
-           of only the keys affected by the last iteration's changes. \
-           Results are identical either way; use for perf comparisons.")
-
 let no_columnar_arg =
   Arg.(
     value & flag
@@ -569,17 +546,6 @@ let no_columnar_arg =
           "Disable vectorized columnar execution: filter, project, join \
            probe and aggregate fall back to row-at-a-time evaluation. \
            Results are identical either way; use for perf comparisons.")
-
-let no_cost_rewrites_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cost-rewrites" ]
-        ~doc:
-          "Disable cost-based rewrite selection: the predicate-push and \
-           common-result rewrites stay always-on (the paper's behavior) \
-           instead of being arbitrated by the cost model against catalog \
-           cardinalities. Results are identical either way; use for plan \
-           comparisons.")
 
 let trace_arg =
   Arg.(
@@ -595,22 +561,20 @@ let trace_arg =
 let repl_cmd =
   Cmd.v (Cmd.info "repl" ~doc:"Interactive SQL shell")
     Term.(
-      const repl $ workers_arg $ no_cache_arg $ no_delta_arg $ no_columnar_arg
-      $ no_cost_rewrites_arg $ trace_arg)
+      const repl $ workers_arg $ no_cache_arg $ no_columnar_arg $ trace_arg)
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v (Cmd.info "run" ~doc:"Execute a SQL script")
     Term.(
-      const run_file $ workers_arg $ no_cache_arg $ no_delta_arg
-      $ no_columnar_arg $ no_cost_rewrites_arg $ trace_arg $ file)
+      const run_file $ workers_arg $ no_cache_arg $ no_columnar_arg $ trace_arg
+      $ file)
 
 let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"Run the paper's queries on a synthetic graph")
     Term.(
-      const demo $ workers_arg $ no_cache_arg $ no_delta_arg $ no_columnar_arg
-      $ no_cost_rewrites_arg $ trace_arg)
+      const demo $ workers_arg $ no_cache_arg $ no_columnar_arg $ trace_arg)
 
 let client_cmd =
   let socket =
@@ -671,8 +635,7 @@ let main_cmd =
   Cmd.group
     ~default:
       Term.(
-        const repl $ workers_arg $ no_cache_arg $ no_delta_arg
-        $ no_columnar_arg $ no_cost_rewrites_arg $ trace_arg)
+        const repl $ workers_arg $ no_cache_arg $ no_columnar_arg $ trace_arg)
     (Cmd.info "dbspinner" ~version:"1.0.0" ~doc)
     [ repl_cmd; run_cmd; demo_cmd; client_cmd; trace_check_cmd ]
 

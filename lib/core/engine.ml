@@ -82,10 +82,9 @@ let session_stats t = t.stats
 let trace t = t.trace
 let set_trace t tr = t.trace <- tr
 
-(** Install a fresh trace collector sized from the session options and
-    return it. *)
+(** Install a fresh trace collector and return it. *)
 let enable_trace t =
-  let tr = Trace.create ~capacity:t.options.Options.trace_buffer () in
+  let tr = Trace.create () in
   t.trace <- Some tr;
   tr
 
@@ -158,7 +157,8 @@ let prevaluate_expr t (e : Ast.expr) : Ast.expr =
 (** Catalog-backed cardinalities for the cost model: base tables by
     table cardinality, already-materialized temps by relation size.
     Supplying this to the compiler is what arms cost-based rewrite
-    arbitration ([Options.cost_based_rewrites]). *)
+    arbitration; compiling without it keeps the paper's always-on
+    rewrites. *)
 let statistics_of t : Dbspinner_plan.Cost.statistics =
   {
     Dbspinner_plan.Cost.cardinality_of =
@@ -577,7 +577,7 @@ let rec exec_statement t (stmt : Ast.statement) : result =
         let tr =
           match t.trace with
           | Some tr -> tr
-          | None -> Trace.create ~capacity:t.options.Options.trace_buffer ()
+          | None -> Trace.create ()
         in
         let seq0 = Trace.next_seq tr in
         let rel, seconds =

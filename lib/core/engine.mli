@@ -68,8 +68,7 @@ val trace : t -> Trace.t option
 
 val set_trace : t -> Trace.t option -> unit
 
-(** Install a fresh collector sized by [Options.trace_buffer] and
-    return it. *)
+(** Install a fresh collector (default capacity) and return it. *)
 val enable_trace : t -> Trace.t
 
 (** Execute one statement. Query temps are cleared afterwards. *)

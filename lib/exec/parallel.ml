@@ -88,7 +88,16 @@ let create size =
         workers = [];
       }
     in
-    pool.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker_loop pool));
+    (* Spawn one at a time: the runtime caps live domains, and when it
+       refuses one the workers already started must be stopped, not
+       leaked. *)
+    (try
+       for _ = 2 to size do
+         pool.workers <- Domain.spawn (worker_loop pool) :: pool.workers
+       done
+     with e ->
+       shutdown pool;
+       raise e);
     (* Idle workers block on the condition variable; release them when
        the process exits so domains never outlive the main one. *)
     at_exit (fun () -> shutdown pool);
@@ -101,21 +110,20 @@ let create size =
 let pools : (int, t) Hashtbl.t = Hashtbl.create 4
 let pools_lock = Mutex.create ()
 
+let max_workers = 64
+
 let get size =
   if size <= 1 then sequential
-  else begin
-    Mutex.lock pools_lock;
-    let pool =
-      match Hashtbl.find_opt pools size with
-      | Some pool -> pool
-      | None ->
-        let pool = create size in
-        Hashtbl.replace pools size pool;
-        pool
-    in
-    Mutex.unlock pools_lock;
-    pool
-  end
+  else
+    (* [create] may raise (domain allocation); the lock must not stay
+       held, or every later [get] would block forever. *)
+    Mutex.protect pools_lock (fun () ->
+        match Hashtbl.find_opt pools size with
+        | Some pool -> pool
+        | None ->
+          let pool = create size in
+          Hashtbl.replace pools size pool;
+          pool)
 
 let default_pool =
   lazy (get (min 8 (Domain.recommended_domain_count ())))

@@ -24,11 +24,18 @@ val sequential : t
 val size : t -> int
 
 (** [create n] spawns [n - 1] worker domains ([sequential] when
-    [n <= 1]). Workers are released automatically at process exit. *)
+    [n <= 1]). Workers are released automatically at process exit.
+    When the runtime refuses a domain, the workers already spawned are
+    stopped and the exception is re-raised. *)
 val create : int -> t
 
+(** Largest pool size a client may request ([SET workers], [\set
+    workers]). The runtime caps live domains at 128 and pools are
+    memoized per size, so an unbounded request could exhaust them. *)
+val max_workers : int
+
 (** Memoized pools by size — [get n] returns the same pool for the
-    same [n]. *)
+    same [n]. A failed [create] leaves the memo table usable. *)
 val get : int -> t
 
 (** The shared default pool, sized

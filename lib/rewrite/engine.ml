@@ -53,21 +53,17 @@ let common_result_rule ~lookup : Ast.full_query Rule.t =
         Some q'
       end)
 
-(** The standard AST pipeline under the options' switches: fold, then
-    outer-to-inner, then common-result. [allow_common] is the
+(** The standard AST pipeline: fold, then outer-to-inner, then
+    common-result under its switch. [allow_common] is the
     cost-arbitration override for the common-result rewrite. *)
 let ast_pipeline ~(options : Options.t) ~allow_common ~lookup :
     Ast.full_query Rule.t =
-  Rule.all
-    (List.concat
-       [
-         (if options.Options.use_constant_folding then [ fold_rule ] else []);
-         (if options.Options.use_outer_to_inner then [ outer_to_inner_rule ]
-          else []);
-         (if options.Options.use_common_result && allow_common then
-            [ common_result_rule ~lookup ]
-          else []);
-       ])
+  let common =
+    if options.Options.use_common_result && allow_common then
+      [ common_result_rule ~lookup ]
+    else []
+  in
+  Rule.all (fold_rule :: outer_to_inner_rule :: common)
 
 (* ------------------------------------------------------------------ *)
 (* Per-CTE rules                                                       *)

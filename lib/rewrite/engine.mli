@@ -9,8 +9,8 @@ module Schema = Dbspinner_storage.Schema
 
 (** {2 AST phase (whole [full_query])} *)
 
-(** The standard AST pipeline under the options' switches: the
-    [constant-fold], [outer-to-inner] and [common-result] rules, the
+(** The standard AST pipeline: the [constant-fold], [outer-to-inner]
+    and (under [Options.use_common_result]) [common-result] rules, the
     last firing once per materialized common CTE (§V-A).
     [allow_common] is the cost-arbitration override. *)
 val ast_pipeline :

@@ -248,15 +248,11 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
   (* Semi-naive eligibility: the working-table Materialize is
      pattern-matched and reconstructed as a Delta_materialize by the
      delta rule. *)
-  (let work_materialize =
-     Program.Materialize { target = work_name; plan = step_plan }
-   in
-   emit ctx
-     (if not options.Options.use_delta then work_materialize
-      else
-        Rule.run
-          (Engine.delta_rule ~loop_id ~cte:name ~key_idx ~work_name)
-          ctx.report.rewrite_log work_materialize));
+  emit ctx
+    (Rule.run
+       (Engine.delta_rule ~loop_id ~cte:name ~key_idx ~work_name)
+       ctx.report.rewrite_log
+       (Program.Materialize { target = work_name; plan = step_plan }));
   emit ctx (Program.Assert_unique_key { temp = work_name; key_idx });
   let full_update = updates_entire_dataset ~cte_name:name step in
   if full_update && options.Options.use_rename then begin
@@ -400,9 +396,8 @@ let compile_with_report ?(options = Options.default) ?statistics ~lookup
   in
   match statistics with
   | Some statistics
-    when options.Options.cost_based_rewrites
-         && (report.predicates_pushed > 0
-            || report.common_results_extracted > 0) ->
+    when report.predicates_pushed > 0 || report.common_results_extracted > 0
+    ->
     arbitrate ~options ~lookup ~statistics q
       {
         c_allow_push = true;

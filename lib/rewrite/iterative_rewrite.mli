@@ -1,11 +1,12 @@
 (** The functional rewrite (paper §IV, Algorithm 1): compiles a full
     query — plain, recursive and iterative CTEs included — into a
     single executable step {!Program} built from ordinary operators
-    plus [rename] and [loop]. The §V optimizer rules are applied here
-    under their {!Options} switches: outer-to-inner simplification and
-    the common-result rewrite reshape the AST first; predicate push
-    down filters the bound non-iterative plan and then sinks filters
-    through every emitted plan. *)
+    plus [rename] and [loop]. The §V optimizer rules are applied here,
+    the paper's three under their {!Options} switches: outer-to-inner
+    simplification and the common-result rewrite reshape the AST
+    first; predicate push down filters the bound non-iterative plan
+    and then sinks filters through every emitted plan; eligible loop
+    bodies always compile for semi-naive evaluation. *)
 
 module Schema = Dbspinner_storage.Schema
 module Ast = Dbspinner_sql.Ast
@@ -15,9 +16,9 @@ exception Rewrite_error of string
 
 (** [compile ~options ~lookup q] — [lookup] resolves base-table
     schemas. [statistics] supplies base-table cardinalities; when given
-    (and [Options.cost_based_rewrites] is on) the predicate-push vs
-    common-result-hoist decision is arbitrated by
-    {!Dbspinner_plan.Cost.program} instead of staying always-on.
+    the predicate-push vs common-result-hoist decision is arbitrated by
+    {!Dbspinner_plan.Cost.program}; without it both rewrites stay
+    always-on as in the paper.
     @raise Rewrite_error on invalid iterative CTEs (arity mismatch
     between the parts, unknown KEY column, non-positive counts)
     @raise Dbspinner_plan.Binder.Bind_error on name-resolution

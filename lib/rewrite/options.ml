@@ -1,6 +1,8 @@
-(** Optimizer switches. Each flag corresponds to one of the paper's
-    optimizations so that benchmarks can measure them independently
-    (Figures 8, 9, 10). *)
+(** Optimizer switches and operator controls. Each on/off rewrite flag
+    is one of the paper's optimizations so that benchmarks can measure
+    them independently (Figures 8, 9, 10); constant folding,
+    outer-to-inner demotion, semi-naive evaluation and cost arbitration
+    always run. *)
 
 type t = {
   use_rename : bool;
@@ -13,11 +15,6 @@ type t = {
   use_pushdown : bool;
       (** §V-B: push final-part predicates over update-invariant
           columns into the non-iterative part *)
-  use_constant_folding : bool;  (** fold constant scalar expressions *)
-  use_outer_to_inner : bool;
-      (** demote outer joins whose padded side is rejected by a
-          null-rejecting WHERE conjunct (stock rewrite listed in §V;
-          also unlocks filter hoisting for the common-result rule) *)
   max_recursion : int;  (** safety bound for recursive CTEs *)
   max_iterations_guard : int;
       (** safety bound for iterative CTEs with Data/Delta termination
@@ -46,16 +43,6 @@ type t = {
           builds / subquery digests under source generations and
           closure-compile expressions once per program run. An executor
           concern, not a paper rewrite, so [unoptimized] keeps it on. *)
-  trace_buffer : int;
-      (** ring-buffer capacity (spans) for the iteration-aware trace
-          collector; only consulted when tracing is enabled *)
-  use_delta : bool;
-      (** semi-naive (delta-driven) iterative evaluation: when the loop
-          body is structurally eligible, re-evaluate [Ri] only for rows
-          whose inputs changed since the previous iteration and stitch
-          the rest from the previous working table. Results are
-          bag-identical to full re-evaluation; ineligible bodies fall
-          back to full re-evaluation per iteration. *)
   use_columnar : bool;
       (** vectorized columnar execution: filter, project, equi-join
           probe and aggregate run batch-at-a-time over typed column
@@ -63,12 +50,6 @@ type t = {
           Results and logical stats are bit-identical with the row
           engine. An executor concern, not a paper rewrite, so
           [unoptimized] keeps it on. *)
-  cost_based_rewrites : bool;
-      (** arbitrate the predicate-push-into-loop vs common-result-hoist
-          decision by estimated cost ({!Dbspinner_plan.Cost.program}
-          before/after each candidate rewrite) whenever the compiler is
-          given a statistics source; off = the rewrites stay always-on
-          as in the paper. *)
 }
 
 let default =
@@ -76,8 +57,6 @@ let default =
     use_rename = true;
     use_common_result = true;
     use_pushdown = true;
-    use_constant_folding = true;
-    use_outer_to_inner = true;
     max_recursion = 10_000;
     max_iterations_guard = 100_000;
     deadline_seconds = None;
@@ -87,38 +66,27 @@ let default =
     parallel_workers = 1;
     parallel_chunk_rows = 4096;
     use_exec_cache = true;
-    trace_buffer = 8192;
-    use_delta = true;
     use_columnar = true;
-    cost_based_rewrites = true;
   }
 
-(** All paper optimizations off: the naive rewrite the paper's
-    baselines use. *)
+(** The paper's three rewrites (rename, common-result, pushdown) off:
+    the baseline its Figs 8–10 ablations measure against. *)
 let unoptimized =
   {
     default with
     use_rename = false;
     use_common_result = false;
     use_pushdown = false;
-    use_constant_folding = false;
-    use_outer_to_inner = false;
-    use_delta = false;
   }
 
-(** The switches settable by name, in usage order; [cache] is an alias
-    of [exec_cache]. *)
+(** The switches settable by name, in usage order. *)
 let bool_options =
   [
     ("rename", fun t b -> { t with use_rename = b });
     ("common", fun t b -> { t with use_common_result = b });
     ("pushdown", fun t b -> { t with use_pushdown = b });
-    ("fold", fun t b -> { t with use_constant_folding = b });
     ("exec_cache", fun t b -> { t with use_exec_cache = b });
-    ("cache", fun t b -> { t with use_exec_cache = b });
-    ("delta", fun t b -> { t with use_delta = b });
     ("columnar", fun t b -> { t with use_columnar = b });
-    ("cost_rewrites", fun t b -> { t with cost_based_rewrites = b });
   ]
 
 let bool_option_keys = List.map fst bool_options
@@ -153,10 +121,7 @@ let to_string t =
   in
   (* Only shown when disabled, keeping the default rendering stable. *)
   let cache = if t.use_exec_cache then "" else " exec_cache=off" in
-  let delta = if t.use_delta then "" else " delta=off" in
   let columnar = if t.use_columnar then "" else " columnar=off" in
-  let cost = if t.cost_based_rewrites then "" else " cost_rewrites=off" in
-  Printf.sprintf
-    "rename=%b common_result=%b pushdown=%b fold=%b outer_to_inner=%b%s%s%s%s%s%s"
-    t.use_rename t.use_common_result t.use_pushdown t.use_constant_folding
-    t.use_outer_to_inner guards parallel cache delta columnar cost
+  Printf.sprintf "rename=%b common_result=%b pushdown=%b%s%s%s%s"
+    t.use_rename t.use_common_result t.use_pushdown guards parallel cache
+    columnar

@@ -1,5 +1,7 @@
 (** Optimizer switches — one per paper optimization so benchmarks can
-    measure each independently (Figures 8–10). *)
+    measure each independently (Figures 8–10) — and operator controls.
+    Constant folding, outer-to-inner demotion, semi-naive evaluation
+    and cost arbitration are not switches: they always run. *)
 
 type t = {
   use_rename : bool;
@@ -12,11 +14,6 @@ type t = {
       (** §V-B: push final-part predicates over update-invariant
           columns into the non-iterative part, plus generic plan-level
           filter push down *)
-  use_constant_folding : bool;
-  use_outer_to_inner : bool;
-      (** demote outer joins under null-rejecting WHERE conjuncts
-          (stock rewrite listed in §V; unlocks common-result
-          hoisting) *)
   max_recursion : int;  (** safety bound for recursive CTEs *)
   max_iterations_guard : int;
       (** hard cap for Data/Delta terminations that never converge *)
@@ -42,28 +39,19 @@ type t = {
       (** iteration-aware executor cache (loop-invariant join-build
           reuse + compiled expressions); an executor concern, not a
           paper rewrite, so [unoptimized] keeps it on *)
-  trace_buffer : int;
-      (** ring-buffer capacity (spans) for the iteration-aware trace
-          collector; only consulted when tracing is enabled *)
-  use_delta : bool;
-      (** semi-naive (delta-driven) iterative evaluation; eligible loop
-          bodies re-evaluate [Ri] only over rows whose inputs changed,
-          ineligible bodies fall back to full re-evaluation *)
   use_columnar : bool;
       (** vectorized columnar execution for filter/project/join/
           aggregate; bit-identical results and logical stats vs the
           row engine. An executor concern, so [unoptimized] keeps it
           on *)
-  cost_based_rewrites : bool;
-      (** arbitrate predicate-push vs common-result-hoist by estimated
-          cost when a statistics source is available *)
 }
 
 (** Everything on. *)
 val default : t
 
-(** All paper optimizations off — the naive rewrite used as the
-    experimental baseline. *)
+(** The paper's three rewrites (rename, common-result, pushdown) off —
+    the experimental baseline of Figs 8–10. Executor controls keep
+    their defaults. *)
 val unoptimized : t
 
 (** The on/off switches settable by name, shared by the server's

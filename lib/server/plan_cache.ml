@@ -51,10 +51,8 @@ let locked t f =
     a program runs, not what program is built, so sessions differing
     only in them share plans. *)
 let fingerprint (o : Options.t) =
-  Printf.sprintf "%b%b%b%b%b%b%b:%d:%d" o.Options.use_rename
-    o.Options.use_common_result o.Options.use_pushdown
-    o.Options.use_constant_folding o.Options.use_outer_to_inner
-    o.Options.use_delta o.Options.cost_based_rewrites o.Options.max_recursion
+  Printf.sprintf "%b%b%b:%d:%d" o.Options.use_rename
+    o.Options.use_common_result o.Options.use_pushdown o.Options.max_recursion
     o.Options.max_iterations_guard
 
 (** Drop every entry built against a version older than [version].

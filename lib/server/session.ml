@@ -7,6 +7,7 @@
 
 module Engine = Dbspinner.Engine
 module Options = Dbspinner_rewrite.Options
+module Parallel = Dbspinner_exec.Parallel
 module Catalog = Dbspinner_storage.Catalog
 module Relation = Dbspinner_storage.Relation
 module Trace = Dbspinner_obs.Trace
@@ -130,11 +131,14 @@ let set t key value : (string, string) result =
     | false, _ -> Error "usage: SET budget ROWS|off")
   | "workers" -> (
     match int_of_string_opt value with
-    | Some n when n >= 1 ->
+    | Some n when n >= 1 && n <= Parallel.max_workers ->
       Engine.set_options t.engine
         { options with Options.parallel_workers = n };
       Ok (Printf.sprintf "workers %d" n)
-    | _ -> Error "usage: SET workers N (N >= 1)")
+    | _ ->
+      Error
+        (Printf.sprintf "usage: SET workers N (1 <= N <= %d)"
+           Parallel.max_workers))
   | "max_iterations" -> (
     match int_of_string_opt value with
     | Some n when n >= 1 ->

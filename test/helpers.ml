@@ -120,3 +120,66 @@ let check_error ?(substring = "") engine sql =
   | exception Dbspinner.Errors.Error (_, msg) ->
     if substring <> "" && not (contains msg substring) then
       Alcotest.failf "error message %S does not mention %S" msg substring
+
+(* ------------------------------------------------------------------ *)
+(* The kv fixture: iterative loops over t (a, b) with a naive oracle   *)
+
+(** Engine holding [t (a INT, b INT)] filled with [rows]; a [None]
+    [b] is a NULL. *)
+let kv_engine_nullable rows =
+  let e = Dbspinner.Engine.create () in
+  ignore (Dbspinner.Engine.execute e "CREATE TABLE t (a INT, b INT)");
+  if rows <> [] then
+    ignore
+      (Dbspinner.Engine.execute e
+         (Printf.sprintf "INSERT INTO t VALUES %s"
+            (String.concat ", "
+               (List.map
+                  (fun (a, b) ->
+                    Printf.sprintf "(%d, %s)" a
+                      (Option.fold ~none:"NULL" ~some:string_of_int b))
+                  rows))));
+  e
+
+let kv_engine rows =
+  kv_engine_nullable (List.map (fun (a, b) -> (a, Some b)) rows)
+
+(** An iterative loop over [t]: R0 is the MIN of [b] per [a]; each
+    round maps every row (or, with [where], the rows it selects) to
+    [key_expr, step_expr]. A [key_expr] other than [k] keeps the loop
+    out of semi-naive evaluation, so it re-evaluates in full. *)
+let kv_sql ?(key_expr = "k") ?(where = "") ~step_expr ~until () =
+  Printf.sprintf
+    {|WITH ITERATIVE r (k, v) AS (
+  SELECT a, MIN(b) FROM t WHERE a IS NOT NULL GROUP BY a
+ITERATE SELECT %s, %s FROM r%s
+UNTIL %s )
+SELECT k, v FROM r|}
+    key_expr step_expr
+    (if where = "" then "" else " WHERE " ^ where)
+    until
+
+(** Naive reference for [kv_sql] over NULL-free rows, written without
+    the engine: R0 is the MIN of [b] per [a]; each round applies [step]
+    to the rows that pass [where] (the merge path) or to every row when
+    there is no WHERE clause (the full update), keeping the old value
+    elsewhere. *)
+let kv_reference rows ~step ~where ~rounds =
+  let r0 =
+    List.fold_left
+      (fun acc (a, b) ->
+        match List.assoc_opt a acc with
+        | Some m when m <= b -> acc
+        | _ -> (a, b) :: List.remove_assoc a acc)
+      [] rows
+  in
+  let round r =
+    List.map
+      (fun (k, v) ->
+        match where with
+        | Some keep when not (keep k v) -> (k, v)
+        | _ -> (k, step k v))
+      r
+  in
+  let rec go n r = if n = 0 then r else go (n - 1) (round r) in
+  rel [ "k"; "v" ] (List.map (fun (k, v) -> [ vi k; vi v ]) (go rounds r0))

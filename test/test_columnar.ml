@@ -1,7 +1,8 @@
 (** Vectorized columnar execution: the columnar engine must be
     bit-identical to the row engine — same relations, same
     [Stats.logical_equal] counters — across the sequential,
-    chunk-parallel, cached, delta and distributed executors, including
+    chunk-parallel, cached and distributed executors, on delta loops
+    and plain full re-evaluation loops alike, including
     the NULL-heavy corners the column bitmaps encode (all-NULL
     columns, NULL join keys, NULLs inside aggregates). *)
 
@@ -28,8 +29,6 @@ module Graph_gen = Dbspinner_graph.Graph_gen
 module Loader = Dbspinner_workload.Loader
 module Queries = Dbspinner_workload.Queries
 open Helpers
-
-let delta_off = { Options.default with Options.use_delta = false }
 
 let lookup e name =
   Option.map Table.schema (Catalog.find_table_opt (Engine.catalog e) name)
@@ -1267,76 +1266,52 @@ let test_executors_agree () =
   let g =
     Graph_gen.chain_with_shortcuts ~seed:7 ~num_nodes:120 ~shortcut_every:10
   in
-  let e = Loader.engine_for g in
-  let sql = Queries.sssp ~source:0 ~iterations:10 () in
-  let p = compile ~options:delta_off e sql in
-  let p_delta = compile e sql in
-  let r_row, s_row = run ~columnar:false e p in
-  let check ~msg (r, s) =
-    Alcotest.check relation_testable (msg ^ ": rows") r_row r;
-    Alcotest.(check bool)
-      (msg ^ ": logical_equal") true
-      (Stats.logical_equal s_row s)
+  let sssp = Loader.engine_for g in
+  (* SSSP runs as a delta loop; the kv loop's [k + 0] key keeps it a
+     plain Materialize, so the full re-evaluation path is covered
+     next to it. *)
+  let kv_rows = [ (1, Some 5); (2, None); (3, Some 9); (4, Some 0); (2, Some 7) ] in
+  let kv = kv_engine_nullable kv_rows in
+  let kv_loop =
+    kv_sql ~key_expr:"k + 0" ~where:"v < 12" ~step_expr:"v + k"
+      ~until:"6 ITERATIONS" ()
   in
-  check ~msg:"sequential columnar" (run ~columnar:true e p);
-  let parallel = Parallel.context ~chunk_rows:16 ~workers:4 () in
-  check ~msg:"chunk-parallel columnar" (run ?parallel ~columnar:true e p);
-  check ~msg:"uncached columnar" (run ~use_cache:false ~columnar:true e p);
-  (* Delta mode changes the delta counters by design; rows must agree
-     and the two columnar toggles must stay logical_equal. *)
-  let rd_row, sd_row = run ~columnar:false e p_delta in
-  let rd_col, sd_col = run ~columnar:true e p_delta in
-  Alcotest.check relation_testable "delta rows (row vs columnar)" rd_row rd_col;
-  Alcotest.check relation_testable "delta rows (vs delta-off)" r_row rd_col;
-  Alcotest.(check bool) "delta logical_equal" true
-    (Stats.logical_equal sd_row sd_col);
-  let dist ~columnar =
-    Catalog.clear_temps (Engine.catalog e);
-    let stats = Stats.create () in
-    let rel, _ =
-      Distributed.run_program ~workers:4 ~stats ~columnar (Engine.catalog e) p
-    in
-    (rel, stats)
-  in
-  let rx_row, sx_row = dist ~columnar:false in
-  let rx_col, sx_col = dist ~columnar:true in
-  Alcotest.(check bool) "distributed rows (row vs columnar)" true
-    (approx_equal_bag rx_row rx_col);
-  Alcotest.(check bool) "distributed rows (vs sequential)" true
-    (approx_equal_bag r_row rx_col);
-  Alcotest.(check bool) "distributed logical_equal" true
-    (Stats.logical_equal sx_row sx_col)
+  List.iter
+    (fun (name, e, sql) ->
+      let p = compile e sql in
+      let r_row, s_row = run ~columnar:false e p in
+      let check ~msg (r, s) =
+        let msg = name ^ " " ^ msg in
+        Alcotest.check relation_testable (msg ^ ": rows") r_row r;
+        Alcotest.(check bool)
+          (msg ^ ": logical_equal") true
+          (Stats.logical_equal s_row s)
+      in
+      check ~msg:"sequential columnar" (run ~columnar:true e p);
+      let parallel = Parallel.context ~chunk_rows:16 ~workers:4 () in
+      check ~msg:"chunk-parallel columnar" (run ?parallel ~columnar:true e p);
+      check ~msg:"uncached columnar" (run ~use_cache:false ~columnar:true e p);
+      let dist ~columnar =
+        Catalog.clear_temps (Engine.catalog e);
+        let stats = Stats.create () in
+        let rel, _ =
+          Distributed.run_program ~workers:4 ~stats ~columnar
+            (Engine.catalog e) p
+        in
+        (rel, stats)
+      in
+      let rx_row, sx_row = dist ~columnar:false in
+      let rx_col, sx_col = dist ~columnar:true in
+      Alcotest.(check bool) (name ^ " distributed rows (row vs columnar)") true
+        (approx_equal_bag rx_row rx_col);
+      Alcotest.(check bool) (name ^ " distributed rows (vs sequential)") true
+        (approx_equal_bag r_row rx_col);
+      Alcotest.(check bool) (name ^ " distributed logical_equal") true
+        (Stats.logical_equal sx_row sx_col))
+    [ ("sssp", sssp, Queries.sssp ~source:0 ~iterations:10 ()); ("kv", kv, kv_loop) ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: random iterative programs agree, NULLs included           *)
-
-let kv_engine rows =
-  let e = Engine.create () in
-  ignore (Engine.execute e "CREATE TABLE t (a INT, b INT)");
-  if rows <> [] then
-    ignore
-      (Engine.execute e
-         (Printf.sprintf "INSERT INTO t VALUES %s"
-            (String.concat ", "
-               (List.map
-                  (fun (a, b) ->
-                    Printf.sprintf "(%d, %s)" a
-                      (match b with
-                      | None -> "NULL"
-                      | Some b -> string_of_int b))
-                  rows))));
-  e
-
-let kv_sql ?(where = "") ~step_expr ~until () =
-  Printf.sprintf
-    {|WITH ITERATIVE r (k, v) AS (
-  SELECT a, MIN(b) FROM t WHERE a IS NOT NULL GROUP BY a
-ITERATE SELECT k, %s FROM r%s
-UNTIL %s )
-SELECT k, v FROM r|}
-    step_expr
-    (if where = "" then "" else " WHERE " ^ where)
-    until
 
 let prop_columnar_on_off =
   let open QCheck2 in
@@ -1368,7 +1343,7 @@ let prop_columnar_on_off =
            (List.length rows))
        (Gen.pair rows_gen query_gen)
        (fun (rows, (step_expr, where, rounds)) ->
-         let e = kv_engine rows in
+         let e = kv_engine_nullable rows in
          let sql =
            kv_sql ~where ~step_expr
              ~until:(Printf.sprintf "%d ITERATIONS" rounds)
@@ -1477,7 +1452,7 @@ let prop_join_loop_reference =
        gen
        (fun (rows, edges, s, rounds) ->
          let key_expr, step = List.nth steps s in
-         let e = kv_engine rows in
+         let e = kv_engine_nullable rows in
          ignore (Engine.execute e "CREATE TABLE e (src INT, dst INT, w INT)");
          if edges <> [] then
            ignore

@@ -324,38 +324,38 @@ let test_trace_parity () =
         | _ -> None)
       (Trace.spans tr)
   in
-  let check name graph sql =
-    let e = Loader.engine_for graph in
+  let check name e sql =
     let catalog = Engine.catalog e in
-    List.iter
-      (fun use_delta ->
-        let program =
-          Iterative_rewrite.compile
-            ~options:{ Options.default with Options.use_delta }
-            ~lookup:(fun n ->
-              Option.map Table.schema (Catalog.find_table_opt catalog n))
-            (Parser.parse_query sql)
-        in
-        let tr_seq = Trace.create () in
-        Catalog.clear_temps catalog;
-        ignore (Executor.run_program ~trace:tr_seq catalog program);
-        let tr_dist = Trace.create () in
-        Catalog.clear_temps catalog;
-        ignore
-          (Distributed.run_program ~workers:3 ~trace:tr_dist catalog program);
-        let label = Printf.sprintf "%s delta=%b" name use_delta in
-        Alcotest.(check bool) (label ^ ": has iterations") true
-          (Trace.iteration_spans tr_seq <> []);
-        Alcotest.(check (list string))
-          label (timeline tr_seq) (timeline tr_dist))
-      [ true; false ]
+    let program =
+      Iterative_rewrite.compile
+        ~lookup:(fun n ->
+          Option.map Table.schema (Catalog.find_table_opt catalog n))
+        (Parser.parse_query sql)
+    in
+    let tr_seq = Trace.create () in
+    Catalog.clear_temps catalog;
+    ignore (Executor.run_program ~trace:tr_seq catalog program);
+    let tr_dist = Trace.create () in
+    Catalog.clear_temps catalog;
+    ignore (Distributed.run_program ~workers:3 ~trace:tr_dist catalog program);
+    Alcotest.(check bool) (name ^ ": has iterations") true
+      (Trace.iteration_spans tr_seq <> []);
+    Alcotest.(check (list string)) name (timeline tr_seq) (timeline tr_dist)
   in
   check "sssp"
-    (Graph_gen.chain_with_shortcuts ~seed:7 ~num_nodes:60 ~shortcut_every:10)
+    (Loader.engine_for
+       (Graph_gen.chain_with_shortcuts ~seed:7 ~num_nodes:60 ~shortcut_every:10))
     (Queries.sssp ~source:0 ~iterations:8 ());
   check "ff"
-    (Graph_gen.power_law ~seed:11 ~num_nodes:60 ~edges_per_node:3)
-    (Queries.ff_full ~modulus:3 ~iterations:6 ())
+    (Loader.engine_for
+       (Graph_gen.power_law ~seed:11 ~num_nodes:60 ~edges_per_node:3))
+    (Queries.ff_full ~modulus:3 ~iterations:6 ());
+  (* SSSP and FF run as delta loops; the [k + 0] key keeps this one a
+     plain Materialize, so full re-evaluation spans are compared too. *)
+  check "kv full re-evaluation"
+    (kv_engine [ (1, 5); (2, 3); (3, 9); (4, 0); (5, -2) ])
+    (kv_sql ~key_expr:"k + 0" ~where:"v < 10" ~step_expr:"v + k"
+       ~until:"5 ITERATIONS" ())
 
 let () =
   Alcotest.run "obs"

@@ -973,6 +973,43 @@ let test_session_set_bool_keys () =
       (Helpers.contains m ("unknown option " ^ removed))
   | Ok _ -> Alcotest.failf "%s must be rejected" removed
 
+(** A hostile [SET workers] must not wedge the server: a size over
+    {!Parallel.max_workers} is refused with the usage error before any
+    domain is spawned, and another session's ordinary parallel query
+    still answers. *)
+let test_session_set_workers_bounded () =
+  let bound = Dbspinner_exec.Parallel.max_workers in
+  (match
+     Session.set
+       (Session.create ~id:0 ~options:Options.default
+          ~shared_catalog:(Catalog.create ()))
+       "workers" (string_of_int bound)
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "SET workers %d: %s" bound m);
+  let config =
+    { Server.default_config with Server.socket_path = socket_path "workers" }
+  in
+  Server.with_server ~config ~catalog:(graph_catalog ()) (fun _srv ->
+      Client.with_client ~socket_path:config.Server.socket_path (fun hostile ->
+          List.iter
+            (fun n ->
+              match Client.set hostile "workers" n with
+              | Error m ->
+                Alcotest.(check bool) ("usage error for " ^ n) true
+                  (Helpers.contains m "usage: SET workers")
+              | Ok _ -> Alcotest.failf "SET workers %s must be rejected" n)
+            [ string_of_int (bound + 1); "1000000"; "0" ];
+          Client.with_client ~socket_path:config.Server.socket_path (fun c ->
+              (match Client.set c "workers" "2" with
+              | Ok _ -> ()
+              | Error m -> Alcotest.fail m);
+              match Client.query c "SELECT COUNT(*) AS n FROM edges" with
+              | Ok body ->
+                Alcotest.(check bool) "parallel session answers" true
+                  (Helpers.contains body "n")
+              | Error (s, m) -> Alcotest.fail (s ^ " " ^ m))))
+
 let () =
   Alcotest.run "server"
     [
@@ -1018,6 +1055,8 @@ let () =
           Alcotest.test_case "shared-ddl" `Quick test_shared_base_ddl_visible;
           Alcotest.test_case "set-options" `Quick test_session_set_and_stats;
           Alcotest.test_case "set-bool-keys" `Quick test_session_set_bool_keys;
+          Alcotest.test_case "set-workers-bounded" `Quick
+            test_session_set_workers_bounded;
           Alcotest.test_case "statement-timeout" `Quick
             test_statement_timeout_guard;
         ] );

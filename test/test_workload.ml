@@ -146,8 +146,6 @@ let option_grid =
     ("no-rename", { Options.default with use_rename = false });
     ("no-common", { Options.default with use_common_result = false });
     ("no-pushdown", { Options.default with use_pushdown = false });
-    ("outer-to-inner-only", { Options.unoptimized with use_outer_to_inner = true });
-    ("no-outer-to-inner", { Options.default with use_outer_to_inner = false });
   ]
 
 let check_options_agree name sql =
