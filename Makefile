@@ -6,7 +6,7 @@ DUNE ?= dune
 # Fixed seed so the property/fuzz suites are reproducible in CI.
 SMOKE_SEED ?= 42
 
-.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke bench-fast bench-cache check ci clean
+.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke bench-fast bench-cache check ci clean
 
 all: build
 
@@ -66,14 +66,16 @@ trace-smoke: build
 	$(DUNE) exec bin/dbspinner_cli.exe -- trace-check BENCH_trace.json
 
 # Server smoke: boot the concurrent server on a private socket with a
-# small preloaded graph, push the examples/ workload through the
-# client (with a server-side row budget set over the wire), print the
-# STATS counters, then shut down gracefully and assert the server
-# drained cleanly (exit 0, socket removed). The server and client run
-# the built binaries directly: a background `dune exec` server would
-# hold the dune lock and deadlock every client invocation. Finishes by
-# regenerating BENCH_server.json (throughput + admission-overload
-# records) through the fast bench path.
+# small preloaded graph and push the examples/ workload through it
+# twice: request by request (with a server-side row budget set over
+# the wire), then streamed through one pipelined connection. Assert
+# STATS exposes the snapshot and plan-cache counters, then shut down
+# gracefully and assert the server drained cleanly (exit 0, socket
+# removed). The server and client run the built binaries directly: a
+# background `dune exec` server would hold the dune lock and deadlock
+# every client invocation. Finishes by regenerating BENCH_server.json
+# (throughput + admission-overload records) through the fast bench
+# path.
 server-smoke: build
 	@set -e; \
 	SOCK="$${TMPDIR:-/tmp}/dbspinner-smoke-$$$$.sock"; \
@@ -81,46 +83,19 @@ server-smoke: build
 	CLI=./_build/default/bin/dbspinner_cli.exe; \
 	$$SERVER --socket "$$SOCK" --gen dblp-like --scale 0.1 --max-inflight 4 & \
 	SERVER_PID=$$!; \
+	trap 'kill $$SERVER_PID 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do [ -S "$$SOCK" ] && break; sleep 0.1; done; \
-	[ -S "$$SOCK" ] || { echo "FAIL: server socket never appeared"; kill $$SERVER_PID 2>/dev/null; exit 1; }; \
+	[ -S "$$SOCK" ] || { echo "FAIL: server socket never appeared"; exit 1; }; \
 	$$CLI client --socket "$$SOCK" -e "SET budget 2000000" examples/server_smoke.sql --stats; \
+	OUT=$$($$CLI client --socket "$$SOCK" --pipeline examples/server_smoke.sql --stats); \
+	echo "$$OUT" | tail -4; \
+	echo "$$OUT" | grep -q "snapshot_version" || { echo "FAIL: no snapshot_version in STATS"; exit 1; }; \
+	echo "$$OUT" | grep -q "plan_hits" || { echo "FAIL: no plan_hits in STATS"; exit 1; }; \
 	$$CLI client --socket "$$SOCK" --shutdown; \
 	wait $$SERVER_PID; \
 	[ ! -S "$$SOCK" ] || { echo "FAIL: socket left behind after shutdown"; exit 1; }; \
 	echo "server-smoke: clean shutdown"
 	$(DUNE) exec bench/main.exe -- ext-server --fast --json BENCH_server.json
-
-# MVCC smoke: the protocol + mvcc suites (comment/quote-aware read-only
-# classification, request-id tagging, writer handoff order, pinned
-# snapshot isolation under concurrent DDL, plan-cache hit/staleness,
-# pipelined response ordering), then an end-to-end pass: boot the
-# server, stream the examples/ workload through one pipelined
-# connection, assert STATS exposes the snapshot/plan-cache counters,
-# and repeat against a --no-mvcc server to prove the single-RW-lock
-# escape hatch still serves the same workload.
-mvcc-smoke: build
-	$(DUNE) exec test/test_server.exe -- test protocol
-	$(DUNE) exec test/test_server.exe -- test mvcc
-	@set -e; \
-	SOCK="$${TMPDIR:-/tmp}/dbspinner-mvcc-smoke-$$$$.sock"; \
-	SERVER=./_build/default/bin/server_main.exe; \
-	CLI=./_build/default/bin/dbspinner_cli.exe; \
-	for MODE in "" "--no-mvcc"; do \
-	  $$SERVER --socket "$$SOCK" --gen dblp-like --scale 0.1 $$MODE & \
-	  SERVER_PID=$$!; \
-	  for i in $$(seq 1 100); do [ -S "$$SOCK" ] && break; sleep 0.1; done; \
-	  [ -S "$$SOCK" ] || { echo "FAIL: server socket never appeared"; kill $$SERVER_PID 2>/dev/null; exit 1; }; \
-	  OUT=$$($$CLI client --socket "$$SOCK" --pipeline examples/server_smoke.sql --stats); \
-	  echo "$$OUT" | tail -4; \
-	  if [ -z "$$MODE" ]; then \
-	    echo "$$OUT" | grep -q "snapshot_version" || { echo "FAIL: no snapshot_version in STATS"; exit 1; }; \
-	    echo "$$OUT" | grep -q "plan_hits" || { echo "FAIL: no plan_hits in STATS"; exit 1; }; \
-	  fi; \
-	  $$CLI client --socket "$$SOCK" --shutdown; \
-	  wait $$SERVER_PID; \
-	  [ ! -S "$$SOCK" ] || { echo "FAIL: socket left behind after shutdown"; exit 1; }; \
-	  echo "mvcc-smoke: clean shutdown ($${MODE:-mvcc})"; \
-	done
 
 # Durability smoke: the full durable suite — framing/codec/snapshot/WAL
 # units, recovery invariants (torn tails discarded, corruption refused,
@@ -191,22 +166,23 @@ bench-fast: build
 bench-cache: build
 	$(DUNE) exec bench/main.exe -- ext-cache --json BENCH_cache.json
 
-check: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
+check: build test fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 # The minimal CI gate: compile, full test suite, formatting, the
 # fixed-seed smoke pass (property, fuzz, fault, mpp, parallel and cache
 # suites plus the seq-vs-parallel and cache on/off bench sections — the
 # suites that drive both the single-node and the distributed backend of
 # the step interpreter), trace smoke (NDJSON + bench-record validation
-# with the fault path traced), the end-to-end server smoke (boot, workload, graceful drain), the
-# durability smoke (crash recovery + chaos harness), the delta smoke
+# with the fault path traced), the end-to-end server smoke (boot,
+# sequential and pipelined workload, snapshot and plan-cache counters,
+# graceful drain), the durability smoke (crash recovery + chaos harness), the delta smoke
 # (semi-naive loops against reference oracles), and the columnar
 # smoke (row vs vectorized equivalence + bench records), and the
 # rewrite smoke (golden programs + reference-loop property +
 # demo-script answers with and without statistics), and the benchmark smoke
 # (oracle-checked answers from short frontier-sssp, paper-iterative and
 # server-mixed runs).
-ci: build test fmt-check smoke trace-smoke server-smoke mvcc-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
+ci: build test fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:
 	$(DUNE) clean

@@ -1143,22 +1143,20 @@ let ext_server () =
       ("lost", J_int (Atomic.get lost_r));
       ("elapsed_s", J_num retry_elapsed);
     ];
-  (* MVCC matrix: snapshot reads vs the single-RW-lock baseline under a
-     concurrent DML hammer, pipelined vs sequential read batches, and
-     plan cache on vs off. Every read is checked bit-identical against
-     the sequential oracle. *)
+  (* Read matrix: snapshot-read scaling under a concurrent DML hammer,
+     and pipelined vs sequential read batches. Every read is checked
+     bit-identical against the sequential oracle. *)
   let oracle_of sql =
     Dbspinner_storage.Relation.to_table_string (Engine.query engine sql)
   in
   (* DML legs use a one-iteration PageRank: still the iterative
-     workload, but cheap enough that reader throughput is limited by
-     lock admission rather than by raw CPU — which is exactly the axis
-     the MVCC/lock A/B measures. *)
+     workload, but cheap enough that read throughput reflects
+     contention with the concurrent writers rather than raw CPU. *)
   let pr_light_sql = Queries.pr ~iterations:1 () in
   let oracle = oracle_of pr_sql in
   let oracle_light = oracle_of pr_light_sql in
   let sink_counter = ref 0 in
-  let run_mode ~label ~mvcc ~plan_cache ~pipelined ~clients ~dml =
+  let run_mode ~label ~pipelined ~clients ~dml =
     let sock = socket_for label in
     let config =
       {
@@ -1166,8 +1164,6 @@ let ext_server () =
         Server.socket_path = sock;
         max_inflight = 32;
         workers = 4;
-        mvcc;
-        plan_cache;
       }
     in
     Server.with_server ~config ~catalog:shared_catalog (fun _srv ->
@@ -1192,10 +1188,9 @@ let ext_server () =
             (* Pipelined writers streaming scan-sized statements: each
                INSERT..SELECT copies the whole edge table (the paired
                DELETE keeps the sink bounded), so every write holds the
-               statement lock for a scan, and the next write is already
-               buffered on the socket when it releases. Under the
-               writer-preferring lock this keeps a writer queued nearly
-               continuously — the starvation regime MVCC removes. *)
+               writer lock for a scan, and the next write is already
+               buffered on the socket when it releases. Readers pin
+               snapshots and never wait on that lock. *)
             List.init writer_count (fun w ->
                 Thread.create
                   (fun () ->
@@ -1226,9 +1221,8 @@ let ext_server () =
         let read_sql, expected =
           if dml then (pr_light_sql, oracle_light) else (pr_sql, oracle)
         in
-        (* DML legs keep a fixed read count: the lock baseline pays for
-           every read with a starvation wait, so the full-mode leg would
-           otherwise dominate the whole bench run. *)
+        (* DML legs keep the full read count under --fast: their
+           one-iteration reads are cheap. *)
         let per_client = if dml then 4 else if !fast then 2 else 4 in
         let matching = Atomic.make 0 in
         let mismatched = Atomic.make 0 in
@@ -1246,8 +1240,6 @@ let ext_server () =
                 (fun () ->
                   Client.with_client ~seed:(1000 + i) ~socket_path:sock
                     (fun c ->
-                      if not plan_cache then
-                        ignore (Client.set c "plan_cache" "off");
                       if pipelined then
                         List.iter tally
                           (Client.pipeline_queries c
@@ -1275,8 +1267,6 @@ let ext_server () =
             ("section", J_str "ext-server");
             ("mode", J_str "mvcc-matrix");
             ("label", J_str label);
-            ("mvcc", J_bool mvcc);
-            ("plan_cache", J_bool plan_cache);
             ("pipelined", J_bool pipelined);
             ("concurrent_dml", J_bool dml);
             ("clients", J_int clients);
@@ -1290,50 +1280,21 @@ let ext_server () =
           ];
         qps)
   in
-  print_endline "\nMVCC snapshot reads vs single-lock baseline:";
-  (* Read scaling under concurrent DML with MVCC on. *)
+  print_endline "\nMVCC snapshot reads under concurrent DML:";
   List.iter
     (fun clients ->
       ignore
         (run_mode
            ~label:(Printf.sprintf "mvcc+dml %d-client" clients)
-           ~mvcc:true ~plan_cache:true ~pipelined:false ~clients ~dml:true))
-    [ 1; 2; 4 ];
-  let qps_mvcc =
-    run_mode ~label:"mvcc+dml 8-client" ~mvcc:true ~plan_cache:true
-      ~pipelined:false ~clients:8 ~dml:true
-  in
-  let qps_lock =
-    run_mode ~label:"lock-baseline+dml 8-client" ~mvcc:false ~plan_cache:false
-      ~pipelined:false ~clients:8 ~dml:true
-  in
-  let mvcc_speedup = qps_mvcc /. Float.max qps_lock 1e-9 in
-  Printf.printf
-    "read throughput under DML, 8 clients: mvcc %.2f reads/s vs lock %.2f \
-     reads/s -> %.2fx\n"
-    qps_mvcc qps_lock mvcc_speedup;
-  record_json
-    [
-      ("section", J_str "ext-server");
-      ("mode", J_str "mvcc-speedup");
-      ("clients", J_int 8);
-      ("mvcc_reads_per_s", J_num qps_mvcc);
-      ("lock_reads_per_s", J_num qps_lock);
-      ("speedup", J_num mvcc_speedup);
-    ];
-  (* Pipelined vs sequential reads, and plan cache on vs off (quiet
-     server: isolates protocol round trips and compile time). *)
+           ~pipelined:false ~clients ~dml:true))
+    [ 1; 2; 4; 8 ];
+  (* Pipelined vs sequential reads (quiet server: isolates protocol
+     round trips). *)
   let qps_seq =
-    run_mode ~label:"sequential reads" ~mvcc:true ~plan_cache:true
-      ~pipelined:false ~clients:8 ~dml:false
+    run_mode ~label:"sequential reads" ~pipelined:false ~clients:8 ~dml:false
   in
   let qps_pipe =
-    run_mode ~label:"pipelined reads" ~mvcc:true ~plan_cache:true
-      ~pipelined:true ~clients:8 ~dml:false
-  in
-  let qps_nocache =
-    run_mode ~label:"plan-cache off" ~mvcc:true ~plan_cache:false
-      ~pipelined:false ~clients:8 ~dml:false
+    run_mode ~label:"pipelined reads" ~pipelined:true ~clients:8 ~dml:false
   in
   record_json
     [
@@ -1343,9 +1304,6 @@ let ext_server () =
       ("sequential_reads_per_s", J_num qps_seq);
       ("pipelined_reads_per_s", J_num qps_pipe);
       ("pipeline_speedup", J_num (qps_pipe /. Float.max qps_seq 1e-9));
-      ("cache_on_reads_per_s", J_num qps_seq);
-      ("cache_off_reads_per_s", J_num qps_nocache);
-      ("cache_speedup", J_num (qps_seq /. Float.max qps_nocache 1e-9));
     ];
   print_endline
     "\n(eight concurrent sessions share one database through \
@@ -1356,11 +1314,11 @@ let ext_server () =
      queueing\n\
     \ delay. In the mvcc matrix, readers pin immutable catalog \
      snapshots and\n\
-    \ never take the statement lock, so a pipelined DML hammer that \
-     starves\n\
-    \ readers under the writer-preferring lock leaves snapshot reads \
-     untouched;\n\
-    \ every read is verified bit-identical to the sequential oracle)"
+    \ never take the writer lock, so a pipelined DML hammer leaves \
+     snapshot\n\
+    \ reads unblocked; every read is verified bit-identical to the \
+     sequential\n\
+    \ oracle)"
 
 (* ------------------------------------------------------------------ *)
 (* ext-durable: WAL overhead by fsync policy, recovery time            *)

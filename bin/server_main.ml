@@ -34,7 +34,7 @@ let preload_catalog gen scale =
 
 let serve socket_path max_sessions max_inflight workers deadline
     statement_timeout budget max_iterations gen scale data_dir fsync
-    checkpoint_every no_mvcc no_plan_cache =
+    checkpoint_every =
   let fsync =
     match Durable.policy_of_string fsync with
     | Some p -> p
@@ -61,8 +61,6 @@ let serve socket_path max_sessions max_inflight workers deadline
       data_dir;
       fsync;
       checkpoint_every;
-      mvcc = not no_mvcc;
-      plan_cache = not no_plan_cache;
     }
   in
   (* A preload would clash with (and be overwritten by) recovered
@@ -212,24 +210,6 @@ let checkpoint_every_arg =
           "Seconds between background checkpoints (taken only when the WAL \
            has pending records); 0 checkpoints as often as possible.")
 
-let no_mvcc_arg =
-  Arg.(
-    value & flag
-    & info [ "no-mvcc" ]
-        ~doc:
-          "Disable MVCC snapshot reads: read statements take the shared side \
-           of the statement RW lock instead of pinning a catalog snapshot. \
-           Baseline / escape hatch; also disables the plan cache.")
-
-let no_plan_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-plan-cache" ]
-        ~doc:
-          "Disable the cross-session plan cache (compiled plans keyed by \
-           normalized SQL and catalog snapshot version). Sessions can also \
-           opt out individually with SET plan_cache off.")
-
 let cmd =
   Cmd.v
     (Cmd.info "dbspinner-server" ~version:"1.0.0"
@@ -241,6 +221,6 @@ let cmd =
       const serve $ socket_arg $ max_sessions_arg $ max_inflight_arg
       $ workers_arg $ deadline_arg $ statement_timeout_arg $ budget_arg
       $ max_iterations_arg $ gen_arg $ scale_arg $ data_dir_arg $ fsync_arg
-      $ checkpoint_every_arg $ no_mvcc_arg $ no_plan_cache_arg)
+      $ checkpoint_every_arg)
 
 let () = exit (Cmd.eval' cmd)

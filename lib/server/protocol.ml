@@ -183,7 +183,11 @@ let with_id id payload =
   Printf.sprintf "#%d\n%s" id payload
 
 (** Split a [#<id>\n] prefix off a payload; [(None, payload)] when the
-    payload is untagged (the pre-pipelining wire format). *)
+    payload is untagged (the pre-pipelining wire format). Only the
+    canonical decimal form {!with_id} emits counts as a tag, so the
+    echoed tag is byte-identical to the one received; anything else
+    ([#0x10], [#007], [#-0], [#+5], [#1_0], an overflowing id) is
+    payload. *)
 let strip_id payload =
   let n = String.length payload in
   if n = 0 || payload.[0] <> '#' then (None, payload)
@@ -191,8 +195,9 @@ let strip_id payload =
     match String.index_opt payload '\n' with
     | None -> (None, payload)
     | Some nl -> (
-      match int_of_string_opt (String.sub payload 1 (nl - 1)) with
-      | Some id when id >= 0 ->
+      let digits = String.sub payload 1 (nl - 1) in
+      match int_of_string_opt digits with
+      | Some id when id >= 0 && String.equal (string_of_int id) digits ->
         (Some id, String.sub payload (nl + 1) (n - nl - 1))
       | _ -> (None, payload))
 

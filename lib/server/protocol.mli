@@ -57,7 +57,8 @@ val parse_response : string -> response
 val with_id : int -> string -> string
 
 (** Split a [#<id>\n] prefix off a payload; [(None, payload)] when
-    untagged. *)
+    untagged. Only the canonical decimal form {!with_id} emits is a
+    tag; a non-canonical one ([#0x10], [#007], [#-0]) is payload. *)
 val strip_id : string -> int option * string
 
 (** Split a script into statement fragments at top-level [;] only:

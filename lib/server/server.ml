@@ -17,9 +17,7 @@
     analytics) run fully in parallel, cannot be starved by writers,
     and each sees one stable database for its whole script. Write
     statements serialize on a writer lock and publish a new catalog
-    version before their OK is sent (read-your-writes). Setting
-    [config.mvcc = false] restores the previous whole-statement RW
-    lock.
+    version before their OK is sent (read-your-writes).
 
     Admission control: at most [max_inflight] queries execute at once;
     excess queries are {e rejected} with [BUSY] rather than queued, so
@@ -40,79 +38,6 @@ module Parallel = Dbspinner_exec.Parallel
 module Durable = Dbspinner_durable.Durable
 
 (* ------------------------------------------------------------------ *)
-(* Readers-writer lock (writer-preferring)                             *)
-
-module Rwlock = struct
-  type t = {
-    lock : Mutex.t;
-    can_read : Condition.t;
-    can_write : Condition.t;
-    mutable readers : int;
-    mutable writer : bool;
-    mutable writers_waiting : int;
-  }
-
-  let create () =
-    {
-      lock = Mutex.create ();
-      can_read = Condition.create ();
-      can_write = Condition.create ();
-      readers = 0;
-      writer = false;
-      writers_waiting = 0;
-    }
-
-  let lock_read t =
-    Mutex.lock t.lock;
-    (* Writer preference: queued writers block new readers, so a DML
-       burst cannot be starved by a stream of SELECTs. *)
-    while t.writer || t.writers_waiting > 0 do
-      Condition.wait t.can_read t.lock
-    done;
-    t.readers <- t.readers + 1;
-    Mutex.unlock t.lock
-
-  let unlock_read t =
-    Mutex.lock t.lock;
-    t.readers <- t.readers - 1;
-    if t.readers = 0 && t.writers_waiting > 0 then
-      Condition.signal t.can_write;
-    Mutex.unlock t.lock
-
-  let lock_write t =
-    Mutex.lock t.lock;
-    t.writers_waiting <- t.writers_waiting + 1;
-    while t.writer || t.readers > 0 do
-      Condition.wait t.can_write t.lock
-    done;
-    t.writers_waiting <- t.writers_waiting - 1;
-    t.writer <- true;
-    Mutex.unlock t.lock
-
-  let unlock_write t =
-    Mutex.lock t.lock;
-    t.writer <- false;
-    (* Hand off to a queued writer first; waking readers too would be
-       a thundering herd that re-blocks on [writers_waiting > 0] and —
-       worse — could slip in ahead of the writer on an unfair wakeup
-       order, breaking the writer preference [lock_read] promises.
-       Readers are only woken when no writer is queued. *)
-    if t.writers_waiting > 0 then Condition.signal t.can_write
-    else Condition.broadcast t.can_read;
-    Mutex.unlock t.lock
-
-  let with_lock t ~read f =
-    if read then begin
-      lock_read t;
-      Fun.protect ~finally:(fun () -> unlock_read t) f
-    end
-    else begin
-      lock_write t;
-      Fun.protect ~finally:(fun () -> unlock_write t) f
-    end
-end
-
-(* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
 type config = {
@@ -128,14 +53,6 @@ type config = {
       (** seconds between background checkpoints (only taken when the
           WAL has pending records); <= 0 checkpoints on every
           maintenance tick that finds pending records *)
-  mvcc : bool;
-      (** read statements pin a published catalog snapshot and run
-          without any lock (the default). [false] restores the PR 5
-          single-RW-lock read path — kept as the bench baseline and an
-          escape hatch *)
-  plan_cache : bool;
-      (** enable the cross-session plan cache (requires [mvcc]: cache
-          keys are snapshot versions) *)
 }
 
 let default_config =
@@ -148,8 +65,6 @@ let default_config =
     data_dir = None;
     fsync = Durable.Batch;
     checkpoint_every = 30.0;
-    mvcc = true;
-    plan_cache = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -162,12 +77,10 @@ type t = {
   admission : Admission.t;
   metrics : Metrics.t;
   pool : Parallel.t;
-  statement_lock : Rwlock.t;
-      (** with MVCC on this is purely a writer-serialization point
-          (write statements + durable checkpoints); readers never touch
-          it. With [config.mvcc = false] it reverts to the PR 5 role of
-          a full statement RW lock. *)
-  plans : Plan_cache.t option;  (** cross-session plan cache *)
+  writer_lock : Mutex.t;
+      (** serializes write statements and durable checkpoints; readers
+          never touch it *)
+  plans : Plan_cache.t;  (** cross-session plan cache *)
   durable : Durable.t option;
   draining : bool Atomic.t;
   mutable accept_thread : Thread.t option;
@@ -234,9 +147,9 @@ let exec_query srv session sql : Protocol.response =
               ~seconds:(Unix.gettimeofday () -. t0);
             Protocol.Err (stage, msg)
         in
-        if read && srv.config.mvcc then begin
-          (* MVCC read path: pin the latest published snapshot and run
-             with NO lock at all. The snapshot's tables are immutable
+        if read then begin
+          (* Read path: pin the latest published snapshot and run with
+             NO lock at all. The snapshot's tables are immutable
              (persistent row lists), so concurrent writers — who only
              ever publish whole new versions — cannot perturb this
              statement, and a stream of writes cannot starve it. *)
@@ -246,34 +159,22 @@ let exec_query srv session sql : Protocol.response =
             (fun () -> finish (run ()))
         end
         else
-          Rwlock.with_lock srv.statement_lock ~read (fun () ->
-              (* Writers (and, with MVCC off, readers too) still
-                 serialize on the statement lock. *)
-              let digest_before =
-                if read then 0 else Catalog.base_digest srv.catalog
-              in
+          Mutex.protect srv.writer_lock (fun () ->
+              let digest_before = Catalog.base_digest srv.catalog in
               let outcome = run () in
-              let changed_digest =
-                if read then None
-                else
-                  let digest = Catalog.base_digest srv.catalog in
-                  if digest <> digest_before then Some digest else None
-              in
+              let digest = Catalog.base_digest srv.catalog in
+              let changed = digest <> digest_before in
               (* Publish-before-ack: the new catalog version must be
                  visible before the client hears OK, so its very next
                  read (which pins the latest snapshot) observes its own
                  write. Failed scripts publish too when they mutated
                  anything — partial DML is committed state here. Stale
                  plan-cache entries are swept in the same breath. *)
-              (match changed_digest with
-              | Some _ when srv.config.mvcc ->
+              if changed then begin
                 let snap = Catalog.publish srv.catalog in
-                Option.iter
-                  (fun cache ->
-                    Plan_cache.sweep cache
-                      ~version:(Catalog.snapshot_version snap))
-                  srv.plans
-              | _ -> ());
+                Plan_cache.sweep srv.plans
+                  ~version:(Catalog.snapshot_version snap)
+              end;
               (* Log-before-ack: the WAL append happens after execution
                  but before the response, still under the writer lock,
                  so a checkpoint can never slip between a mutation and
@@ -281,8 +182,8 @@ let exec_query srv session sql : Protocol.response =
                  a failed-but-mutating script recovers the exact
                  state. *)
               let log_result =
-                match (srv.durable, changed_digest) with
-                | Some d, Some digest -> (
+                match srv.durable with
+                | Some d when changed -> (
                   try Ok (Durable.log_script d ~digest ~sql)
                   with e -> Error e)
                 | _ -> Ok ()
@@ -308,24 +209,14 @@ let handle_request srv session (req : Protocol.request) : Protocol.response * bo
     | Ok confirmation -> (Protocol.Ok_result confirmation, true)
     | Error usage -> (Protocol.Err ("set", usage), true))
   | Protocol.Stats ->
-    let mvcc_extra =
-      if srv.config.mvcc then
-        [
-          ( "snapshot_version",
-            string_of_int
-              (Catalog.snapshot_version (Catalog.snapshot srv.catalog)) );
-        ]
-      else []
-    in
-    let plan_extra =
-      match srv.plans with
-      | None -> []
-      | Some cache ->
-        [
-          ("plan_hits", string_of_int (Plan_cache.hits cache));
-          ("plan_misses", string_of_int (Plan_cache.misses cache));
-          ("plan_entries", string_of_int (Plan_cache.size cache));
-        ]
+    let version = Catalog.snapshot_version (Catalog.snapshot srv.catalog) in
+    let read_path_extra =
+      [
+        ("snapshot_version", string_of_int version);
+        ("plan_hits", string_of_int (Plan_cache.hits srv.plans));
+        ("plan_misses", string_of_int (Plan_cache.misses srv.plans));
+        ("plan_entries", string_of_int (Plan_cache.size srv.plans));
+      ]
     in
     let durable_extra =
       match srv.durable with
@@ -343,7 +234,7 @@ let handle_request srv session (req : Protocol.request) : Protocol.response * bo
     in
     ( Protocol.Ok_result
         (Metrics.render
-           ~extra:(mvcc_extra @ plan_extra @ durable_extra)
+           ~extra:(read_path_extra @ durable_extra)
            srv.metrics ~admission:srv.admission
            ~draining:(Atomic.get srv.draining)),
       true )
@@ -402,24 +293,21 @@ let serve_connection srv id fd =
          else None));
   (* Cross-session plan cache: compiled programs are keyed by
      (normalized SQL, pinned snapshot version, options fingerprint).
-     Only snapshot-pinned statements participate — an unpinned
-     statement (write, or MVCC off) has no version to key by, and the
-     engine already bypasses the hook when the session has views. *)
-  (match srv.plans with
-  | Some cache ->
-    let engine = Session.engine session in
-    Engine.set_plan_hook engine
-      (Some
-         (fun q compile ->
-           match Session.pinned_version session with
-           | Some version when Session.plan_cache_enabled session ->
-             Plan_cache.find_or_compile cache
-               ~sql:(Dbspinner_sql.Sql_pretty.full_query q)
-               ~version
-               ~opts:(Plan_cache.fingerprint (Engine.options engine))
-               compile
-           | _ -> compile ()))
-  | None -> ());
+     Only snapshot-pinned statements participate — a write is unpinned
+     and has no version to key by, and the engine already bypasses the
+     hook when the session has views. *)
+  let engine = Session.engine session in
+  Engine.set_plan_hook engine
+    (Some
+       (fun q compile ->
+         match Session.pinned_version session with
+         | Some version ->
+           Plan_cache.find_or_compile srv.plans
+             ~sql:(Dbspinner_sql.Sql_pretty.full_query q)
+             ~version
+             ~opts:(Plan_cache.fingerprint (Engine.options engine))
+             compile
+         | None -> compile ()));
   Metrics.session_opened srv.metrics;
   Fun.protect
     ~finally:(fun () ->
@@ -503,7 +391,7 @@ let maintenance_loop srv d () =
       && Durable.pending_records d > 0
       && not (Atomic.get srv.draining)
     then begin
-      Rwlock.with_lock srv.statement_lock ~read:false (fun () ->
+      Mutex.protect srv.writer_lock (fun () ->
           try Durable.checkpoint d
           with e ->
             prerr_endline ("durable checkpoint: " ^ durable_error_message e));
@@ -543,7 +431,7 @@ let start ?(config = default_config) ?catalog () : t =
   (* Publish the initial snapshot only after recovery has rebuilt the
      catalog, so the very first pinned reader sees the recovered
      database, not an empty version 0. *)
-  if config.mvcc then ignore (Catalog.publish catalog);
+  ignore (Catalog.publish catalog);
   if Sys.file_exists config.socket_path then Sys.remove config.socket_path;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
@@ -556,10 +444,8 @@ let start ?(config = default_config) ?catalog () : t =
       admission = Admission.create ~limit:config.max_inflight;
       metrics = Metrics.create ();
       pool = Parallel.get config.workers;
-      statement_lock = Rwlock.create ();
-      plans =
-        (if config.mvcc && config.plan_cache then Some (Plan_cache.create ())
-         else None);
+      writer_lock = Mutex.create ();
+      plans = Plan_cache.create ();
       durable;
       draining = Atomic.make false;
       accept_thread = None;

@@ -15,22 +15,6 @@
     repeated statements. Shutdown drains in-flight iterative loops at
     an iteration boundary via the engine's interrupt probe. *)
 
-(** Writer-preferring readers-writer lock. Exposed for tests (wakeup
-    ordering, starvation); the server itself now uses it only to
-    serialize writers and durable checkpoints when MVCC is on. *)
-module Rwlock : sig
-  type t
-
-  val create : unit -> t
-  val lock_read : t -> unit
-  val unlock_read : t -> unit
-  val lock_write : t -> unit
-  val unlock_write : t -> unit
-
-  (** Run [f] under the read (shared) or write (exclusive) side. *)
-  val with_lock : t -> read:bool -> (unit -> 'a) -> 'a
-end
-
 type config = {
   socket_path : string;
   max_sessions : int;  (** concurrent client connections *)
@@ -48,11 +32,6 @@ type config = {
   checkpoint_every : float;
       (** seconds between background checkpoints; <= 0 checkpoints on
           every maintenance tick that finds pending WAL records *)
-  mvcc : bool;
-      (** lock-free snapshot reads (the default). [false] restores the
-          single-RW-lock read path — bench baseline / escape hatch *)
-  plan_cache : bool;
-      (** cross-session plan cache (effective only with [mvcc]) *)
 }
 
 val default_config : config

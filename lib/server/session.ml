@@ -3,7 +3,7 @@
     database. Temps (iterative CTE working tables) are session-local,
     so concurrent sessions running the same query cannot collide on
     temp names; DDL/DML go to the shared base tables under the
-    server's statement lock. *)
+    server's writer lock. *)
 
 module Engine = Dbspinner.Engine
 module Options = Dbspinner_rewrite.Options
@@ -24,9 +24,6 @@ type t = {
           statement_timeout] may only tighten it — the server relies on
           the ceiling to keep a wedged query from stalling its
           checkpointer or shutdown drain *)
-  mutable plan_cache : bool;
-      (** whether this session participates in the server's
-          cross-session plan cache ([SET plan_cache on|off]) *)
 }
 
 let create ~id ~options ~shared_catalog =
@@ -36,12 +33,10 @@ let create ~id ~options ~shared_catalog =
     engine = Engine.create ~options ~catalog ();
     catalog_view = catalog;
     timeout_ceiling = options.Options.statement_timeout_seconds;
-    plan_cache = true;
   }
 
 let id t = t.id
 let engine t = t.engine
-let plan_cache_enabled t = t.plan_cache
 
 (* ------------------------------------------------------------------ *)
 (* MVCC snapshot pinning                                               *)
@@ -155,12 +150,6 @@ let set t key value : (string, string) result =
       Engine.set_trace t.engine None;
       Ok "trace off"
     | None -> Error "usage: SET trace on|off")
-  | "plan_cache" -> (
-    match parse_bool value with
-    | Some enabled ->
-      t.plan_cache <- enabled;
-      Ok (Printf.sprintf "plan_cache %b" enabled)
-    | None -> Error "usage: SET plan_cache on|off")
   | _ -> (
     match parse_bool value with
     | Some enabled -> (
@@ -172,7 +161,7 @@ let set t key value : (string, string) result =
         Error
           (Printf.sprintf
              "unknown option %s \
-              (%s|deadline|statement_timeout|budget|workers|max_iterations|trace|plan_cache)"
+              (%s|deadline|statement_timeout|budget|workers|max_iterations|trace)"
              key
              (String.concat "|" Options.bool_option_keys)))
     | None -> Error (Printf.sprintf "SET %s expects on|off" key))

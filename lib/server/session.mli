@@ -13,10 +13,6 @@ val create :
 val id : t -> int
 val engine : t -> Dbspinner.Engine.t
 
-(** Does this session participate in the server's cross-session plan
-    cache? Toggled by [SET plan_cache on|off]; on by default. *)
-val plan_cache_enabled : t -> bool
-
 (** Pin the session's catalog view to an immutable snapshot: until
     {!unpin}, base-table reads resolve against the snapshot's frozen
     tables, so a read statement runs lock-free and sees a stable

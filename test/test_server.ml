@@ -228,59 +228,214 @@ let test_request_id_tags () =
   Alcotest.(check (pair (option int) string))
     "malformed tag is payload" (None, "#abc\nx")
     (Protocol.strip_id "#abc\nx");
+  Alcotest.(check (pair (option int) string))
+    "zero is a tag" (Some 0, "x")
+    (Protocol.strip_id "#0\nx");
+  (* Forms int_of_string reads but with_id never writes would be
+     echoed under a different tag; they are payload too. *)
+  List.iter
+    (fun tag ->
+      let p = Printf.sprintf "#%s\nx" tag in
+      Alcotest.(check (pair (option int) string))
+        (Printf.sprintf "non-canonical #%s is payload" tag)
+        (None, p) (Protocol.strip_id p))
+    [ "0x10"; "0b11"; "0o7"; "1_0"; "+5"; "007"; "-0"; "-3"; ""; " 1";
+      "99999999999999999999" ];
+  Alcotest.(check (pair (option int) string))
+    "max_int round-trips" (Some max_int, "x")
+    (Protocol.strip_id (Protocol.with_id max_int "x"));
   match Protocol.with_id (-1) payload with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative id must be rejected"
 
 (* ------------------------------------------------------------------ *)
-(* Rwlock wakeup order                                                 *)
+(* Hostile frames against a live server                                *)
 
-let test_rwlock_writer_handoff () =
-  (* With a writer holding the lock, a second writer queued and a
-     crowd of readers queued behind it, unlock_write must hand the
-     lock to the queued writer — waking the readers would at best be a
-     thundering herd and at worst let one slip in ahead. *)
-  let module Rwlock = Server.Rwlock in
-  let lock = Rwlock.create () in
-  let order = ref [] in
-  let order_lock = Mutex.create () in
-  let record who =
-    Mutex.lock order_lock;
-    order := who :: !order;
-    Mutex.unlock order_lock
+(** Poll STATS through [client] until [pred kv] or timeout. *)
+let wait_for_stats client pred =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec loop () =
+    let kv = Client.stats client in
+    if pred kv then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Thread.delay 0.02;
+      loop ()
+    end
   in
-  Rwlock.lock_write lock;
-  let writer =
-    Thread.create
-      (fun () ->
-        Rwlock.lock_write lock;
-        record "writer";
-        (* Dawdle so racing readers would be caught red-handed. *)
-        Thread.delay 0.05;
-        Rwlock.unlock_write lock)
-      ()
+  loop ()
+
+let test_hostile_frames () =
+  (* A fixed-seed stream of hostile peers: raw random bytes, headers
+     and bodies cut short, frames of random payload, tags a lenient
+     parser would rewrite, and peers that vanish mid-frame. None may
+     wedge or kill the server, leak a session or an admission slot,
+     or get a tag echoed in a form other than the one it sent. *)
+  let config =
+    {
+      Server.default_config with
+      Server.socket_path = socket_path "hostile";
+      (* Room for every peer at once, so a slow session exit cannot
+         turn a later connect into a session-limit BUSY. *)
+      max_sessions = 256;
+    }
   in
-  Thread.delay 0.05 (* let the writer queue up *);
-  let readers =
-    List.init 4 (fun i ->
-        Thread.create
+  let rng = Random.State.make [| 20 |] in
+  let random_bytes n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let frame p = Printf.sprintf "%d\n%s" (String.length p) p in
+  let bad_tags =
+    [| "0x10"; "0b11"; "1_0"; "+5"; "007"; "-0"; "-1"; ""; "abc"; "1 2";
+       "99999999999999999999" |]
+  in
+  Server.with_server ~config (fun _srv ->
+      let connect () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX config.Server.socket_path);
+        (* A server that stops answering fails the read, not the run. *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        fd
+      in
+      let send fd s =
+        (* The server may already have dropped a garbage peer. *)
+        try ignore (Unix.write_substring fd s 0 (String.length s))
+        with Unix.Unix_error _ -> ()
+      in
+      let reply fd =
+        match Protocol.read_frame fd with
+        | Some r -> r
+        | None -> Alcotest.fail "server closed instead of answering"
+      in
+      for _ = 1 to 120 do
+        let fd = connect () in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
           (fun () ->
-            Rwlock.lock_read lock;
-            record (Printf.sprintf "reader%d" i);
-            Rwlock.unlock_read lock)
-          ())
+            match Random.State.int rng 6 with
+            | 0 -> send fd (random_bytes (1 + Random.State.int rng 64))
+            | 1 ->
+              (* A length header cut short, with or without digits. *)
+              send fd (String.sub "1234567" 0 (Random.State.int rng 8))
+            | 2 ->
+              (* A body shorter than its header promises. *)
+              let p = "QUERY\nSELECT 1" in
+              let cut = Random.State.int rng (String.length p) in
+              send fd
+                (Printf.sprintf "%d\n%s" (String.length p)
+                   (String.sub p 0 cut))
+            | 3 ->
+              (* A well-framed random payload gets an answer. *)
+              send fd (frame (random_bytes (Random.State.int rng 48)));
+              ignore (reply fd)
+            | 4 ->
+              (* A non-canonical tag is payload: the answer is an
+                 untagged protocol error, never a rewritten tag. *)
+              let tag =
+                bad_tags.(Random.State.int rng (Array.length bad_tags))
+              in
+              send fd (frame (Printf.sprintf "#%s\nPING" tag));
+              let r = reply fd in
+              Alcotest.(check (option int))
+                (Printf.sprintf "#%s not echoed as a tag" tag)
+                None
+                (fst (Protocol.strip_id r))
+            | _ ->
+              (* A good tagged frame, then death mid-frame. *)
+              let id = Random.State.int rng 1000 in
+              send fd (frame (Protocol.with_id id "PING"));
+              Alcotest.(check string) "tag echoed verbatim"
+                (Protocol.with_id id "PONG")
+                (reply fd);
+              send fd "40\nQUERY\nSELE")
+      done;
+      Client.with_client ~socket_path:config.Server.socket_path (fun c ->
+          Alcotest.(check bool) "fresh connection answers PING" true
+            (Client.ping c);
+          (* A session's exit is counted in its finalizer, after its
+             socket closes, so poll. *)
+          let stat_is key v kv = List.assoc_opt key kv = Some v in
+          Alcotest.(check bool) "sessions_active back at 1" true
+            (wait_for_stats c (stat_is "sessions_active" "1"));
+          Alcotest.(check bool) "inflight back at 0" true
+            (wait_for_stats c (stat_is "inflight" "0"))))
+
+(* ------------------------------------------------------------------ *)
+(* Writer serialization                                                *)
+
+(** The integer in the first data cell of a rendered one-column
+    result. *)
+let int_cell body =
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         match String.split_on_char '|' line with
+         | [ ""; cell; "" ] -> int_of_string_opt (String.trim cell)
+         | _ -> None)
+
+let test_writers_serialize () =
+  (* Read-modify-write statements from several sessions must not lose
+     updates: the writer lock serializes them, so N clients x M
+     increments end at exactly N x M. A reader running alongside pins
+     published snapshots, so every value it sees is a committed count
+     and, read after read, never goes backwards. *)
+  let clients = 8 and per_client = 40 in
+  let config =
+    {
+      Server.default_config with
+      Server.socket_path = socket_path "writers";
+      max_inflight = clients + 1;
+    }
   in
-  Thread.delay 0.05 (* let the readers queue behind the writer *);
-  Rwlock.unlock_write lock;
-  Thread.join writer;
-  List.iter Thread.join readers;
-  match List.rev !order with
-  | "writer" :: rest ->
-    Alcotest.(check int) "all readers ran after the writer" 4
-      (List.length rest)
-  | first :: _ ->
-    Alcotest.fail (Printf.sprintf "%s acquired before the queued writer" first)
-  | [] -> Alcotest.fail "nobody acquired the lock"
+  let total = clients * per_client in
+  Server.with_server ~config (fun _srv ->
+      let sock = config.Server.socket_path in
+      (* Filler rows make every UPDATE scan a while, so unserialized
+         writers would overlap and lose increments. *)
+      let rows = List.init 2000 (fun k -> Printf.sprintf "(%d, 0)" k) in
+      Client.with_client ~socket_path:sock (fun c ->
+          match
+            Client.query c
+              ("CREATE TABLE t (k INT, v INT); INSERT INTO t VALUES "
+              ^ String.concat ", " rows)
+          with
+          | Ok _ -> ()
+          | Error (s, m) -> Alcotest.fail (s ^ " " ^ m));
+      let failures = Atomic.make 0 in
+      let writers =
+        List.init clients (fun _ ->
+            Thread.create
+              (fun () ->
+                Client.with_client ~socket_path:sock (fun c ->
+                    for _ = 1 to per_client do
+                      match
+                        Client.query c "UPDATE t SET v = v + 1 WHERE k = 0"
+                      with
+                      | Ok _ -> ()
+                      | Error _ -> Atomic.incr failures
+                    done))
+              ())
+      in
+      let read c =
+        match Client.query c "SELECT v FROM t WHERE k = 0" with
+        | Ok body -> (
+          match int_cell body with
+          | Some v -> v
+          | None -> Alcotest.failf "no value in %S" body)
+        | Error (s, m) -> Alcotest.fail (s ^ " " ^ m)
+      in
+      Client.with_client ~socket_path:sock (fun reader ->
+          let last = ref 0 in
+          for _ = 1 to 20 do
+            let v = read reader in
+            Alcotest.(check bool)
+              (Printf.sprintf "read %d is a committed count" v)
+              true
+              (v >= !last && v <= total);
+            last := v
+          done;
+          List.iter Thread.join writers;
+          Alcotest.(check int) "no write failed" 0 (Atomic.get failures);
+          Alcotest.(check int) "no lost update" total (read reader)))
 
 let test_admission_unit () =
   let adm = Admission.create ~limit:2 in
@@ -438,20 +593,6 @@ let test_shared_base_ddl_visible () =
                 Alcotest.(check bool) "other session reads the row" true
                   (Helpers.contains body "42")
               | Error (s, m) -> Alcotest.fail (s ^ " " ^ m))))
-
-(** Poll STATS through [client] until [pred kv] or timeout. *)
-let wait_for_stats client pred =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec loop () =
-    let kv = Client.stats client in
-    if pred kv then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.02;
-      loop ()
-    end
-  in
-  loop ()
 
 let inflight_at_least n kv =
   match List.assoc_opt "inflight" kv with
@@ -628,34 +769,34 @@ let test_plan_cache_repeated_derived_table_read () =
             (stat_int kv "plan_misses")))
 
 let test_plan_cache_opt_out () =
+  (* There is no per-session opt-out: SET plan_cache is an unknown
+     option, and the session's repeated read still hits the cache. *)
   let config =
     { Server.default_config with Server.socket_path = socket_path "plan-off" }
   in
   Server.with_server ~config (fun _srv ->
       Client.with_client ~socket_path:config.Server.socket_path (fun c ->
           (match Client.set c "plan_cache" "off" with
-          | Ok confirmation ->
-            Alcotest.(check bool) "confirmation echoes state" true
-              (Helpers.contains confirmation "false")
-          | Error m -> Alcotest.fail m);
+          | Error m ->
+            Alcotest.(check bool)
+              (Printf.sprintf "unknown-option usage error (%s)" m)
+              true
+              (Helpers.contains m "unknown option plan_cache")
+          | Ok _ -> Alcotest.fail "SET plan_cache must be rejected");
+          let run () =
+            match Client.query c "SELECT 1" with
+            | Ok _ -> ()
+            | Error (s, m) -> Alcotest.fail (s ^ " " ^ m)
+          in
+          run ();
           let kv0 = Client.stats c in
-          (match Client.query c "SELECT 1" with
-          | Ok _ -> ()
-          | Error (s, m) -> Alcotest.fail (s ^ " " ^ m));
-          (match Client.query c "SELECT 1" with
-          | Ok _ -> ()
-          | Error (s, m) -> Alcotest.fail (s ^ " " ^ m));
+          run ();
           let kv = Client.stats c in
-          (* An opted-out session never touches the cache: neither hits
-             nor misses move. *)
-          Alcotest.(check int) "hits unchanged" (stat_int kv0 "plan_hits")
+          Alcotest.(check int) "repeat is a hit"
+            (stat_int kv0 "plan_hits" + 1)
             (stat_int kv "plan_hits");
-          Alcotest.(check int) "misses unchanged" (stat_int kv0 "plan_misses")
-            (stat_int kv "plan_misses");
-          (* Opting back in works. *)
-          match Client.set c "plan_cache" "on" with
-          | Ok _ -> ()
-          | Error m -> Alcotest.fail m))
+          Alcotest.(check int) "no extra miss" (stat_int kv0 "plan_misses")
+            (stat_int kv "plan_misses")))
 
 (* ------------------------------------------------------------------ *)
 (* Pipelining                                                          *)
@@ -1033,11 +1174,12 @@ let () =
             test_read_only_classification;
           Alcotest.test_case "split-statements" `Quick test_split_statements;
           Alcotest.test_case "request-id-tags" `Quick test_request_id_tags;
+          Alcotest.test_case "hostile-frames" `Quick test_hostile_frames;
         ] );
       ( "admission",
         [
           Alcotest.test_case "rwlock-writer-handoff" `Quick
-            test_rwlock_writer_handoff;
+            test_writers_serialize;
           Alcotest.test_case "unit" `Quick test_admission_unit;
           Alcotest.test_case "metrics" `Quick test_metrics_render_parse;
           Alcotest.test_case "metrics-percentile-edges" `Quick
