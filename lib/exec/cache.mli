@@ -18,6 +18,7 @@ module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Relation = Dbspinner_storage.Relation
 module Colbatch = Dbspinner_storage.Colbatch
+module Keyhash = Dbspinner_storage.Keyhash
 module Bound_expr = Dbspinner_plan.Bound_expr
 module Logical = Dbspinner_plan.Logical
 
@@ -88,7 +89,7 @@ type join_build = {
 type sub_set = {
   ss_empty : bool;
   ss_has_null : bool;
-  ss_members : (Value.t, unit) Hashtbl.t;
+  ss_members : Keyhash.t;  (** column 0 of the subquery, NULLs included *)
 }
 
 (** A join site's previous single-Int-key columnar probe (see

@@ -10,6 +10,8 @@ module Value = Dbspinner_storage.Value
 module Row = Dbspinner_storage.Row
 module Schema = Dbspinner_storage.Schema
 module Relation = Dbspinner_storage.Relation
+module Colbatch = Dbspinner_storage.Colbatch
+module Keyhash = Dbspinner_storage.Keyhash
 module Catalog = Dbspinner_storage.Catalog
 module Table = Dbspinner_storage.Table
 module Logical = Dbspinner_plan.Logical
@@ -501,74 +503,120 @@ let materialize m target t =
   m.backend.bind target t;
   n
 
+(* Column [idx] of each relation, back to back, as a one-column
+   batch. *)
+let key_batch rels =
+  Colbatch.concat
+    (Array.of_list
+       (List.map
+          (fun (rel, idx) ->
+            let b = Relation.columnar rel in
+            Colbatch.make ~len:(Colbatch.length b) [| Colbatch.col b idx |])
+          rels))
+
 (* Rebuild the work output in CTE order, one key at a time: recomputed
    rows for affected keys, the previous work row otherwise. Eligible
    plans emit output in driver (CTE) key order, so this reproduces the
    full evaluation bit for bit — including rows-per-key multiplicities,
    so a duplicate-key plan still trips [Assert_unique_key] exactly as it
-   would have. *)
+   would have. [affected] holds the affected keys in column 0. The
+   output is one gather over [prev_work ++ restricted]. *)
 let stitch ~key_idx ~affected ~restricted ~cur ~prev_work =
-  let by_key : (Value.t, Row.t list) Hashtbl.t = Hashtbl.create 64 in
-  Relation.iter
-    (fun r ->
-      let k = r.(key_idx) in
-      let rest = try Hashtbl.find by_key k with Not_found -> [] in
-      Hashtbl.replace by_key k (r :: rest))
-    restricted;
-  let recomputed k =
-    List.rev (try Hashtbl.find by_key k with Not_found -> [])
-  in
-  let out = ref [] in
-  let cur_rows = Relation.rows cur in
-  let prev_rows = Relation.rows prev_work in
-  let n_cur = Array.length cur_rows in
+  let key rel idx = Colbatch.col (Relation.columnar rel) idx in
+  let n_cur = Relation.cardinality cur in
+  let n_res = Relation.cardinality restricted in
+  let n_prev = Relation.cardinality prev_work in
+  let cur_key = key cur key_idx and prev_key = key prev_work key_idx in
+  let aff_key = key affected 0 in
+  let aff = Keyhash.build [| aff_key |] (Relation.cardinality affected) in
+  let n_aff = Keyhash.groups aff in
+  (* Restricted rows bucketed by affected key, in restricted order. *)
+  let res_aff = Keyhash.probe aff [| key restricted key_idx |] n_res in
+  let start = Array.make (n_aff + 1) 0 in
+  Array.iter
+    (fun g -> if g >= 0 then start.(g + 1) <- start.(g + 1) + 1)
+    res_aff;
+  for g = 1 to n_aff do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let bucket = Array.make n_res 0 and fill = Array.sub start 0 n_aff in
+  Array.iteri
+    (fun r g ->
+      if g >= 0 then begin
+        bucket.(fill.(g)) <- r;
+        fill.(g) <- fill.(g) + 1
+      end)
+    res_aff;
   (* Fast path: when the previous output lists the same keys at the
      same positions (the steady state of an iterative loop, whose key
      sequence is stable and — per the §II requirement, enforced by
      [Assert_unique_key] — duplicate-free), unaffected rows are copied
-     by index with no hashing. *)
+     by position, and only the affected keys are hashed. *)
   let aligned =
-    Array.length prev_rows = n_cur
+    n_prev = n_cur
     &&
-    let ok = ref true in
+    let eq = Keyhash.row_equal [| cur_key |] [| prev_key |] in
     let i = ref 0 in
-    while !ok && !i < n_cur do
-      if not (Value.equal cur_rows.(!i).(key_idx) prev_rows.(!i).(key_idx))
-      then ok := false;
+    while !i < n_cur && eq !i !i do
       incr i
     done;
-    !ok
+    !i = n_cur
   in
-  if aligned then
-    for i = 0 to n_cur - 1 do
-      let k = cur_rows.(i).(key_idx) in
-      if Hashtbl.mem affected k then
-        List.iter (fun row -> out := row :: !out) (recomputed k)
-      else out := prev_rows.(i) :: !out
-    done
-  else begin
-    let prev_by_key = Hashtbl.create 64 in
-    Relation.iter
-      (fun r ->
-        if not (Hashtbl.mem prev_by_key r.(key_idx)) then
-          Hashtbl.replace prev_by_key r.(key_idx) r)
-      prev_work;
-    let seen_keys = Hashtbl.create (Relation.cardinality cur) in
-    Relation.iter
-      (fun r ->
-        let k = r.(key_idx) in
-        if not (Hashtbl.mem seen_keys k) then begin
-          Hashtbl.replace seen_keys k ();
-          if Hashtbl.mem affected k then
-            List.iter (fun row -> out := row :: !out) (recomputed k)
-          else
-            match Hashtbl.find_opt prev_by_key k with
-            | Some row -> out := row :: !out
-            | None -> ()
-        end)
-      cur
-  end;
-  Relation.make (Relation.schema prev_work) (Array.of_list (List.rev !out))
+  (* Per CTE row: its affected key's bucket ([cur_aff]), or else the
+     previous row it keeps ([keep], [-1] for none). *)
+  let cur_aff, keep =
+    if aligned then (Keyhash.probe aff [| cur_key |] n_cur, Fun.id)
+    else begin
+      (* Each key once, at its first CTE row; an unaffected key keeps
+         its first previous row, if it had one. The CTE's keys are
+         numbered, and the other inputs looked up in that numbering. *)
+      let cur_t = Keyhash.build [| cur_key |] n_cur in
+      let cur_ids = Keyhash.ids cur_t and first_cur = Keyhash.reps cur_t in
+      let ng = Keyhash.groups cur_t in
+      let aff_of = Array.make ng (-1) and aff_ids = Keyhash.ids aff in
+      Array.iteri
+        (fun a g -> if g >= 0 then aff_of.(g) <- aff_ids.(a))
+        (Keyhash.probe cur_t [| aff_key |] (Array.length aff_ids));
+      let first_prev = Array.make ng (-1) in
+      let prev_in_cur = Keyhash.probe cur_t [| prev_key |] n_prev in
+      for p = n_prev - 1 downto 0 do
+        let g = prev_in_cur.(p) in
+        if g >= 0 then first_prev.(g) <- p
+      done;
+      let cur_aff = Array.make n_cur (-1) and keep = Array.make n_cur (-1) in
+      for i = 0 to n_cur - 1 do
+        let g = cur_ids.(i) in
+        if first_cur.(g) = i then begin
+          cur_aff.(i) <- aff_of.(g);
+          keep.(i) <- first_prev.(g)
+        end
+      done;
+      (cur_aff, Array.get keep)
+    end
+  in
+  (* The selection over [prev_work ++ restricted]. *)
+  let size = ref 0 in
+  for i = 0 to n_cur - 1 do
+    let g = cur_aff.(i) in
+    if g >= 0 then size := !size + start.(g + 1) - start.(g)
+    else if keep i >= 0 then incr size
+  done;
+  let sel = Array.make !size 0 and o = ref 0 in
+  for i = 0 to n_cur - 1 do
+    let g = cur_aff.(i) in
+    if g >= 0 then
+      for p = start.(g) to start.(g + 1) - 1 do
+        sel.(!o) <- n_prev + bucket.(p);
+        incr o
+      done
+    else if keep i >= 0 then begin
+      sel.(!o) <- keep i;
+      incr o
+    end
+  done;
+  Relation.of_batch (Relation.schema prev_work)
+    (Colbatch.gather2 (Relation.columnar prev_work)
+       (Relation.columnar restricted) sel)
 
 (* Semi-naive evaluation of one [Delta_materialize]: diff the CTE
    against the version the previous iteration consumed, evaluate the
@@ -610,30 +658,24 @@ let delta_eval m st ~cte ~key_idx ~full_plan ~restricted_plan ~affected_plans
         st.d_cutoff_streak <- 0;
         prev_work
       | Some delta ->
-        let changed_keys = Hashtbl.create 64 in
-        Relation.iter
-          (fun r -> Hashtbl.replace changed_keys r.(key_idx) ())
-          delta;
         st.d_cutoff_streak <- 0;
         b.bind delta_name (b.scatter delta);
         (* Affected keys: directly-changed keys plus every key that
-           reads a changed row through a join leg. *)
-        let affected = Hashtbl.create 64 in
-        Hashtbl.iter (fun k () -> Hashtbl.replace affected k ()) changed_keys;
-        List.iter
-          (fun p ->
-            Relation.iter
-              (fun r -> Hashtbl.replace affected r.(0) ())
-              (eval p))
-          affected_plans;
-        let a_rows =
-          Hashtbl.fold (fun k () acc -> [| k |] :: acc) affected []
+           reads a changed row through a join leg, each once, in first
+           appearance. *)
+        let keys =
+          key_batch
+            ((delta, key_idx) :: List.map (fun p -> (eval p, 0)) affected_plans)
         in
-        b.bind affected_name
-          (b.scatter
-             (Relation.make
-                (Schema.of_names [ "key" ])
-                (Array.of_list a_rows)));
+        let distinct =
+          Keyhash.build [| Colbatch.col keys 0 |] (Colbatch.length keys)
+        in
+        let affected =
+          Relation.of_batch
+            (Schema.of_names [ "key" ])
+            (Colbatch.gather keys (Keyhash.reps distinct))
+        in
+        b.bind affected_name (b.scatter affected);
         let restricted = eval restricted_plan in
         stats.Stats.delta_rows_evaluated <-
           stats.Stats.delta_rows_evaluated + Relation.cardinality restricted;
@@ -792,7 +834,7 @@ let finish ?result m =
 (** Run a step program to completion on the catalog's temps and return
     the final relation. See the interface for the options. *)
 let run_program ?parallel ?(stats = Stats.create ()) ?(guards = Guards.none)
-    ?(use_cache = true) ?(columnar = false) ?trace (catalog : Catalog.t)
+    ?(use_cache = true) ?(columnar = true) ?trace (catalog : Catalog.t)
     (program : Program.t) : Relation.t =
   let cache = if use_cache then Some (Cache.create ()) else None in
   (* In-operator probes are free to skip when no limit is set; [None]

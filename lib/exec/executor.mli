@@ -39,6 +39,24 @@ val run_plan :
     duplicates via aggregation. *)
 val assert_unique_key : Catalog.t -> temp:string -> key_idx:int -> unit
 
+(** [stitch ~key_idx ~affected ~restricted ~cur ~prev_work] — a
+    semi-naive iteration's work output: in [cur]'s key order (column
+    [key_idx]), each affected key's rows of [restricted], in their
+    order, and every other key's row of [prev_work]. [affected] lists
+    the affected keys in column 0. When [prev_work] lists [cur]'s keys
+    position by position, unaffected rows are copied by position;
+    otherwise each key of [cur] is taken once, at its first row, from
+    [prev_work]'s first row with that key, if any. Keys compare under
+    {!Value.equal}. The result is one gather over [prev_work] and
+    [restricted] and has [prev_work]'s schema. *)
+val stitch :
+  key_idx:int ->
+  affected:Relation.t ->
+  restricted:Relation.t ->
+  cur:Relation.t ->
+  prev_work:Relation.t ->
+  Relation.t
+
 (** {2 The step-program interpreter}
 
     One interpreter runs every step program: the loop state, the
@@ -145,7 +163,7 @@ val finish : ?result:Relation.t -> 't machine -> Relation.t
     compiled once per run. Results and logical stats are identical
     either way; only wall time and the cache counters differ.
 
-    [columnar] (default false) routes the hot operators through the
+    [columnar] (default true) routes the hot operators through the
     vectorized batch paths; see {!run_plan}. Results and logical stats
     are identical to the row engine.
 

@@ -38,6 +38,9 @@ val arity : t -> int
     materialization. *)
 val col : t -> int -> col
 
+(** Every column, forced. *)
+val cols : t -> col array
+
 val make : len:int -> col array -> t
 
 (** Whether cell [i] of the column is NULL. *)
@@ -132,13 +135,13 @@ val slice : t -> int -> int -> t
 val hstack : t -> t -> t
 
 (** Vertical concatenation of chunk outputs of equal arity;
-    representation mismatches degrade that column to boxed values. *)
+    representation mismatches between non-empty chunks degrade that
+    column to boxed values (empty chunks are skipped). *)
 val concat : t array -> t
 
-(** Cell equality under {!Value.equal} semantics, with typed fast
-    paths. *)
-val cell_equal : col -> int -> col -> int -> bool
-
-(** Positional row equality across two batches of equal arity, under
-    {!Value.equal} semantics. *)
-val rows_equal_at : t -> int -> t -> int -> bool
+(** [gather2 a b sel] is [gather (concat [| a; b |]) sel] without
+    building the concatenation: index [i < length a] picks row [i] of
+    [a], and [length a + j] picks row [j] of [b]. Both must have equal
+    arity. Every column is built at once, so the result holds no
+    reference to [a] or [b]. *)
+val gather2 : t -> t -> int array -> t

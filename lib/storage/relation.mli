@@ -33,10 +33,6 @@ val rows : t -> Row.t array
     work). *)
 val columnar : t -> Colbatch.t
 
-(** The columnar view only if already materialized; diff fast paths use
-    this to avoid forcing conversions. *)
-val columnar_opt : t -> Colbatch.t option
-
 (** [key_values t i] — column [i] as boxed values, read from whichever
     view is already materialized (never forces a row
     materialization). *)

@@ -5,6 +5,7 @@ module Row = Dbspinner_storage.Row
 module Schema = Dbspinner_storage.Schema
 module Relation = Dbspinner_storage.Relation
 module Column_type = Dbspinner_storage.Column_type
+module Colbatch = Dbspinner_storage.Colbatch
 
 let value_testable : Value.t Alcotest.testable =
   Alcotest.testable Value.pp Value.equal
@@ -183,3 +184,50 @@ let kv_reference rows ~step ~where ~rounds =
   in
   let rec go n r = if n = 0 then r else go (n - 1) (round r) in
   rel [ "k"; "v" ] (List.map (fun (k, v) -> [ vi k; vi v ]) (go rounds r0))
+
+(** Cell identity, stricter than {!Value.equal}: the constructor must
+    match (Int 3 is not Float 3.0) and floats compare by bits, so -0.0
+    and 0.0 differ; NaNs are one value. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    (Float.is_nan x && Float.is_nan y)
+    || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+(** Row equality under {!Value.equal}, the engine's key equality. *)
+let row_eq (a : Value.t array) b =
+  Array.length a = Array.length b && Array.for_all2 Value.equal a b
+
+let same_rows (a : Value.t array list) (b : Value.t array list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun r s -> Array.length r = Array.length s && Array.for_all2 same_value r s)
+       a b
+
+let show_rows rows =
+  String.concat "\n"
+    (List.map
+       (fun r -> String.concat " | " (Array.to_list (Array.map Value.to_string r)))
+       rows)
+
+(** How a test relation holds its cells: typed columns (classified, so
+    NULLs are masked), boxed columns (NULLs inline), or rows only. *)
+type form = Typed | Boxed | Rows
+
+let forms = [ Typed; Boxed; Rows ]
+
+let form_label = function Typed -> "typed" | Boxed -> "boxed" | Rows -> "rows"
+
+let relation_of form arity (rows : Value.t array list) =
+  let schema = Schema.of_names (List.init arity (Printf.sprintf "c%d")) in
+  let rows = Array.of_list rows in
+  match form with
+  | Rows -> Relation.make schema rows
+  | Typed | Boxed ->
+    let col j =
+      let vals = Array.map (fun r -> r.(j)) rows in
+      if form = Typed then Colbatch.of_values vals else Colbatch.of_values_raw vals
+    in
+    Relation.of_batch schema
+      (Colbatch.make ~len:(Array.length rows) (Array.init arity col))

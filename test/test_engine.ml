@@ -86,6 +86,27 @@ let test_set_operations () =
   check_error ~substring:"columns" e
     "SELECT x FROM a INTERSECT SELECT x, x FROM b"
 
+(* IN / NOT IN compare members under the equality of joins and set
+   operators, so an INT probe matches a FLOAT member of equal value. *)
+let test_subquery_numeric_equality () =
+  let e = Engine.create () in
+  List.iter
+    (fun sql -> ignore (Engine.execute e sql))
+    [
+      "CREATE TABLE t (x INT)";
+      "INSERT INTO t VALUES (1), (2)";
+      "CREATE TABLE u (y FLOAT)";
+      "INSERT INTO u VALUES (1.0)";
+    ];
+  check_query e "SELECT x FROM t WHERE x IN (SELECT y FROM u)" [ "x" ]
+    [ [ vi 1 ] ];
+  check_query e "SELECT x FROM t WHERE x NOT IN (SELECT y FROM u)" [ "x" ]
+    [ [ vi 2 ] ];
+  (* The same answers as the literal list, the join and INTERSECT. *)
+  check_query e "SELECT x FROM t WHERE x IN (1.0)" [ "x" ] [ [ vi 1 ] ];
+  check_query e "SELECT x FROM t JOIN u ON x = y" [ "x" ] [ [ vi 1 ] ];
+  check_query e "SELECT x FROM t INTERSECT SELECT y FROM u" [ "x" ] [ [ vi 1 ] ]
+
 let test_subquery_predicates () =
   let e = shop_engine () in
   (* IN (subquery): customers with at least one order. *)
@@ -622,6 +643,8 @@ let () =
           Alcotest.test_case "subquery-union" `Quick test_subquery_and_union;
           Alcotest.test_case "set-operations" `Quick test_set_operations;
           Alcotest.test_case "subquery-predicates" `Quick test_subquery_predicates;
+          Alcotest.test_case "subquery-int-float" `Quick
+            test_subquery_numeric_equality;
           Alcotest.test_case "scalar-subqueries" `Quick test_scalar_subqueries;
           Alcotest.test_case "limit-order" `Quick test_limit_and_order;
         ] );
