@@ -33,19 +33,17 @@ fmt-check:
 	  echo "SKIP fmt-check: ocamlformat is not installed"; \
 	fi
 
-# Quick reproducible confidence pass: the randomized property and fuzz
-# suites under a fixed seed, the fault-injection/recovery suite and the
-# Domain-pool parallel suite (both deterministic by construction —
-# seeded fault plans, order-stable parallel merges), the executor-cache
+# Quick reproducible confidence pass: the randomized property, fuzz and
+# Domain-pool parallel suites under a fixed seed, the executor-cache
 # suite (cache-on vs cache-off equivalence), plus the fixed-seed
 # seq-vs-parallel and cache on/off benchmark sections at workers=2.
-# The cache bench writes BENCH_cache.json (cache_hits, improvement,
-# results_equal per workload) for CI trend tracking.
+# The fault-injection and distributed suites are deterministic (seeded
+# fault plans), so `make test` already covers them. The cache bench
+# writes BENCH_cache.json (cache_hits, improvement, results_equal per
+# workload) for CI trend tracking.
 smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_properties.exe
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_fuzz.exe
-	$(DUNE) exec test/test_fault.exe
-	$(DUNE) exec test/test_mpp.exe
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_parallel.exe
 	$(DUNE) exec test/test_cache.exe
 	$(DUNE) exec bench/main.exe -- ext-parallel --fast
@@ -53,11 +51,11 @@ smoke: build
 
 # Trace smoke: the observability suite (ring buffer, NDJSON schema,
 # cross-executor timeline agreement, and a faulted distributed run
-# with tracing on), then an end-to-end pass: run an iterative workload
-# under --trace, validate the emitted NDJSON with `trace-check`, and
-# regenerate + validate BENCH_trace.json (trace on/off equivalence and
-# per-iteration delta agreement across sequential / parallel /
-# distributed execution).
+# whose timeline matches the fault-free one), then an end-to-end pass:
+# run an iterative workload under --trace, validate the emitted NDJSON
+# with `trace-check`, and regenerate + validate BENCH_trace.json (trace
+# on/off equivalence and per-iteration delta agreement across
+# sequential / parallel / distributed execution).
 trace-smoke: build
 	$(DUNE) exec test/test_obs.exe
 	$(DUNE) exec bin/dbspinner_cli.exe -- run --trace=trace_smoke.ndjson examples/trace_smoke.sql > /dev/null
@@ -169,11 +167,9 @@ bench-cache: build
 check: build test fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 # The minimal CI gate: compile, full test suite, formatting, the
-# fixed-seed smoke pass (property, fuzz, fault, mpp, parallel and cache
-# suites plus the seq-vs-parallel and cache on/off bench sections — the
-# suites that drive both the single-node and the distributed backend of
-# the step interpreter), trace smoke (NDJSON + bench-record validation
-# with the fault path traced), the end-to-end server smoke (boot,
+# fixed-seed smoke pass (property, fuzz, parallel and cache suites plus
+# the seq-vs-parallel and cache on/off bench sections), trace smoke
+# (NDJSON + bench-record validation), the end-to-end server smoke (boot,
 # sequential and pipelined workload, snapshot and plan-cache counters,
 # graceful drain), the durability smoke (crash recovery + chaos harness), the delta smoke
 # (semi-naive loops against reference oracles), and the columnar

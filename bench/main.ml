@@ -11,8 +11,6 @@
      ext-reorder     — inner-join reordering for common results (§V-A
                        future work)
      ext-mpp         — exchange volume of distributed step programs
-     ext-fault       — recovery overhead under injected transient
-                       faults (extension)
      ext-termination — termination-condition overhead (extension)
      ext-parallel    — sequential vs Domain-pool parallel execution
                        (extension)
@@ -365,55 +363,6 @@ let ext_mpp () =
   print_endline
     "\n(the common result is repartitioned once instead of every iteration -\n\
     \ the shared-nothing reading of the paper's section V-A argument)"
-
-let ext_fault () =
-  header "Extension: recovery overhead of distributed execution under faults";
-  let graph, engine = engine_for_dataset Datasets.dblp_like in
-  Printf.printf "dataset: dblp-like (%d nodes, %d edges), 4 workers\n\n"
-    (Graph_gen.num_nodes graph) (Graph_gen.num_edges graph);
-  let options = Options.default in
-  let program =
-    Dbspinner_rewrite.Iterative_rewrite.compile ~options
-      ~lookup:(fun name ->
-        Option.map Dbspinner_storage.Table.schema
-          (Dbspinner_storage.Catalog.find_table_opt (Engine.catalog engine) name))
-      (Dbspinner_sql.Parser.parse_query
-         (Queries.pr_vs ~iterations:(if !fast then 4 else 10) ()))
-  in
-  let module Fault = Dbspinner_mpp.Fault in
-  let module Stats = Dbspinner_exec.Stats in
-  Printf.printf "%-28s %10s %7s %8s %11s %10s %9s\n" "fault plan" "time"
-    "faults" "retries" "checkpoints" "recoveries" "fallbacks";
-  List.iter
-    (fun (label, mk_fault) ->
-      let stats = Stats.create () in
-      let catalog = Engine.catalog engine in
-      let t =
-        timed (fun () ->
-            Stats.reset stats;
-            ignore
-              (Dbspinner_mpp.Distributed.run_program ~workers:4
-                 ~fault:(mk_fault ())
-                 ~max_retries:options.Options.mpp_max_retries ~stats catalog
-                 program))
-      in
-      Printf.printf "%-28s %10s %7d %8d %11d %10d %9d\n" label (secs t)
-        stats.Stats.faults_injected stats.Stats.retries
-        stats.Stats.checkpoints_taken stats.Stats.recoveries
-        stats.Stats.fallbacks)
-    [
-      ("fault-free", fun () -> Fault.none);
-      ( "p=0.02, <=3 faults",
-        fun () -> Fault.probabilistic ~max_faults:3 ~seed:7 ~probability:0.02 () );
-      ( "p=0.10, <=8 faults",
-        fun () -> Fault.probabilistic ~max_faults:8 ~seed:7 ~probability:0.10 () );
-      ("always faulting (fallback)", fun () -> Fault.probabilistic ~seed:7 ~probability:1.0 ());
-    ];
-  print_endline
-    "\n(checkpoints are O(temps) pointer copies taken at every loop\n\
-    \ boundary, so recovery replays at most one iteration; when retries\n\
-    \ exhaust, execution degrades to the single-node path instead of\n\
-    \ failing)"
 
 let ext_termination () =
   header "Extension: termination-condition overhead (monotone SSSP)";
@@ -1533,7 +1482,6 @@ let sections =
     ("ext-middleware", ext_middleware);
     ("ext-reorder", ext_reorder);
     ("ext-mpp", ext_mpp);
-    ("ext-fault", ext_fault);
     ("ext-termination", ext_termination);
     ("ext-parallel", ext_parallel);
     ("ext-cache", ext_cache);

@@ -17,7 +17,6 @@
      \set trace on|off        emit NDJSON trace events to stdout
      \set deadline SECS|off   wall-clock budget per statement
      \set budget ROWS|off     rows-materialized budget per statement
-     \set retries N           transient-fault retries before fallback
      \set workers N           Domain-pool size for parallel operators
      \set chunk N             min rows before an operator chunks its input
      \options                 show optimizer switches
@@ -133,8 +132,8 @@ let set_option engine key enabled =
     Printf.printf "unknown option %s (%s)\n" key
       (String.concat "|" Options.bool_option_keys)
 
-(** Resource-guard and recovery knobs: [\set deadline SECS|off],
-    [\set budget ROWS|off], [\set retries N]. *)
+(** Resource-guard and parallelism knobs: [\set deadline SECS|off],
+    [\set budget ROWS|off], [\set workers N], [\set chunk ROWS]. *)
 let set_guard engine key value =
   let options = Engine.options engine in
   let off = value = "off" || value = "none" in
@@ -158,12 +157,6 @@ let set_guard engine key value =
       Engine.set_options engine { options with Options.row_budget = Some n };
       Printf.printf "set row budget = %d rows\n" n
     | false, _ -> print_endline "usage: \\set budget ROWS|off")
-  | "retries" -> (
-    match int_of_string_opt value with
-    | Some n when n >= 0 ->
-      Engine.set_options engine { options with Options.mpp_max_retries = n };
-      Printf.printf "set mpp retries = %d\n" n
-    | _ -> print_endline "usage: \\set retries N")
   | "workers" -> (
     match int_of_string_opt value with
     | Some n when n >= 1 && n <= Dbspinner_exec.Parallel.max_workers ->
@@ -212,7 +205,7 @@ let handle_meta engine sink line =
     in
     generate engine name scale;
     `Continue
-  | [ "\\set"; (("deadline" | "budget" | "retries" | "workers" | "chunk") as key); value ] ->
+  | [ "\\set"; (("deadline" | "budget" | "workers" | "chunk") as key); value ] ->
     set_guard engine key value;
     `Continue
   | [ "\\set"; "trace"; value ] ->
@@ -229,8 +222,8 @@ let handle_meta engine sink line =
       (Printf.sprintf
          "meta-commands: \\dt  \\load TABLE FILE  \\gen NAME [SCALE]  \\set \
           OPT on|off (%s)  \\set trace on|off  \\set deadline SECS|off  \
-          \\set budget ROWS|off  \\set retries N  \\set workers N  \\set \
-          chunk ROWS  \\options  \\q"
+          \\set budget ROWS|off  \\set workers N  \\set chunk ROWS  \
+          \\options  \\q"
          (String.concat "|" Options.bool_option_keys));
     `Continue
 

@@ -40,9 +40,6 @@ let wrap f =
   | Dbspinner_exec.Executor.Execution_error m -> raise (Error (Execute, m))
   | Dbspinner_exec.Eval.Runtime_error m -> raise (Error (Execute, m))
   | Dbspinner_exec.Guards.Resource_exhausted m -> raise (Error (Resource, m))
-  | Dbspinner_mpp.Distributed.Unsupported m ->
-    raise (Error (Execute, Printf.sprintf "distributed execution: %s" m))
-  | Dbspinner_mpp.Fault.Transient_fault m -> raise (Error (Execute, m))
   | Dbspinner_storage.Value.Type_error m -> raise (Error (Execute, m))
   | Dbspinner_storage.Table.Constraint_violation m ->
     raise (Error (Constraint, m))

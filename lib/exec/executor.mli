@@ -63,8 +63,9 @@ val stitch :
     termination check, the semi-naive [Delta_materialize] protocol, the
     key check and the trace spans are written once, here. A backend
     says only where temps live and how a plan runs into one: the
-    single-node backend ({!run_program}) keeps them in the catalog,
-    {!Dbspinner_mpp.Distributed} keeps them partitioned on its workers.
+    single-node backend ({!run_program}) keeps them in the catalog, the
+    simulated distributed executor ([Distributed] in [lib/mpp]) keeps
+    them partitioned on its workers.
     The interpreter runs one step at a time, so a caller can wrap each
     step (fault context, checkpoint after [Loop_end], retry). *)
 

@@ -1,10 +1,7 @@
 (** Per-execution counters. Benchmarks and tests use these to verify
     that an optimization really changed the work done (e.g. the
     common-result rewrite reduces join row volume; the rename path
-    eliminates merge materializations). The fault/recovery counters are
-    filled in by the distributed executor so benchmarks can measure
-    recovery overhead (faults survived, checkpoints taken, fallbacks to
-    single-node execution).
+    eliminates merge materializations).
 
     Two kinds of fields live here:
 
@@ -68,14 +65,6 @@ type t = {
   mutable loop_iterations : int;
   mutable statements : int;  (** statements executed (baselines > 1) *)
   mutable dml_rows_touched : int;  (** rows written by INSERT/UPDATE/DELETE *)
-  mutable faults_injected : int;  (** transient faults raised by Fault.plan *)
-  mutable retries : int;  (** iteration re-executions after a fault *)
-  mutable checkpoints_taken : int;  (** loop checkpoints persisted *)
-  mutable recoveries : int;  (** successful restarts from a checkpoint *)
-  mutable fallbacks : int;  (** degradations to single-node execution *)
-  mutable backoff_steps : int;
-      (** cumulative deterministic backoff units accrued across retries
-          (simulated, not slept) *)
   mutable delta_rows_evaluated : int;
       (** working-table rows produced by restricted (delta-driven)
           re-evaluation instead of a full pass over the CTE *)
@@ -110,12 +99,6 @@ let create () =
     loop_iterations = 0;
     statements = 0;
     dml_rows_touched = 0;
-    faults_injected = 0;
-    retries = 0;
-    checkpoints_taken = 0;
-    recoveries = 0;
-    fallbacks = 0;
-    backoff_steps = 0;
     delta_rows_evaluated = 0;
     full_reevals = 0;
     cache_hits = 0;
@@ -138,12 +121,6 @@ let reset t =
   t.loop_iterations <- 0;
   t.statements <- 0;
   t.dml_rows_touched <- 0;
-  t.faults_injected <- 0;
-  t.retries <- 0;
-  t.checkpoints_taken <- 0;
-  t.recoveries <- 0;
-  t.fallbacks <- 0;
-  t.backoff_steps <- 0;
   t.delta_rows_evaluated <- 0;
   t.full_reevals <- 0;
   t.cache_hits <- 0;
@@ -165,12 +142,6 @@ let add ~into (src : t) =
   into.loop_iterations <- into.loop_iterations + src.loop_iterations;
   into.statements <- into.statements + src.statements;
   into.dml_rows_touched <- into.dml_rows_touched + src.dml_rows_touched;
-  into.faults_injected <- into.faults_injected + src.faults_injected;
-  into.retries <- into.retries + src.retries;
-  into.checkpoints_taken <- into.checkpoints_taken + src.checkpoints_taken;
-  into.recoveries <- into.recoveries + src.recoveries;
-  into.fallbacks <- into.fallbacks + src.fallbacks;
-  into.backoff_steps <- into.backoff_steps + src.backoff_steps;
   into.delta_rows_evaluated <-
     into.delta_rows_evaluated + src.delta_rows_evaluated;
   into.full_reevals <- into.full_reevals + src.full_reevals;
@@ -200,9 +171,6 @@ let trace_counters ~(since : t) (now : t) : Dbspinner_obs.Trace.counters =
     c_rows_materialized = now.rows_materialized - since.rows_materialized;
     c_cache_hits = now.cache_hits - since.cache_hits;
     c_cache_misses = now.cache_misses - since.cache_misses;
-    c_faults = now.faults_injected - since.faults_injected;
-    c_retries = now.retries - since.retries;
-    c_recoveries = now.recoveries - since.recoveries;
   }
 
 (** Snapshot of the logical counters only: wall-time buckets and the
@@ -237,12 +205,6 @@ let logical_equal a b =
   && a.loop_iterations = b.loop_iterations
   && a.statements = b.statements
   && a.dml_rows_touched = b.dml_rows_touched
-  && a.faults_injected = b.faults_injected
-  && a.retries = b.retries
-  && a.checkpoints_taken = b.checkpoints_taken
-  && a.recoveries = b.recoveries
-  && a.fallbacks = b.fallbacks
-  && a.backoff_steps = b.backoff_steps
   && a.delta_rows_evaluated = b.delta_rows_evaluated
   && a.full_reevals = b.full_reevals
 
@@ -263,17 +225,6 @@ let pp fmt t =
     t.rows_scanned t.rows_filtered t.rows_projected t.rows_joined t.join_probes
     t.rows_aggregated t.rows_materialized t.materializations t.renames
     t.loop_iterations t.statements t.dml_rows_touched;
-  (* Recovery counters only appear once something faulted, so the
-     common no-fault output stays short. *)
-  if
-    t.faults_injected > 0 || t.retries > 0 || t.checkpoints_taken > 0
-    || t.recoveries > 0 || t.fallbacks > 0
-  then
-    Format.fprintf fmt
-      " faults=%d retries=%d checkpoints=%d recoveries=%d fallbacks=%d \
-       backoff=%d"
-      t.faults_injected t.retries t.checkpoints_taken t.recoveries t.fallbacks
-      t.backoff_steps;
   (* Delta counters only appear once a delta-eligible loop ran. *)
   if t.delta_rows_evaluated > 0 || t.full_reevals > 0 then
     Format.fprintf fmt " delta_rows_evaluated=%d full_reevals=%d"

@@ -1,7 +1,6 @@
 (** Per-execution counters. Benchmarks and tests use these to verify
     that an optimization actually changed the work performed, not just
-    the wall time. The fault/recovery counters are filled in by the
-    distributed executor's checkpoint-recovery machinery.
+    the wall time.
 
     Integer counters are {e logical}: deterministic for a given plan
     and input, even under parallel execution (per-task private
@@ -32,14 +31,6 @@ type t = {
   mutable loop_iterations : int;
   mutable statements : int;  (** statements executed (baselines > 1) *)
   mutable dml_rows_touched : int;  (** rows written by INSERT/UPDATE/DELETE *)
-  mutable faults_injected : int;  (** transient faults raised by Fault.plan *)
-  mutable retries : int;  (** iteration re-executions after a fault *)
-  mutable checkpoints_taken : int;  (** loop checkpoints persisted *)
-  mutable recoveries : int;  (** successful restarts from a checkpoint *)
-  mutable fallbacks : int;  (** degradations to single-node execution *)
-  mutable backoff_steps : int;
-      (** cumulative deterministic backoff units accrued across retries
-          (simulated, not slept) *)
   mutable delta_rows_evaluated : int;
       (** working-table rows produced by restricted (delta-driven)
           re-evaluation instead of a full pass over the CTE *)

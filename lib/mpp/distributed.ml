@@ -25,10 +25,30 @@ module Guards = Dbspinner_exec.Guards
 module Parallel = Dbspinner_exec.Parallel
 module Executor = Dbspinner_exec.Executor
 
-type shuffle_stats = {
+type run_stats = {
   mutable rows_shuffled : int;  (** rows that moved between workers *)
   mutable exchanges : int;  (** number of exchange operations *)
+  mutable faults_injected : int;  (** transient faults caught *)
+  mutable retries : int;  (** restarts from a checkpoint after a fault *)
+  mutable checkpoints_taken : int;  (** loop checkpoints taken *)
+  mutable recoveries : int;  (** restarts from a loop checkpoint *)
+  mutable fallbacks : int;  (** degradations to single-node execution *)
+  mutable backoff_steps : int;
+      (** cumulative deterministic backoff units accrued across retries
+          (simulated, not slept) *)
 }
+
+let zero_stats () =
+  {
+    rows_shuffled = 0;
+    exchanges = 0;
+    faults_injected = 0;
+    retries = 0;
+    checkpoints_taken = 0;
+    recoveries = 0;
+    fallbacks = 0;
+    backoff_steps = 0;
+  }
 
 type dist_rel = {
   parts : Relation.t array;
@@ -37,7 +57,7 @@ type dist_rel = {
 let gather (d : dist_rel) = Partition.merge d.parts
 
 (** Repartition by a key function, counting rows whose worker changes. *)
-let repartition ~workers ~(shuffles : shuffle_stats) ~fault ~key (d : dist_rel)
+let repartition ~workers ~(shuffles : run_stats) ~fault ~key (d : dist_rel)
     : dist_rel =
   Fault.tick fault ~site:Fault.Repartition;
   shuffles.exchanges <- shuffles.exchanges + 1;
@@ -60,7 +80,7 @@ let repartition ~workers ~(shuffles : shuffle_stats) ~fault ~key (d : dist_rel)
         buckets;
   }
 
-let gather_to_one ~workers ~(shuffles : shuffle_stats) ~fault (d : dist_rel) :
+let gather_to_one ~workers ~(shuffles : run_stats) ~fault (d : dist_rel) :
     dist_rel =
   Fault.tick fault ~site:Fault.Gather;
   shuffles.exchanges <- shuffles.exchanges + 1;
@@ -143,7 +163,7 @@ let combiner_aggs ~nkeys (aggs : Logical.agg list) : Logical.agg list =
     pre-aggregated locally so only one partial row per (worker, group)
     crosses the network — the standard MPP shuffle-volume
     optimization. *)
-let run_aggregate ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
+let run_aggregate ?cache ?guards ?(columnar = true) ~pool ~workers ~shuffles
     ~fault ~stats ~keys ~aggs ~agg_schema (d : dist_rel) : dist_rel =
   let nkeys = List.length keys in
   if decomposable aggs then begin
@@ -205,7 +225,7 @@ let run_aggregate ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
       d
   end
 
-let rec run ?temps ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
+let rec run ?temps ?cache ?guards ?(columnar = true) ~pool ~workers ~shuffles
     ~fault ~(stats : Stats.t) (catalog : Catalog.t) (plan : Logical.t) :
     dist_rel =
   let run = run ?temps ?cache ?guards ~columnar ~pool ~fault in
@@ -359,12 +379,12 @@ let rec run ?temps ?cache ?guards ?(columnar = false) ~pool ~workers ~shuffles
     pool). Injected faults propagate (single plans have no checkpoint
     to recover from; use {!run_program} for recovery semantics). *)
 let run_plan ?(workers = 4) ?pool ?(fault = Fault.none) ?(use_cache = true)
-    ?(columnar = false) (catalog : Catalog.t) (plan : Logical.t) :
-    Relation.t * shuffle_stats =
+    ?(columnar = true) (catalog : Catalog.t) (plan : Logical.t) :
+    Relation.t * run_stats =
   if workers <= 0 then invalid_arg "Distributed.run_plan: workers <= 0";
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   let cache = if use_cache then Some (Cache.create ()) else None in
-  let shuffles = { rows_shuffled = 0; exchanges = 0 } in
+  let shuffles = zero_stats () in
   let stats = Stats.create () in
   let d = run ?cache ~columnar ~pool ~workers ~shuffles ~fault ~stats catalog plan in
   (gather d, shuffles)
@@ -373,8 +393,6 @@ let run_plan ?(workers = 4) ?pool ?(fault = Fault.none) ?(use_cache = true)
 (* Distributed step programs                                           *)
 
 module Program = Dbspinner_plan.Program
-
-exception Unsupported of string
 
 (** A restart point: copies of the partitioned temps and of the
     interpreter's program counter and loop states. Relations are
@@ -393,9 +411,9 @@ type checkpoint = {
     [max_retries] consecutive transient faults. The catalog's temp
     namespace is restored afterwards so callers see no leftover temps
     from the fallback execution. *)
-let fallback_single_node ~stats ~guards ~columnar ?trace
+let fallback_single_node ~counts ~stats ~guards ~columnar ?trace
     (catalog : Catalog.t) (program : Program.t) : Relation.t =
-  stats.Stats.fallbacks <- stats.Stats.fallbacks + 1;
+  counts.fallbacks <- counts.fallbacks + 1;
   let saved =
     List.map
       (fun n -> (n, Catalog.find_temp catalog n))
@@ -418,8 +436,8 @@ let fallback_single_node ~stats ~guards ~columnar ?trace
     fallback once retries run out. *)
 let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
     ?(guards = Guards.none) ?(stats = Stats.create ()) ?(use_cache = true)
-    ?(columnar = false) ?trace (catalog : Catalog.t) (program : Program.t) :
-    Relation.t * shuffle_stats =
+    ?(columnar = true) ?trace (catalog : Catalog.t) (program : Program.t) :
+    Relation.t * run_stats =
   if workers <= 0 then invalid_arg "Distributed.run_program: workers <= 0";
   if max_retries < 0 then
     invalid_arg "Distributed.run_program: max_retries < 0";
@@ -429,7 +447,7 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
      still pays off through compiled expressions, shared (behind its
      lock) across all partition domains. *)
   let cache = if use_cache then Some (Cache.create ()) else None in
-  let shuffles = { rows_shuffled = 0; exchanges = 0 } in
+  let counts = zero_stats () in
   let temps : (string, dist_rel) Hashtbl.t = Hashtbl.create 8 in
   let key = String.lowercase_ascii in
   (* Operators probe the guards mid-loop, as on the single-node path. *)
@@ -437,8 +455,8 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
   let backend =
     {
       Executor.eval =
-        run ~temps ?cache ?guards:gopt ~columnar ~pool ~workers ~shuffles
-          ~fault ~stats catalog;
+        run ~temps ?cache ?guards:gopt ~columnar ~pool ~workers
+          ~shuffles:counts ~fault ~stats catalog;
       find = (fun name -> Hashtbl.find_opt temps (key name));
       bind = (fun name d -> Hashtbl.replace temps (key name) d);
       rename =
@@ -455,7 +473,9 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
       recursive_cte =
         (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_
              ~max_recursion:_ ->
-          raise (Unsupported "recursive CTEs in distributed programs"));
+          raise
+            (Executor.Execution_error
+               "distributed execution: recursive CTEs in distributed programs"));
     }
   in
   let steps = Program.steps program in
@@ -483,34 +503,33 @@ let run_program ?(workers = 4) ?pool ?(fault = Fault.none) ?(max_retries = 3)
            so a restore's retried iteration diffs against a pre-fault
            baseline. *)
         last_checkpoint := take_checkpoint ~in_loop:true;
-        stats.Stats.checkpoints_taken <- stats.Stats.checkpoints_taken + 1;
+        counts.checkpoints_taken <- counts.checkpoints_taken + 1;
         attempts := 0
       | _ -> ())
     | exception Fault.Transient_fault _ ->
       (* The interpreter emits no Step span for a faulted attempt: the
          retried execution emits the span for the work that actually
          completed. *)
-      stats.Stats.faults_injected <- stats.Stats.faults_injected + 1;
+      counts.faults_injected <- counts.faults_injected + 1;
       if !attempts >= max_retries then
         (* Retry budget exhausted: degrade gracefully to single-node
            execution instead of failing the query. *)
         fallback :=
           Some
-            (fallback_single_node ~stats ~guards ~columnar ?trace catalog
-               program)
+            (fallback_single_node ~counts ~stats ~guards ~columnar ?trace
+               catalog program)
       else begin
         incr attempts;
-        stats.Stats.retries <- stats.Stats.retries + 1;
+        counts.retries <- counts.retries + 1;
         (* Deterministic exponential backoff, accounted not slept:
            1, 2, 4, ... units per consecutive failure. *)
-        stats.Stats.backoff_steps <-
-          stats.Stats.backoff_steps + (1 lsl min (!attempts - 1) 16);
+        counts.backoff_steps <-
+          counts.backoff_steps + (1 lsl min (!attempts - 1) 16);
         let ck = !last_checkpoint in
-        if ck.ck_in_loop then
-          stats.Stats.recoveries <- stats.Stats.recoveries + 1;
+        if ck.ck_in_loop then counts.recoveries <- counts.recoveries + 1;
         Hashtbl.reset temps;
         Hashtbl.iter (Hashtbl.replace temps) ck.ck_temps;
         Executor.restore m ck.ck_machine
       end
   done;
-  (Executor.finish ?result:!fallback m, shuffles)
+  (Executor.finish ?result:!fallback m, counts)

@@ -18,16 +18,30 @@ module Stats = Dbspinner_exec.Stats
 module Guards = Dbspinner_exec.Guards
 module Parallel = Dbspinner_exec.Parallel
 
-type shuffle_stats = {
+(** What a distributed run did beyond the logical {!Stats.t}: its
+    exchange volume and, for {!run_program}, its fault recovery.
+    Invariants (property-tested): [faults_injected = retries +
+    fallbacks] and [recoveries <= retries]. *)
+type run_stats = {
   mutable rows_shuffled : int;  (** rows that moved between workers *)
   mutable exchanges : int;  (** exchange operations performed *)
+  mutable faults_injected : int;  (** transient faults caught *)
+  mutable retries : int;  (** restarts from a checkpoint after a fault *)
+  mutable checkpoints_taken : int;  (** loop checkpoints taken *)
+  mutable recoveries : int;  (** restarts from a loop checkpoint *)
+  mutable fallbacks : int;  (** degradations to single-node execution *)
+  mutable backoff_steps : int;
+      (** cumulative deterministic backoff units accrued across retries
+          (simulated, not slept) *)
 }
 
 (** Execute [plan] across [workers] simulated workers (default 4);
-    returns the gathered result and the exchange volume. [fault]
-    injects transient faults at exchanges and per-partition operators;
-    plan-level execution has no checkpoints, so injected faults
-    propagate to the caller as {!Fault.Transient_fault}.
+    returns the gathered result and the exchange volume (the fault
+    counters stay 0). [columnar] (default true) runs the per-partition
+    work through the vectorized engine. [fault] injects transient
+    faults at exchanges and per-partition operators; plan-level
+    execution has no checkpoints, so injected faults propagate to the
+    caller as {!Fault.Transient_fault}.
     @raise Invalid_argument when [workers <= 0]. *)
 val run_plan :
   ?workers:int ->
@@ -37,11 +51,9 @@ val run_plan :
   ?columnar:bool ->
   Catalog.t ->
   Logical.t ->
-  Relation.t * shuffle_stats
+  Relation.t * run_stats
 
 module Program = Dbspinner_plan.Program
-
-exception Unsupported of string
 
 (** Execute a whole step program on the executor's step interpreter
     ({!Dbspinner_exec.Executor.step}) over a backend that keeps
@@ -54,21 +66,20 @@ exception Unsupported of string
     What this adds is fault tolerance: on a {!Fault.Transient_fault}
     from [fault], execution restarts from the last checkpoint (program
     start, then after every completed loop iteration), retrying up to
-    [max_retries] consecutive times with deterministic backoff
-    accounting before degrading gracefully to single-node execution.
-    Recovery activity is recorded in [stats] ([faults_injected],
-    [retries], [checkpoints_taken], [recoveries], [fallbacks],
-    [backoff_steps]); a retried iteration's trace span absorbs the
-    fault/retry counters, and a fallback run emits the single-node
-    spans. {!Guards.Resource_exhausted} is never retried.
+    [max_retries] (default 3) consecutive times with deterministic
+    backoff accounting before degrading gracefully to single-node
+    execution. Recovery activity is counted in the returned
+    {!run_stats}; a fallback run emits the single-node trace spans.
+    {!Guards.Resource_exhausted} is never retried.
 
     [use_cache] (default true) shares one compiled-expression cache
     across all partition domains; the generation-keyed build memo does
-    not apply to partitioned temps. [columnar] (default false) runs the
+    not apply to partitioned temps. [columnar] (default true) runs the
     per-partition work through the vectorized engine, and the
     single-node fallback inherits it. Neither changes results or
     logical stats.
-    @raise Unsupported for recursive CTEs
+    @raise Dbspinner_exec.Executor.Execution_error for recursive CTEs
+    (["distributed execution: ..."]) and the interpreter's own errors
     @raise Guards.Resource_exhausted when a deadline or row budget is
     crossed
     @raise Invalid_argument when [workers <= 0] or [max_retries < 0]. *)
@@ -84,4 +95,4 @@ val run_program :
   ?trace:Dbspinner_obs.Trace.t ->
   Catalog.t ->
   Program.t ->
-  Relation.t * shuffle_stats
+  Relation.t * run_stats

@@ -4,9 +4,6 @@ type counters = {
   c_rows_materialized : int;
   c_cache_hits : int;
   c_cache_misses : int;
-  c_faults : int;
-  c_retries : int;
-  c_recoveries : int;
 }
 
 let zero_counters =
@@ -16,9 +13,6 @@ let zero_counters =
     c_rows_materialized = 0;
     c_cache_hits = 0;
     c_cache_misses = 0;
-    c_faults = 0;
-    c_retries = 0;
-    c_recoveries = 0;
   }
 
 type kind = Program | Step | Iteration | Operator
@@ -153,14 +147,12 @@ let span_to_json s =
     "{\"seq\": %d, \"kind\": \"%s\", \"label\": \"%s\", \"loop\": %d, \
      \"iter\": %d, \"rows\": %d, \"delta\": %d, \"cum_updates\": %d, \
      \"wall_ms\": %.4f, \"scanned\": %d, \"joined\": %d, \"materialized\": \
-     %d, \"cache_hits\": %d, \"cache_misses\": %d, \"faults\": %d, \
-     \"retries\": %d, \"recoveries\": %d}"
+     %d, \"cache_hits\": %d, \"cache_misses\": %d}"
     s.seq
     (escape_string (kind_to_string s.kind))
     (escape_string s.label) s.loop_id s.iteration
     s.rows s.delta s.cum_updates s.wall_ms c.c_rows_scanned c.c_rows_joined
-    c.c_rows_materialized c.c_cache_hits c.c_cache_misses c.c_faults
-    c.c_retries c.c_recoveries
+    c.c_rows_materialized c.c_cache_hits c.c_cache_misses
 
 let to_ndjson ?min_seq t =
   let buf = Buffer.create 1024 in
@@ -189,17 +181,16 @@ let render_timeline ?min_seq t =
         Buffer.add_string buf
           (Printf.sprintf "Convergence timeline (loop @%d):\n" loop_id);
         Buffer.add_string buf
-          "  iter |     rows |    delta |  cum_upd |  wall_ms | cache h/m | \
-           flt/rty/rec\n";
+          "  iter |     rows |    delta |  cum_upd |  wall_ms | cache h/m\n";
         List.iter
           (fun s ->
             let c = s.counters in
             let int_cell n = if n < 0 then "       ?" else Printf.sprintf "%8d" n in
             Buffer.add_string buf
-              (Printf.sprintf "  %4d | %s | %s | %s | %8.2f | %4d/%-4d | %d/%d/%d\n"
+              (Printf.sprintf "  %4d | %s | %s | %s | %8.2f | %4d/%d\n"
                  s.iteration (int_cell s.rows) (int_cell s.delta)
                  (int_cell s.cum_updates) s.wall_ms c.c_cache_hits
-                 c.c_cache_misses c.c_faults c.c_retries c.c_recoveries))
+                 c.c_cache_misses))
           rows_of)
       loops;
     Buffer.contents buf
@@ -261,9 +252,6 @@ let validate_event line =
                       "materialized";
                       "cache_hits";
                       "cache_misses";
-                      "faults";
-                      "retries";
-                      "recoveries";
                     ]
                     (fun () -> Ok ()))))
     | _ -> Error "trace event is not a JSON object")

@@ -19,9 +19,6 @@ type counters = {
   c_rows_materialized : int;
   c_cache_hits : int;
   c_cache_misses : int;
-  c_faults : int;
-  c_retries : int;
-  c_recoveries : int;
 }
 (** Stats deltas attributed to one span. *)
 
@@ -87,9 +84,8 @@ val to_ndjson : ?min_seq:int -> t -> string
 
 val render_timeline : ?min_seq:int -> t -> string
 (** Human-readable per-loop convergence table:
-    iteration x (rows, delta, cumulative updates, wall ms, cache,
-    faults/retries/recoveries). Empty string when there are no
-    iteration spans. *)
+    iteration x (rows, delta, cumulative updates, wall ms, cache
+    hits/misses). Empty string when there are no iteration spans. *)
 
 val validate_event : string -> (unit, string) result
 (** Check one NDJSON line against the trace event schema. *)

@@ -29,9 +29,6 @@ type t = {
   row_budget : int option;
       (** cap on total rows materialized per statement; same Resource
           surfacing as the deadline *)
-  mpp_max_retries : int;
-      (** consecutive transient-fault retries before distributed
-          execution falls back to single-node *)
   parallel_workers : int;
       (** Domain-pool size for chunk-parallel single-node operators;
           1 = sequential execution (results are identical either way) *)
@@ -62,7 +59,6 @@ let default =
     deadline_seconds = None;
     statement_timeout_seconds = None;
     row_budget = None;
-    mpp_max_retries = 3;
     parallel_workers = 1;
     parallel_chunk_rows = 4096;
     use_exec_cache = true;

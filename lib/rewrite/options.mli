@@ -26,9 +26,6 @@ type t = {
           wedged query from stalling its checkpointer or drain *)
   row_budget : int option;
       (** cap on total rows materialized per statement *)
-  mpp_max_retries : int;
-      (** consecutive transient-fault retries before distributed
-          execution falls back to single-node *)
   parallel_workers : int;
       (** Domain-pool size for chunk-parallel single-node operators;
           1 = sequential execution (results are identical either way) *)

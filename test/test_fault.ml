@@ -151,21 +151,20 @@ let test_checkpoint_recovery_pagerank () =
   let expected = Executor.run_program catalog program in
   Catalog.clear_temps catalog;
   let fault = Fault.scripted [ (work_step program, 1) ] in
-  let stats = Stats.create () in
-  let actual, _ =
-    Distributed.run_program ~workers:3 ~fault ~stats catalog program
-  in
+  let actual, rs = Distributed.run_program ~workers:3 ~fault catalog program in
   Catalog.clear_temps catalog;
   Alcotest.(check bool) "recovered result = fault-free single-node" true
     (approx_equal_bag expected actual);
-  Alcotest.(check int) "the scripted fault fired" 1 stats.Stats.faults_injected;
-  Alcotest.(check int) "one retry" 1 stats.Stats.retries;
+  Alcotest.(check int) "the scripted fault fired" 1
+    rs.Distributed.faults_injected;
+  Alcotest.(check int) "one retry" 1 rs.Distributed.retries;
   Alcotest.(check int) "recovered from a loop checkpoint" 1
-    stats.Stats.recoveries;
-  Alcotest.(check int) "no fallback" 0 stats.Stats.fallbacks;
+    rs.Distributed.recoveries;
+  Alcotest.(check int) "no fallback" 0 rs.Distributed.fallbacks;
   Alcotest.(check bool) "checkpoints were taken" true
-    (stats.Stats.checkpoints_taken >= 4);
-  Alcotest.(check bool) "backoff accounted" true (stats.Stats.backoff_steps > 0)
+    (rs.Distributed.checkpoints_taken >= 4);
+  Alcotest.(check bool) "backoff accounted" true
+    (rs.Distributed.backoff_steps > 0)
 
 let test_retry_before_first_checkpoint () =
   (* A fault during iteration 0 restarts from the implicit initial
@@ -175,17 +174,14 @@ let test_retry_before_first_checkpoint () =
   let expected = Executor.run_program catalog program in
   Catalog.clear_temps catalog;
   let fault = Fault.scripted [ (work_step program, 0) ] in
-  let stats = Stats.create () in
-  let actual, _ =
-    Distributed.run_program ~workers:3 ~fault ~stats catalog program
-  in
+  let actual, rs = Distributed.run_program ~workers:3 ~fault catalog program in
   Catalog.clear_temps catalog;
   Alcotest.(check bool) "result unchanged" true
     (approx_equal_bag expected actual);
-  Alcotest.(check int) "one retry" 1 stats.Stats.retries;
+  Alcotest.(check int) "one retry" 1 rs.Distributed.retries;
   Alcotest.(check int) "no loop checkpoint to recover from" 0
-    stats.Stats.recoveries;
-  Alcotest.(check int) "no fallback" 0 stats.Stats.fallbacks
+    rs.Distributed.recoveries;
+  Alcotest.(check int) "no fallback" 0 rs.Distributed.fallbacks
 
 let test_exhausted_retries_fall_back () =
   (* Every fault site fails: retries exhaust and execution must
@@ -195,18 +191,16 @@ let test_exhausted_retries_fall_back () =
   let expected = Executor.run_program catalog program in
   Catalog.clear_temps catalog;
   let fault = Fault.probabilistic ~seed:1 ~probability:1.0 () in
-  let stats = Stats.create () in
-  let actual, _ =
-    Distributed.run_program ~workers:3 ~fault ~max_retries:2 ~stats catalog
-      program
+  let actual, rs =
+    Distributed.run_program ~workers:3 ~fault ~max_retries:2 catalog program
   in
   Catalog.clear_temps catalog;
   Alcotest.(check bool) "fallback result = fault-free single-node" true
     (approx_equal_bag expected actual);
-  Alcotest.(check int) "fell back exactly once" 1 stats.Stats.fallbacks;
-  Alcotest.(check int) "retry budget was spent" 2 stats.Stats.retries;
-  Alcotest.(check int) "counters reconcile" stats.Stats.faults_injected
-    (stats.Stats.retries + stats.Stats.fallbacks)
+  Alcotest.(check int) "fell back exactly once" 1 rs.Distributed.fallbacks;
+  Alcotest.(check int) "retry budget was spent" 2 rs.Distributed.retries;
+  Alcotest.(check int) "counters reconcile" rs.Distributed.faults_injected
+    (rs.Distributed.retries + rs.Distributed.fallbacks)
 
 let test_fallback_restores_catalog_temps () =
   (* The single-node fallback materializes temps in the shared catalog;
@@ -215,12 +209,10 @@ let test_fallback_restores_catalog_temps () =
   Catalog.set_temp catalog "pre_existing" (rel [ "x" ] [ [ vi 9 ] ]);
   let program = counting_program ~iterations:3 ~guard:100 in
   let fault = Fault.probabilistic ~seed:2 ~probability:1.0 () in
-  let stats = Stats.create () in
-  let out, _ =
-    Distributed.run_program ~workers:2 ~fault ~max_retries:0 ~stats catalog
-      program
+  let out, rs =
+    Distributed.run_program ~workers:2 ~fault ~max_retries:0 catalog program
   in
-  Alcotest.(check int) "fallback happened" 1 stats.Stats.fallbacks;
+  Alcotest.(check int) "fallback happened" 1 rs.Distributed.fallbacks;
   Alcotest.check relation_testable "loop counted to 3"
     (rel [ "k"; "n" ] [ [ vi 1; vi 3 ] ])
     out;
@@ -265,9 +257,8 @@ let test_faulted_distributed_matches_single_node () =
           let fault =
             Fault.probabilistic ~max_faults:4 ~seed ~probability:0.05 ()
           in
-          let stats = Stats.create () in
-          let actual, _ =
-            Distributed.run_program ~workers:3 ~fault ~stats catalog program
+          let actual, rs =
+            Distributed.run_program ~workers:3 ~fault catalog program
           in
           Catalog.clear_temps catalog;
           Alcotest.(check bool)
@@ -279,16 +270,16 @@ let test_faulted_distributed_matches_single_node () =
             (Printf.sprintf "%s seed=%d: stats see every injected fault" name
                seed)
             (Fault.faults_injected fault)
-            stats.Stats.faults_injected;
+            rs.Distributed.faults_injected;
           Alcotest.(check int)
             (Printf.sprintf "%s seed=%d: faults = retries + fallbacks" name
                seed)
-            stats.Stats.faults_injected
-            (stats.Stats.retries + stats.Stats.fallbacks);
+            rs.Distributed.faults_injected
+            (rs.Distributed.retries + rs.Distributed.fallbacks);
           Alcotest.(check bool)
             (Printf.sprintf "%s seed=%d: recoveries within retries" name seed)
             true
-            (stats.Stats.recoveries <= stats.Stats.retries))
+            (rs.Distributed.recoveries <= rs.Distributed.retries))
         [ 3; 17; 91 ])
     queries
 
@@ -325,34 +316,58 @@ let test_deadline_aborts_statement () =
 
 let test_distributed_guard_not_retried () =
   (* Resource exhaustion is not transient: the distributed executor
-     must propagate it unchanged, with no retries or fallback. *)
-  let catalog = Catalog.create () in
+     must propagate it unchanged, with no retries or fallback. The
+     exception leaves no run record to read, so the check is on the
+     work done: a retry replays materialize steps and a fallback re-runs
+     the program, so either would materialize more than one single-node
+     attempt does. With no retry budget, a fallback would come first. *)
   let program = counting_program ~iterations:50 ~guard:100 in
-  let guards = Guards.make ~row_budget:5 () in
-  let stats = Stats.create () in
-  (match
-     Distributed.run_program ~workers:2 ~guards ~stats catalog program
-   with
-  | exception Guards.Resource_exhausted _ -> ()
-  | _ -> Alcotest.fail "expected Resource_exhausted");
-  Alcotest.(check int) "no retries on resource exhaustion" 0
-    stats.Stats.retries;
-  Alcotest.(check int) "no fallback on resource exhaustion" 0
-    stats.Stats.fallbacks
+  let materializations run =
+    let stats = Stats.create () in
+    (match run ~guards:(Guards.make ~row_budget:5 ()) ~stats with
+    | exception Guards.Resource_exhausted _ -> ()
+    | _ -> Alcotest.fail "expected Resource_exhausted");
+    stats.Stats.materializations
+  in
+  let single =
+    materializations (fun ~guards ~stats ->
+        Executor.run_program ~guards ~stats (Catalog.create ()) program)
+  in
+  let dist ?max_retries () =
+    materializations (fun ~guards ~stats ->
+        fst
+          (Distributed.run_program ~workers:2 ?max_retries ~guards ~stats
+             (Catalog.create ()) program))
+  in
+  Alcotest.(check int) "no retries on resource exhaustion" single (dist ());
+  Alcotest.(check int) "no fallback on resource exhaustion" single
+    (dist ~max_retries:0 ())
 
 let test_guard_maps_to_resource_stage () =
-  (* Errors.wrap is the unified surface: both guard trips and the
-     distributed Unsupported exception normalize to Errors.Error. *)
+  (* Errors.wrap is the unified surface: guard trips and the
+     distributed executor's refusal of a recursive CTE both normalize
+     to Errors.Error. *)
   (match
      Errors.wrap (fun () -> raise (Guards.Resource_exhausted "row budget hit"))
    with
   | exception Errors.Error (Errors.Resource, _) -> ()
   | _ -> Alcotest.fail "Resource_exhausted must map to Resource stage");
-  match Errors.wrap (fun () -> raise (Distributed.Unsupported "recursive")) with
+  let catalog = Catalog.create () in
+  let program =
+    Iterative_rewrite.compile ~options:Options.default
+      ~lookup:(fun _ -> None)
+      (Parser.parse_query
+         "WITH RECURSIVE r AS (SELECT 1 AS n UNION ALL SELECT n + 1 FROM r \
+          WHERE n < 3) SELECT n FROM r")
+  in
+  match
+    Errors.wrap (fun () -> Distributed.run_program ~workers:2 catalog program)
+  with
   | exception Errors.Error (Errors.Execute, m) ->
-    Alcotest.(check bool) "Unsupported names distributed execution" true
-      (contains m "distributed")
-  | _ -> Alcotest.fail "Unsupported must map to Execute stage"
+    Alcotest.(check bool) "recursive CTE error names distributed execution"
+      true
+      (contains m "distributed execution")
+  | _ -> Alcotest.fail "a recursive CTE must fail at the Execute stage"
 
 (* ------------------------------------------------------------------ *)
 (* Loop-guard ordering                                                 *)

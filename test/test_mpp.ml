@@ -309,8 +309,10 @@ let test_run_program_unsupported_recursive () =
       ~result_schema:schema
   in
   match Distributed.run_program ~workers:2 (Catalog.create ()) program with
-  | exception Distributed.Unsupported _ -> ()
-  | _ -> Alcotest.fail "expected Unsupported"
+  | exception Dbspinner_exec.Executor.Execution_error m ->
+    Alcotest.(check bool) "names distributed execution" true
+      (contains m "distributed execution")
+  | _ -> Alcotest.fail "expected a distributed-execution error"
 
 (* ------------------------------------------------------------------ *)
 (* One interpreter: errors read the same on every backend              *)

@@ -325,16 +325,17 @@ let test_distributed_faults_deterministic_across_pools () =
   let fresh_fault () =
     Fault.probabilistic ~max_faults:3 ~seed:11 ~probability:0.5 ()
   in
-  let base_rel, _, base_st =
+  let base_rel, base_rs, base_st =
     run_distributed ~fault:(fresh_fault ()) ~pool_size:1 sql
   in
-  let par_rel, _, par_st =
+  let par_rel, par_rs, par_st =
     run_distributed ~fault:(fresh_fault ()) ~pool_size:4 sql
   in
   Alcotest.check relation_testable "faulted results agree" base_rel par_rel;
   Alcotest.(check bool) "faults actually fired" true
-    (base_st.Stats.faults_injected > 0);
-  Alcotest.(check bool) "recovery counters agree" true
+    (base_rs.Distributed.faults_injected > 0);
+  Alcotest.(check bool) "recovery counters agree" true (base_rs = par_rs);
+  Alcotest.(check bool) "logical stats agree" true
     (Stats.logical_equal base_st par_st)
 
 let test_fault_inside_domain_reraised_at_barrier () =
