@@ -6,7 +6,7 @@ DUNE ?= dune
 # Fixed seed so the property/fuzz suites are reproducible in CI.
 SMOKE_SEED ?= 42
 
-.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke bench-fast bench-cache check ci clean
+.PHONY: all build test fmt fmt-check smoke trace-smoke server-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke bench-fast check ci clean
 
 all: build
 
@@ -33,35 +33,19 @@ fmt-check:
 	  echo "SKIP fmt-check: ocamlformat is not installed"; \
 	fi
 
-# Quick reproducible confidence pass: the randomized property, fuzz and
-# Domain-pool parallel suites under a fixed seed, the executor-cache
-# suite (cache-on vs cache-off equivalence), plus the fixed-seed
-# seq-vs-parallel and cache on/off benchmark sections at workers=2.
-# The fault-injection and distributed suites are deterministic (seeded
-# fault plans), so `make test` already covers them. The cache bench
-# writes BENCH_cache.json (cache_hits, improvement, results_equal per
-# workload) for CI trend tracking.
+# Quick reproducible confidence pass: the randomized property and fuzz
+# suites under a fixed seed. The deterministic suites (parallel, cache,
+# fault, distributed) take no seed, so `make test` already covers them.
 smoke: build
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_properties.exe
 	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_fuzz.exe
-	QCHECK_SEED=$(SMOKE_SEED) $(DUNE) exec test/test_parallel.exe
-	$(DUNE) exec test/test_cache.exe
-	$(DUNE) exec bench/main.exe -- ext-parallel --fast
-	$(DUNE) exec bench/main.exe -- ext-cache --fast --json BENCH_cache.json
 
-# Trace smoke: the observability suite (ring buffer, NDJSON schema,
-# cross-executor timeline agreement, and a faulted distributed run
-# whose timeline matches the fault-free one), then an end-to-end pass:
-# run an iterative workload under --trace, validate the emitted NDJSON
-# with `trace-check`, and regenerate + validate BENCH_trace.json (trace
-# on/off equivalence and per-iteration delta agreement across
-# sequential / parallel / distributed execution).
+# Trace smoke: an end-to-end pass through the CLI (the observability
+# suite itself runs under `make test`): run an iterative workload under
+# --trace and validate the emitted NDJSON with `trace-check`.
 trace-smoke: build
-	$(DUNE) exec test/test_obs.exe
 	$(DUNE) exec bin/dbspinner_cli.exe -- run --trace=trace_smoke.ndjson examples/trace_smoke.sql > /dev/null
 	$(DUNE) exec bin/dbspinner_cli.exe -- trace-check trace_smoke.ndjson
-	$(DUNE) exec bench/main.exe -- ext-trace --fast --json BENCH_trace.json
-	$(DUNE) exec bin/dbspinner_cli.exe -- trace-check BENCH_trace.json
 
 # Server smoke: boot the concurrent server on a private socket with a
 # small preloaded graph and push the examples/ workload through it
@@ -71,9 +55,7 @@ trace-smoke: build
 # gracefully and assert the server drained cleanly (exit 0, socket
 # removed). The server and client run the built binaries directly: a
 # background `dune exec` server would hold the dune lock and deadlock
-# every client invocation. Finishes by regenerating BENCH_server.json
-# (throughput + admission-overload records) through the fast bench
-# path.
+# every client invocation.
 server-smoke: build
 	@set -e; \
 	SOCK="$${TMPDIR:-/tmp}/dbspinner-smoke-$$$$.sock"; \
@@ -93,18 +75,6 @@ server-smoke: build
 	wait $$SERVER_PID; \
 	[ ! -S "$$SOCK" ] || { echo "FAIL: socket left behind after shutdown"; exit 1; }; \
 	echo "server-smoke: clean shutdown"
-	$(DUNE) exec bench/main.exe -- ext-server --fast --json BENCH_server.json
-
-# Durability smoke: the full durable suite — framing/codec/snapshot/WAL
-# units, recovery invariants (torn tails discarded, corruption refused,
-# replay digests validated) and the chaos harness that SIGKILLs the
-# real server binary at seeded points mid-DML / mid-iterative-query /
-# mid-checkpoint and asserts recovery is bit-identical to a
-# never-crashed oracle. Finishes with the fast durability bench
-# (fsync-policy overhead + recovery time, BENCH_durable.json).
-durable-smoke: build
-	$(DUNE) exec test/test_durable.exe
-	$(DUNE) exec bench/main.exe -- ext-durable --fast --json BENCH_durable.json
 
 # Delta smoke: the semi-naive suite under a fixed seed (eligibility,
 # first-iteration and empty-delta protocol, fallback on ineligible
@@ -159,26 +129,19 @@ perfbench-smoke: build
 bench-fast: build
 	$(DUNE) exec bench/main.exe -- --fast
 
-# Full cache on/off comparison (both worker counts, full iteration
-# counts) with the machine-readable record file.
-bench-cache: build
-	$(DUNE) exec bench/main.exe -- ext-cache --json BENCH_cache.json
-
-check: build test fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
+check: build test fmt-check smoke trace-smoke server-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 # The minimal CI gate: compile, full test suite, formatting, the
-# fixed-seed smoke pass (property, fuzz, parallel and cache suites plus
-# the seq-vs-parallel and cache on/off bench sections), trace smoke
-# (NDJSON + bench-record validation), the end-to-end server smoke (boot,
-# sequential and pipelined workload, snapshot and plan-cache counters,
-# graceful drain), the durability smoke (crash recovery + chaos harness), the delta smoke
-# (semi-naive loops against reference oracles), and the columnar
-# smoke (row vs vectorized equivalence + bench records), and the
-# rewrite smoke (golden programs + reference-loop property +
-# demo-script answers with and without statistics), and the benchmark smoke
-# (oracle-checked answers from short frontier-sssp, paper-iterative and
-# server-mixed runs).
-ci: build test fmt-check smoke trace-smoke server-smoke durable-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
+# fixed-seed smoke pass (property and fuzz suites), trace smoke (CLI
+# --trace output validated by `trace-check`), the end-to-end server
+# smoke (boot, sequential and pipelined workload, snapshot and
+# plan-cache counters, graceful drain), the delta smoke (semi-naive
+# loops against reference oracles), the columnar smoke (row vs
+# vectorized equivalence + bench records), the rewrite smoke (golden
+# programs + reference-loop property + demo-script answers with and
+# without statistics), and the benchmark smoke (oracle-checked answers
+# from short frontier-sssp, paper-iterative and server-mixed runs).
+ci: build test fmt-check smoke trace-smoke server-smoke delta-smoke columnar-smoke rewrite-smoke perfbench-smoke
 
 clean:
 	$(DUNE) clean

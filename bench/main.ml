@@ -14,13 +14,6 @@
      ext-termination — termination-condition overhead (extension)
      ext-parallel    — sequential vs Domain-pool parallel execution
                        (extension)
-     ext-cache       — iteration-aware executor cache: loop-invariant
-                       join-build reuse + compiled expressions
-                       (extension)
-     ext-trace       — iteration-aware tracing: overhead when off/on and
-                       convergence-timeline agreement across the
-                       sequential / parallel / distributed executors
-                       (extension)
      ext-columnar    — vectorized columnar execution vs the row
                        engine, with cross-executor equivalence checks
                        (extension)
@@ -34,11 +27,11 @@
    With no arguments every section except `micro` runs. `--fast` uses
    fewer iterations and smaller graphs for a quick sanity pass; set
    DBSPINNER_SCALE to grow the datasets instead. `--json PATH` writes
-   the machine-readable records that sections emitted (currently
-   ext-cache) for CI trend tracking. Absolute numbers depend on this
-   substrate (a from-scratch OCaml engine, not MPPDB); the paper-shape
-   note under each table states the relationship the figure is
-   expected to reproduce. *)
+   the machine-readable records that sections emitted (ext-columnar
+   and ext-durable). Absolute numbers depend on this substrate (a
+   from-scratch OCaml engine, not MPPDB); the paper-shape note under
+   each table states the relationship the figure is expected to
+   reproduce. *)
 
 module Graph_gen = Dbspinner_graph.Graph_gen
 module Datasets = Dbspinner_graph.Datasets
@@ -489,289 +482,6 @@ let ext_parallel () =
     \ count - the parallel path is order-stable by construction; speedup\n\
     \ depends on available cores and row volume per iteration)"
 
-let ext_cache () =
-  header
-    (Printf.sprintf
-       "Extension: iteration-aware executor cache (join-build reuse + compiled \
-        expressions), %d iterations"
-       (iterations ()));
-  let module Stats = Dbspinner_exec.Stats in
-  let module Executor = Dbspinner_exec.Executor in
-  let module Parallel = Dbspinner_exec.Parallel in
-  let module Catalog = Dbspinner_storage.Catalog in
-  let graph, engine = engine_for_dataset Datasets.dblp_like in
-  Printf.printf "dataset: dblp-like (%d nodes, %d edges)\n"
-    (Graph_gen.num_nodes graph) (Graph_gen.num_edges graph);
-  let catalog = Engine.catalog engine in
-  let lookup name =
-    Option.map Dbspinner_storage.Table.schema (Catalog.find_table_opt catalog name)
-  in
-  let compile sql =
-    Dbspinner_rewrite.Iterative_rewrite.compile ~options:Options.default ~lookup
-      (Dbspinner_sql.Parser.parse_query sql)
-  in
-  let n = iterations () in
-  let workloads =
-    [
-      ("PR", Queries.pr ~iterations:n ());
-      ("PR-VS", Queries.pr_vs ~iterations:n ());
-      ("SSSP", Queries.sssp ~source:0 ~iterations:n ());
-      ("SSSP-VS", Queries.sssp_vs ~source:0 ~iterations:n ());
-      ("FF (50%, mod 2)", Queries.ff ~modulus:2 ~iterations:n ());
-    ]
-  in
-  let worker_counts = if !fast then [ 2 ] else [ 1; 2 ] in
-  List.iter
-    (fun workers ->
-      let parallel = Parallel.context ~workers () in
-      Printf.printf "\nworkers=%d\n" workers;
-      Printf.printf "%-22s %11s %11s %12s %7s %7s %6s\n" "workload" "cache off"
-        "cache on" "improvement" "hits" "misses" "equal";
-      List.iter
-        (fun (label, sql) ->
-          let program = compile sql in
-          let run use_cache =
-            (* Each timed run starts from a clean temp namespace; the
-               per-run cache is created inside run_program. *)
-            let rel = ref (Relation.make (Dbspinner_storage.Schema.make []) [||]) in
-            let stats = Stats.create () in
-            let t =
-              timed (fun () ->
-                  Catalog.clear_temps catalog;
-                  Stats.reset stats;
-                  rel := Executor.run_program ?parallel ~stats ~use_cache catalog program)
-            in
-            (t, !rel, stats)
-          in
-          let off_t, off_rel, off_stats = run false in
-          let on_t, on_rel, on_stats = run true in
-          let equal =
-            Relation.equal_bag off_rel on_rel
-            && Stats.logical_equal off_stats on_stats
-          in
-          Printf.printf "%-22s %11s %11s %12s %7d %7d %6s\n" label (secs off_t)
-            (secs on_t) (improvement off_t on_t) on_stats.Stats.cache_hits
-            on_stats.Stats.cache_misses
-            (if equal then "yes" else "NO!");
-          record_json
-            [
-              ("section", J_str "ext-cache");
-              ("workload", J_str label);
-              ("workers", J_int workers);
-              ("cache_off_s", J_num off_t);
-              ("cache_on_s", J_num on_t);
-              ( "improvement_pct",
-                J_num ((off_t -. on_t) /. Float.max off_t 1e-12 *. 100.0) );
-              ("cache_hits", J_int on_stats.Stats.cache_hits);
-              ("cache_misses", J_int on_stats.Stats.cache_misses);
-              ("build_ms_saved", J_num on_stats.Stats.build_ms_saved);
-              ("results_equal", J_bool equal);
-            ])
-        workloads)
-    worker_counts;
-  Catalog.clear_temps catalog;
-  print_endline
-    "\n(cache off is the legacy interpreted path; cache on memoizes\n\
-    \ loop-invariant join builds / subquery sets under source generations\n\
-    \ and compiles each expression once per run. PR-VS and SSSP-VS hit on\n\
-    \ the hoisted common-result build every iteration; FF has no join in\n\
-    \ its loop, so its gain comes from compiled expressions alone. Rows\n\
-    \ and logical stats must be identical — `equal` says so)"
-
-let ext_trace () =
-  header "Extension: iteration-aware tracing (overhead + timeline agreement)";
-  let module Stats = Dbspinner_exec.Stats in
-  let module Executor = Dbspinner_exec.Executor in
-  let module Parallel = Dbspinner_exec.Parallel in
-  let module Catalog = Dbspinner_storage.Catalog in
-  let module Trace = Dbspinner_obs.Trace in
-  let module Value = Dbspinner_storage.Value in
-  (* Bag equality with a float tolerance: the distributed executor
-     legitimately reorders float additions across partitions, so PR
-     ranks differ in the last bits. The sequential trace-on run is
-     still checked bit-for-bit against trace-off below. *)
-  let approx_equal_bag a b =
-    let close x y =
-      Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x +. Float.abs y)
-    in
-    Relation.cardinality a = Relation.cardinality b
-    &&
-    let sa = Relation.sorted a and sb = Relation.sorted b in
-    Array.for_all2
-      (fun ra rb ->
-        Array.for_all2
-          (fun va vb ->
-            match ((va : Value.t), (vb : Value.t)) with
-            | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
-              close (Value.to_float va) (Value.to_float vb)
-            | _ -> Value.equal va vb)
-          ra rb)
-      (Relation.rows sa) (Relation.rows sb)
-  in
-  let compile_for catalog sql =
-    let lookup name =
-      Option.map Dbspinner_storage.Table.schema
-        (Catalog.find_table_opt catalog name)
-    in
-    Dbspinner_rewrite.Iterative_rewrite.compile ~options:Options.default ~lookup
-      (Dbspinner_sql.Parser.parse_query sql)
-  in
-  let graph, pr_engine = engine_for_dataset Datasets.dblp_like in
-  Printf.printf "datasets: dblp-like (%d nodes, %d edges) for PR, chain+shortcuts for SSSP\n"
-    (Graph_gen.num_nodes graph) (Graph_gen.num_edges graph);
-  let n = if !fast then 5 else 10 in
-  let chain =
-    Graph_gen.chain_with_shortcuts ~seed:7
-      ~num_nodes:(if !fast then 60 else 150)
-      ~shortcut_every:10
-  in
-  let sssp_engine = Loader.engine_for ~with_vertex_status:false chain in
-  let sssp_sql =
-    {|WITH ITERATIVE sssp (Node, Distance)
-AS ( SELECT src, CASE WHEN src = 0 THEN 0 ELSE 9999999 END
-     FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
- ITERATE
-   SELECT sssp.node, LEAST(sssp.distance, MIN(prev.distance + e.weight))
-   FROM sssp
-     LEFT JOIN edges AS e ON sssp.node = e.dst
-     LEFT JOIN sssp AS prev ON prev.node = e.src
-   WHERE prev.distance <> 9999999
-   GROUP BY sssp.node, sssp.distance
- UNTIL DELTA = 0 )
-SELECT COUNT(*) FROM sssp|}
-  in
-  let workloads =
-    [
-      ( Printf.sprintf "PR (%d ITERATIONS)" n,
-        Engine.catalog pr_engine,
-        compile_for (Engine.catalog pr_engine) (Queries.pr ~iterations:n ()),
-        false );
-      ( "SSSP (UNTIL DELTA = 0)",
-        Engine.catalog sssp_engine,
-        compile_for (Engine.catalog sssp_engine) sssp_sql,
-        true );
-    ]
-  in
-  Printf.printf "\n%-22s %11s %11s %10s %6s %7s %7s %6s\n" "workload"
-    "trace off" "trace on" "overhead" "iters" "deltas" "events" "equal";
-  List.iter
-    (fun (label, catalog, program, expects_converged) ->
-      (* One timed + one measured run per execution path. The measured
-         run is sliced out of the shared ring buffer with [next_seq] so
-         its spans are not mixed with the timing repetitions'. *)
-      let run_path exec =
-        let tr = Trace.create () in
-        let stats = Stats.create () in
-        let t =
-          timed (fun () ->
-              Catalog.clear_temps catalog;
-              Stats.reset stats;
-              ignore (exec ~stats ~trace:(Some tr) ()))
-        in
-        let min_seq = Trace.next_seq tr in
-        Catalog.clear_temps catalog;
-        Stats.reset stats;
-        let rel = exec ~stats ~trace:(Some tr) () in
-        let iter_spans = Trace.iteration_spans ~min_seq tr in
-        let deltas = List.map (fun (s : Trace.span) -> s.Trace.delta) iter_spans in
-        let events =
-          String.split_on_char '\n' (Trace.to_ndjson ~min_seq tr)
-          |> List.filter (fun l -> String.trim l <> "")
-        in
-        let valid =
-          List.for_all
-            (fun l -> match Trace.validate_event l with Ok () -> true | Error _ -> false)
-            events
-        in
-        (t, rel, Stats.copy stats, deltas, List.length events, valid)
-      in
-      (* Baseline: sequential with tracing compiled out of the path. *)
-      let off_stats = Stats.create () in
-      let off_rel =
-        ref (Relation.make (Dbspinner_storage.Schema.make []) [||])
-      in
-      let off_t =
-        timed (fun () ->
-            Catalog.clear_temps catalog;
-            Stats.reset off_stats;
-            off_rel := Executor.run_program ~stats:off_stats catalog program)
-      in
-      Catalog.clear_temps catalog;
-      Stats.reset off_stats;
-      off_rel := Executor.run_program ~stats:off_stats catalog program;
-      let seq_t, seq_rel, seq_stats, seq_deltas, seq_events, seq_valid =
-        run_path (fun ~stats ~trace () ->
-            Executor.run_program ~stats ?trace catalog program)
-      in
-      let parallel = Parallel.context ~workers:2 () in
-      let _, par_rel, _, par_deltas, par_events, par_valid =
-        run_path (fun ~stats ~trace () ->
-            Executor.run_program ?parallel ~stats ?trace catalog program)
-      in
-      let _, dist_rel, _, dist_deltas, dist_events, dist_valid =
-        run_path (fun ~stats ~trace () ->
-            fst
-              (Dbspinner_mpp.Distributed.run_program ~workers:4 ~stats ?trace
-                 catalog program))
-      in
-      Catalog.clear_temps catalog;
-      let results_equal =
-        Relation.equal_bag !off_rel seq_rel
-        && approx_equal_bag !off_rel par_rel
-        && approx_equal_bag !off_rel dist_rel
-      in
-      (* Tracing must be non-perturbing: same logical work on vs off. *)
-      let stats_equal = Stats.logical_equal off_stats seq_stats in
-      let deltas_agree = seq_deltas = par_deltas && seq_deltas = dist_deltas in
-      (* The timeline must agree with the executor's own loop
-         accounting: one Iteration span per counted iteration, and for
-         Delta-terminated loops the final recorded delta is 0. *)
-      let iters = List.length seq_deltas in
-      let executor_agrees =
-        iters = seq_stats.Stats.loop_iterations
-        && ((not expects_converged)
-           || match List.rev seq_deltas with last :: _ -> last = 0 | [] -> false)
-      in
-      let events_valid = seq_valid && par_valid && dist_valid in
-      let all_ok =
-        results_equal && stats_equal && deltas_agree && executor_agrees
-        && events_valid
-      in
-      Printf.printf "%-22s %11s %11s %10s %6d %7s %7d %6s\n" label (secs off_t)
-        (secs seq_t)
-        (improvement seq_t off_t)
-        iters
-        (if deltas_agree then "agree" else "DIFFER")
-        (seq_events + par_events + dist_events)
-        (if all_ok then "yes" else "NO!");
-      record_json
-        [
-          ("section", J_str "ext-trace");
-          ("workload", J_str label);
-          ("trace_off_s", J_num off_t);
-          ("trace_on_s", J_num seq_t);
-          ( "overhead_pct",
-            J_num ((seq_t -. off_t) /. Float.max off_t 1e-12 *. 100.0) );
-          ("iterations", J_int iters);
-          ("loop_iterations", J_int seq_stats.Stats.loop_iterations);
-          ( "final_delta",
-            J_int (match List.rev seq_deltas with d :: _ -> d | [] -> -1) );
-          ("events_seq", J_int seq_events);
-          ("events_parallel", J_int par_events);
-          ("events_distributed", J_int dist_events);
-          ("deltas_agree", J_bool deltas_agree);
-          ("stats_equal", J_bool stats_equal);
-          ("results_equal", J_bool results_equal);
-          ("events_valid", J_bool events_valid);
-        ])
-    workloads;
-  print_endline
-    "\n(trace on records one span per step, loop iteration, and operator\n\
-    \ family into a ring buffer; spans are built from pure counter and\n\
-    \ cardinality reads, so logical stats are identical on vs off and\n\
-    \ the per-iteration delta timeline agrees across the sequential,\n\
-    \ parallel, and distributed executors — `equal` checks all of it)"
-
 (* ------------------------------------------------------------------ *)
 (* ext-columnar: vectorized columnar execution vs the row engine       *)
 
@@ -808,7 +518,7 @@ let ext_columnar () =
     ]
   in
   (* Distributed partition order reorders float additions, so that leg
-     is compared with tolerance (same as ext-trace). *)
+     is compared with tolerance. *)
   let close x y =
     Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x +. Float.abs y)
   in
@@ -953,321 +663,6 @@ let ext_columnar () =
     \ and logical stats must be bit-identical across the sequential,\n\
     \ chunk-parallel, cached and distributed executors - `equal` covers\n\
     \ all four; the distributed leg uses the usual float tolerance)"
-
-(* ------------------------------------------------------------------ *)
-(* ext-server: multi-session server throughput and admission control   *)
-
-let ext_server () =
-  header "Extension: concurrent SQL server (throughput and admission)";
-  let module Server = Dbspinner_server.Server in
-  let module Client = Dbspinner_server.Client in
-  let graph, engine = engine_for_dataset Datasets.dblp_like in
-  ignore graph;
-  let shared_catalog = Engine.catalog engine in
-  let socket_for tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbspinner-bench-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  let pr_sql = Queries.pr ~iterations:(if !fast then 3 else 6) () in
-  (* Throughput: N clients each running the PageRank workload
-     back-to-back against one shared preloaded database. *)
-  let config =
-    {
-      Server.default_config with
-      Server.socket_path = socket_for "tput";
-      max_inflight = 16;
-      workers = 4;
-    }
-  in
-  Server.with_server ~config ~catalog:shared_catalog (fun _srv ->
-      Printf.printf "%-10s %12s %14s %10s\n" "clients" "queries" "elapsed" "q/s";
-      List.iter
-        (fun clients ->
-          let per_client = if !fast then 3 else 8 in
-          let errors = Atomic.make 0 in
-          let t0 = Unix.gettimeofday () in
-          let threads =
-            List.init clients (fun _ ->
-                Thread.create
-                  (fun () ->
-                    Client.with_client ~socket_path:config.Server.socket_path
-                      (fun c ->
-                        for _ = 1 to per_client do
-                          match Client.query c pr_sql with
-                          | Ok _ -> ()
-                          | Error _ -> Atomic.incr errors
-                        done))
-                  ())
-          in
-          List.iter Thread.join threads;
-          let elapsed = Unix.gettimeofday () -. t0 in
-          let total = clients * per_client in
-          let qps = float_of_int total /. Float.max elapsed 1e-9 in
-          Printf.printf "%-10d %12d %14s %10.1f\n" clients total (secs elapsed)
-            qps;
-          record_json
-            [
-              ("section", J_str "ext-server");
-              ("mode", J_str "throughput");
-              ("clients", J_int clients);
-              ("queries", J_int total);
-              ("errors", J_int (Atomic.get errors));
-              ("elapsed_s", J_num elapsed);
-              ("qps", J_num qps);
-            ])
-        [ 1; 2; 4; 8 ]);
-  (* Admission control: a deliberately tiny in-flight limit under a
-     burst of concurrent clients; the overflow must be rejected with
-     BUSY, not queued. *)
-  let overload_config =
-    {
-      Server.default_config with
-      Server.socket_path = socket_for "ovl";
-      max_inflight = 2;
-      workers = 2;
-    }
-  in
-  let burst = 12 in
-  let busy = Atomic.make 0 and ok = Atomic.make 0 and err = Atomic.make 0 in
-  Server.with_server ~config:overload_config ~catalog:shared_catalog
-    (fun _srv ->
-      let threads =
-        List.init burst (fun _ ->
-            Thread.create
-              (fun () ->
-                Client.with_client
-                  ~socket_path:overload_config.Server.socket_path (fun c ->
-                    match Client.query c pr_sql with
-                    | Ok _ -> Atomic.incr ok
-                    | Error (("BUSY" | "CLOSING"), _) -> Atomic.incr busy
-                    | Error _ -> Atomic.incr err))
-              ())
-      in
-      List.iter Thread.join threads);
-  Printf.printf
-    "\noverload burst: %d clients against max_inflight=%d -> %d served, %d \
-     rejected (BUSY), %d errors\n"
-    burst overload_config.Server.max_inflight (Atomic.get ok)
-    (Atomic.get busy) (Atomic.get err);
-  record_json
-    [
-      ("section", J_str "ext-server");
-      ("mode", J_str "overload");
-      ("burst_clients", J_int burst);
-      ("max_inflight", J_int overload_config.Server.max_inflight);
-      ("served", J_int (Atomic.get ok));
-      ("rejected_busy", J_int (Atomic.get busy));
-      ("errors", J_int (Atomic.get err));
-    ];
-  (* Same burst, but the clients retry BUSY with jittered exponential
-     backoff: overload turns from lost work into delayed work, so
-     goodput should reach 100% at the cost of elapsed time. *)
-  let ok_r = Atomic.make 0 and lost_r = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  Server.with_server ~config:overload_config ~catalog:shared_catalog
-    (fun _srv ->
-      let threads =
-        List.init burst (fun _ ->
-            Thread.create
-              (fun () ->
-                Client.with_client
-                  ~socket_path:overload_config.Server.socket_path (fun c ->
-                    match Client.query ~retries:200 ~backoff_ms:5.0 c pr_sql with
-                    | Ok _ -> Atomic.incr ok_r
-                    | Error _ -> Atomic.incr lost_r))
-              ())
-      in
-      List.iter Thread.join threads);
-  let retry_elapsed = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "with retry (backoff 5ms, cap 250ms): %d/%d served, %d lost, %s\n"
-    (Atomic.get ok_r) burst (Atomic.get lost_r) (secs retry_elapsed);
-  record_json
-    [
-      ("section", J_str "ext-server");
-      ("mode", J_str "overload-retry");
-      ("burst_clients", J_int burst);
-      ("max_inflight", J_int overload_config.Server.max_inflight);
-      ("served", J_int (Atomic.get ok_r));
-      ("lost", J_int (Atomic.get lost_r));
-      ("elapsed_s", J_num retry_elapsed);
-    ];
-  (* Read matrix: snapshot-read scaling under a concurrent DML hammer,
-     and pipelined vs sequential read batches. Every read is checked
-     bit-identical against the sequential oracle. *)
-  let oracle_of sql =
-    Dbspinner_storage.Relation.to_table_string (Engine.query engine sql)
-  in
-  (* DML legs use a one-iteration PageRank: still the iterative
-     workload, but cheap enough that read throughput reflects
-     contention with the concurrent writers rather than raw CPU. *)
-  let pr_light_sql = Queries.pr ~iterations:1 () in
-  let oracle = oracle_of pr_sql in
-  let oracle_light = oracle_of pr_light_sql in
-  let sink_counter = ref 0 in
-  let run_mode ~label ~pipelined ~clients ~dml =
-    let sock = socket_for label in
-    let config =
-      {
-        Server.default_config with
-        Server.socket_path = sock;
-        max_inflight = 32;
-        workers = 4;
-      }
-    in
-    Server.with_server ~config ~catalog:shared_catalog (fun _srv ->
-        incr sink_counter;
-        (* The hammer mutates a dedicated sink table, so the oracle for
-           the PageRank readers stays well-defined throughout. *)
-        let sink = Printf.sprintf "dml_sink_%d" !sink_counter in
-        let writer_count = 4 in
-        if dml then
-          List.iter
-            (fun w ->
-              Client.with_client ~socket_path:sock (fun c ->
-                  ignore
-                    (Client.query c
-                       (Printf.sprintf "CREATE TABLE %s_%d (a INT, b INT)"
-                          sink w))))
-            (List.init writer_count Fun.id);
-        let stop = Atomic.make false in
-        let hammers =
-          if not dml then []
-          else
-            (* Pipelined writers streaming scan-sized statements: each
-               INSERT..SELECT copies the whole edge table (the paired
-               DELETE keeps the sink bounded), so every write holds the
-               writer lock for a scan, and the next write is already
-               buffered on the socket when it releases. Readers pin
-               snapshots and never wait on that lock. *)
-            List.init writer_count (fun w ->
-                Thread.create
-                  (fun () ->
-                    Client.with_client ~socket_path:sock (fun c ->
-                        let ins =
-                          Printf.sprintf
-                            "INSERT INTO %s_%d SELECT src, dst FROM edges"
-                            sink w
-                        and del =
-                          Printf.sprintf "DELETE FROM %s_%d" sink w
-                        in
-                        let batch =
-                          List.concat
-                            (List.init 40 (fun _ -> [ ins; del ]))
-                        in
-                        while not (Atomic.get stop) do
-                          ignore (Client.pipeline_queries c batch)
-                        done))
-                  ())
-        in
-        let writes_at () =
-          Client.with_client ~socket_path:sock (fun c ->
-              match List.assoc_opt "queries_write" (Client.stats c) with
-              | Some v -> int_of_string v
-              | None -> 0)
-        in
-        let w0 = writes_at () in
-        let read_sql, expected =
-          if dml then (pr_light_sql, oracle_light) else (pr_sql, oracle)
-        in
-        (* DML legs keep the full read count under --fast: their
-           one-iteration reads are cheap. *)
-        let per_client = if dml then 4 else if !fast then 2 else 4 in
-        let matching = Atomic.make 0 in
-        let mismatched = Atomic.make 0 in
-        let read_errors = Atomic.make 0 in
-        let tally = function
-          | Ok body ->
-            if String.equal body expected then Atomic.incr matching
-            else Atomic.incr mismatched
-          | Error _ -> Atomic.incr read_errors
-        in
-        let t0 = Unix.gettimeofday () in
-        let readers =
-          List.init clients (fun i ->
-              Thread.create
-                (fun () ->
-                  Client.with_client ~seed:(1000 + i) ~socket_path:sock
-                    (fun c ->
-                      if pipelined then
-                        List.iter tally
-                          (Client.pipeline_queries c
-                             (List.init per_client (fun _ -> read_sql)))
-                      else
-                        for _ = 1 to per_client do
-                          tally (Client.query c read_sql)
-                        done))
-                ())
-        in
-        List.iter Thread.join readers;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let writes_during = if dml then writes_at () - w0 else 0 in
-        Atomic.set stop true;
-        List.iter Thread.join hammers;
-        let total = clients * per_client in
-        let qps = float_of_int total /. Float.max elapsed 1e-9 in
-        Printf.printf
-          "%-26s %2d clients %12s %8.2f reads/s  (oracle-equal %d/%d, \
-           concurrent writes %d)\n"
-          label clients (secs elapsed) qps (Atomic.get matching) total
-          writes_during;
-        record_json
-          [
-            ("section", J_str "ext-server");
-            ("mode", J_str "mvcc-matrix");
-            ("label", J_str label);
-            ("pipelined", J_bool pipelined);
-            ("concurrent_dml", J_bool dml);
-            ("clients", J_int clients);
-            ("reads", J_int total);
-            ("elapsed_s", J_num elapsed);
-            ("reads_per_s", J_num qps);
-            ("oracle_equal", J_bool (Atomic.get matching = total));
-            ("mismatched", J_int (Atomic.get mismatched));
-            ("read_errors", J_int (Atomic.get read_errors));
-            ("concurrent_writes", J_int writes_during);
-          ];
-        qps)
-  in
-  print_endline "\nMVCC snapshot reads under concurrent DML:";
-  List.iter
-    (fun clients ->
-      ignore
-        (run_mode
-           ~label:(Printf.sprintf "mvcc+dml %d-client" clients)
-           ~pipelined:false ~clients ~dml:true))
-    [ 1; 2; 4; 8 ];
-  (* Pipelined vs sequential reads (quiet server: isolates protocol
-     round trips). *)
-  let qps_seq =
-    run_mode ~label:"sequential reads" ~pipelined:false ~clients:8 ~dml:false
-  in
-  let qps_pipe =
-    run_mode ~label:"pipelined reads" ~pipelined:true ~clients:8 ~dml:false
-  in
-  record_json
-    [
-      ("section", J_str "ext-server");
-      ("mode", J_str "pipeline-and-cache");
-      ("clients", J_int 8);
-      ("sequential_reads_per_s", J_num qps_seq);
-      ("pipelined_reads_per_s", J_num qps_pipe);
-      ("pipeline_speedup", J_num (qps_pipe /. Float.max qps_seq 1e-9));
-    ];
-  print_endline
-    "\n(eight concurrent sessions share one database through \
-     session-private\n\
-    \ catalogs, so iterative CTE temps never collide; beyond \
-     max_inflight the\n\
-    \ server rejects immediately -- overload surfaces as BUSY, not as \
-     queueing\n\
-    \ delay. In the mvcc matrix, readers pin immutable catalog \
-     snapshots and\n\
-    \ never take the writer lock, so a pipelined DML hammer leaves \
-     snapshot\n\
-    \ reads unblocked; every read is verified bit-identical to the \
-     sequential\n\
-    \ oracle)"
 
 (* ------------------------------------------------------------------ *)
 (* ext-durable: WAL overhead by fsync policy, recovery time            *)
@@ -1484,10 +879,7 @@ let sections =
     ("ext-mpp", ext_mpp);
     ("ext-termination", ext_termination);
     ("ext-parallel", ext_parallel);
-    ("ext-cache", ext_cache);
-    ("ext-trace", ext_trace);
     ("ext-columnar", ext_columnar);
-    ("ext-server", ext_server);
     ("ext-durable", ext_durable);
     ("micro", micro);
   ]

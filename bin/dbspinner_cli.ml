@@ -4,7 +4,7 @@
      repl              interactive SQL shell (default)
      run FILE          execute a ;-separated SQL script
      demo              load a synthetic graph and run the paper's queries
-     trace-check FILE  validate an NDJSON trace (or bench JSON) file
+     trace-check FILE  validate an NDJSON trace file
 
    The shell supports meta-commands:
      \dt                      list tables
@@ -29,7 +29,6 @@ module Schema = Dbspinner_storage.Schema
 module Column_type = Dbspinner_storage.Column_type
 module Catalog = Dbspinner_storage.Catalog
 module Trace = Dbspinner_obs.Trace
-module Json = Dbspinner_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink: NDJSON events to stdout ("-") or a file                  *)
@@ -123,69 +122,40 @@ let generate engine name scale =
       (Dbspinner_graph.Graph_gen.num_nodes graph)
       (Dbspinner_graph.Graph_gen.num_edges graph)
 
-let set_option engine key enabled =
-  match Options.set_bool_option (Engine.options engine) key enabled with
-  | Some options ->
+(** [\set KEY VALUE] for the keys the server's [SET] shares (see
+    {!Options.set_shared_key}); prints the same confirmation or usage
+    text the server replies with. *)
+let set_shared engine key value =
+  match Options.set_shared_key (Engine.options engine) key value with
+  | Some (Ok (options, reply)) ->
     Engine.set_options engine options;
-    Printf.printf "set %s = %b\n" key enabled
+    print_endline reply
+  | Some (Error usage) -> print_endline usage
   | None ->
     Printf.printf "unknown option %s (%s)\n" key
       (String.concat "|" Options.bool_option_keys)
 
-(** Resource-guard and parallelism knobs: [\set deadline SECS|off],
-    [\set budget ROWS|off], [\set workers N], [\set chunk ROWS]. *)
-let set_guard engine key value =
-  let options = Engine.options engine in
-  let off = value = "off" || value = "none" in
-  match key with
-  | "deadline" -> (
-    match (off, float_of_string_opt value) with
-    | true, _ ->
-      Engine.set_options engine { options with Options.deadline_seconds = None };
-      print_endline "deadline off"
-    | false, Some s when s > 0.0 ->
-      Engine.set_options engine
-        { options with Options.deadline_seconds = Some s };
-      Printf.printf "set deadline = %gs\n" s
-    | false, _ -> print_endline "usage: \\set deadline SECONDS|off")
-  | "budget" -> (
-    match (off, int_of_string_opt value) with
-    | true, _ ->
-      Engine.set_options engine { options with Options.row_budget = None };
-      print_endline "row budget off"
-    | false, Some n when n > 0 ->
-      Engine.set_options engine { options with Options.row_budget = Some n };
-      Printf.printf "set row budget = %d rows\n" n
-    | false, _ -> print_endline "usage: \\set budget ROWS|off")
-  | "workers" -> (
-    match int_of_string_opt value with
-    | Some n when n >= 1 && n <= Dbspinner_exec.Parallel.max_workers ->
-      Engine.set_options engine { options with Options.parallel_workers = n };
-      Printf.printf "set workers = %d%s\n" n
-        (if n = 1 then " (sequential)" else "")
-    | _ ->
-      Printf.printf "usage: \\set workers N (1 <= N <= %d)\n"
-        Dbspinner_exec.Parallel.max_workers)
-  | "chunk" -> (
-    match int_of_string_opt value with
-    | Some n when n >= 1 ->
-      Engine.set_options engine { options with Options.parallel_chunk_rows = n };
-      Printf.printf "set chunk threshold = %d rows\n" n
-    | _ -> print_endline "usage: \\set chunk ROWS (>= 1)")
-  | _ -> assert false
+(** [\set chunk ROWS]: minimum rows before an operator chunks its input. *)
+let set_chunk engine value =
+  match int_of_string_opt value with
+  | Some n when n >= 1 ->
+    Engine.set_options engine
+      { (Engine.options engine) with Options.parallel_chunk_rows = n };
+    Printf.printf "set chunk threshold = %d rows\n" n
+  | _ -> print_endline "usage: \\set chunk ROWS (>= 1)"
 
 (** [\set trace on|off]: install / remove a stdout NDJSON trace sink. *)
 let set_trace engine sink value =
-  match value with
-  | "on" | "true" | "1" ->
+  match Options.parse_bool value with
+  | Some true ->
     sink := Some (make_trace_sink engine "-");
     print_endline "trace on (NDJSON events to stdout)"
-  | "off" | "false" | "0" ->
+  | Some false ->
     flush_trace !sink;
     sink := None;
     Engine.set_trace engine None;
     print_endline "trace off"
-  | _ -> print_endline "usage: \\set trace on|off"
+  | None -> print_endline "usage: \\set trace on|off"
 
 let handle_meta engine sink line =
   match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
@@ -205,14 +175,14 @@ let handle_meta engine sink line =
     in
     generate engine name scale;
     `Continue
-  | [ "\\set"; (("deadline" | "budget" | "workers" | "chunk") as key); value ] ->
-    set_guard engine key value;
+  | [ "\\set"; "chunk"; value ] ->
+    set_chunk engine value;
     `Continue
   | [ "\\set"; "trace"; value ] ->
     set_trace engine sink value;
     `Continue
-  | [ "\\set"; key; flag ] ->
-    set_option engine key (flag = "on" || flag = "true" || flag = "1");
+  | [ "\\set"; key; value ] ->
+    set_shared engine key value;
     `Continue
   | [ "\\options" ] ->
     print_endline (Options.to_string (Engine.options engine));
@@ -324,74 +294,45 @@ let demo workers no_cache no_columnar trace_dest =
   0
 
 (* ------------------------------------------------------------------ *)
-(* trace-check: validate NDJSON trace / bench JSON files               *)
+(* trace-check: validate an NDJSON trace file                         *)
 
-(** Validate [path] as either an NDJSON trace (one event per line,
-    checked against the span schema) or a dbspinner bench JSON file
-    (an object with a "schema" string and a "records" array of flat
-    objects). Returns a process exit code. *)
+(** Validate [path] as an NDJSON trace: one event per line, each
+    checked against the span schema. Returns a process exit code. *)
 let trace_check path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg ->
     Printf.eprintf "%s\n" msg;
     1
-  | contents -> (
-    let bench =
-      match Json.parse contents with
-      | Ok (Json.Obj _ as o) -> (
-        match (Json.member "schema" o, Json.member "records" o) with
-        | Some (Json.Str schema), Some (Json.Arr records) ->
-          Some (schema, records)
-        | _ -> None)
-      | Ok _ | Error _ -> None
+  | contents ->
+    let lines =
+      String.split_on_char '\n' contents
+      |> List.filter (fun l -> String.trim l <> "")
     in
-    match bench with
-    | Some (schema, records) ->
-      let bad =
-        List.filteri
-          (fun _ r -> match r with Json.Obj _ -> false | _ -> true)
-          records
-      in
-      if bad = [] then begin
-        Printf.printf "%s: ok (bench file, schema %s, %d records)\n" path
-          schema (List.length records);
+    if lines = [] then begin
+      Printf.eprintf "%s: empty trace\n" path;
+      1
+    end
+    else begin
+      let errors = ref 0 in
+      List.iteri
+        (fun i line ->
+          match Trace.validate_event line with
+          | Ok () -> ()
+          | Error msg ->
+            incr errors;
+            if !errors <= 5 then
+              Printf.eprintf "%s:%d: invalid trace event: %s\n" path (i + 1)
+                msg)
+        lines;
+      if !errors = 0 then begin
+        Printf.printf "%s: ok (%d trace events)\n" path (List.length lines);
         0
       end
       else begin
-        Printf.eprintf "%s: %d records are not JSON objects\n" path
-          (List.length bad);
+        Printf.eprintf "%s: %d invalid events\n" path !errors;
         1
       end
-    | None ->
-      let lines =
-        String.split_on_char '\n' contents
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      if lines = [] then begin
-        Printf.eprintf "%s: empty trace\n" path;
-        1
-      end
-      else begin
-        let errors = ref 0 in
-        List.iteri
-          (fun i line ->
-            match Trace.validate_event line with
-            | Ok () -> ()
-            | Error msg ->
-              incr errors;
-              if !errors <= 5 then
-                Printf.eprintf "%s:%d: invalid trace event: %s\n" path (i + 1)
-                  msg)
-          lines;
-        if !errors = 0 then begin
-          Printf.printf "%s: ok (%d trace events)\n" path (List.length lines);
-          0
-        end
-        else begin
-          Printf.eprintf "%s: %d invalid events\n" path !errors;
-          1
-        end
-      end)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* client: talk to a running dbspinner server                          *)
@@ -618,9 +559,7 @@ let trace_check_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "trace-check"
-       ~doc:
-         "Validate an NDJSON trace file against the trace event schema (or a \
-          dbspinner bench JSON file for well-formedness)")
+       ~doc:"Validate an NDJSON trace file against the trace event schema")
     Term.(const trace_check $ file)
 
 let main_cmd =

@@ -1,6 +1,6 @@
 (** A minimal JSON reader used to validate the engine's own
-    machine-readable output (NDJSON trace events, BENCH_*.json record
-    files) without an external dependency. It accepts standard JSON;
+    machine-readable output (NDJSON trace events, benchmark reports)
+    without an external dependency. It accepts standard JSON;
     numbers are parsed as OCaml floats, and [\uXXXX] escapes outside
     ASCII decode to ['?'] — good enough for schema validation, not a
     general-purpose codec. *)

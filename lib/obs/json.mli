@@ -1,5 +1,5 @@
 (** Minimal JSON reader for validating the engine's own machine-readable
-    output (NDJSON trace events, bench record files). Numbers are floats;
+    output (NDJSON trace events, benchmark reports). Numbers are floats;
     non-ASCII [\uXXXX] escapes decode to ['?']. *)
 
 type t =

@@ -90,6 +90,39 @@ let bool_option_keys = List.map fst bool_options
 let set_bool_option t key enabled =
   Option.map (fun set -> set t enabled) (List.assoc_opt key bool_options)
 
+let parse_bool = function
+  | "on" | "true" | "1" -> Some true
+  | "off" | "false" | "0" -> Some false
+  | _ -> None
+
+let set_shared_key t key value =
+  let ok t reply = Some (Ok (t, reply)) and usage m = Some (Error m) in
+  match key with
+  | "deadline" -> (
+    match (value, float_of_string_opt value) with
+    | ("off" | "none"), _ ->
+      ok { t with deadline_seconds = None } "deadline off"
+    | _, Some s when s > 0.0 ->
+      ok { t with deadline_seconds = Some s } (Printf.sprintf "deadline %gs" s)
+    | _ -> usage "usage: SET deadline SECONDS|off")
+  | "budget" -> (
+    match (value, int_of_string_opt value) with
+    | ("off" | "none"), _ -> ok { t with row_budget = None } "budget off"
+    | _, Some n when n > 0 ->
+      ok { t with row_budget = Some n } (Printf.sprintf "budget %d rows" n)
+    | _ -> usage "usage: SET budget ROWS|off")
+  | "workers" -> (
+    let bound = Dbspinner_exec.Parallel.max_workers in
+    match int_of_string_opt value with
+    | Some n when n >= 1 && n <= bound ->
+      ok { t with parallel_workers = n } (Printf.sprintf "workers %d" n)
+    | _ -> usage (Printf.sprintf "usage: SET workers N (1 <= N <= %d)" bound))
+  | _ -> (
+    match (List.assoc_opt key bool_options, parse_bool value) with
+    | None, _ -> None
+    | Some set, Some b -> ok (set t b) (Printf.sprintf "%s %b" key b)
+    | Some _, None -> usage (Printf.sprintf "SET %s expects on|off" key))
+
 let to_string t =
   let guards =
     let deadline =

@@ -59,4 +59,12 @@ val bool_option_keys : string list
     [None] when [key] is not in {!bool_option_keys}. *)
 val set_bool_option : t -> string -> bool -> t option
 
+(** [on|true|1] is [Some true], [off|false|0] is [Some false]. *)
+val parse_bool : string -> bool option
+
+(** Parse [SET key value] for the keys the server and the REPL share
+    ({!bool_option_keys}, [deadline], [budget], [workers]): the new
+    options and reply, or the usage error; [None] for other keys. *)
+val set_shared_key : t -> string -> string -> (t * string, string) result option
+
 val to_string : t -> string

@@ -7,7 +7,6 @@
 
 module Engine = Dbspinner.Engine
 module Options = Dbspinner_rewrite.Options
-module Parallel = Dbspinner_exec.Parallel
 module Catalog = Dbspinner_storage.Catalog
 module Relation = Dbspinner_storage.Relation
 module Trace = Dbspinner_obs.Trace
@@ -65,75 +64,36 @@ let run_script t sql =
   String.concat "" (List.map render_result (Engine.execute_script t.engine sql))
 
 (* ------------------------------------------------------------------ *)
-(* SET: per-session options (the server-side mirror of the REPL's
-   [\set] meta commands)                                               *)
-
-let parse_bool = function
-  | "on" | "true" | "1" -> Some true
-  | "off" | "false" | "0" -> Some false
-  | _ -> None
+(* SET: per-session options; keys shared with the REPL's [\set] are
+   parsed by [Options.set_shared_key]                                  *)
 
 (** Apply [SET key value]; [Ok confirmation] or [Error usage]. *)
 let set t key value : (string, string) result =
   let options = Engine.options t.engine in
-  let off = value = "off" || value = "none" in
   match key with
-  | "deadline" -> (
-    match (off, float_of_string_opt value) with
-    | true, _ ->
-      Engine.set_options t.engine
-        { options with Options.deadline_seconds = None };
-      Ok "deadline off"
-    | false, Some s when s > 0.0 ->
-      Engine.set_options t.engine
-        { options with Options.deadline_seconds = Some s };
-      Ok (Printf.sprintf "deadline %gs" s)
-    | false, _ -> Error "usage: SET deadline SECONDS|off")
   | "statement_timeout" -> (
-    match (off, float_of_string_opt value) with
+    let tightened ceiling =
+      Error
+        (Printf.sprintf
+           "statement_timeout may only be tightened (server ceiling %gs)"
+           ceiling)
+    in
+    match (value = "off" || value = "none", float_of_string_opt value) with
     | true, _ -> (
       match t.timeout_ceiling with
       | None ->
         Engine.set_options t.engine
           { options with Options.statement_timeout_seconds = None };
         Ok "statement_timeout off"
-      | Some ceiling ->
-        Error
-          (Printf.sprintf
-             "statement_timeout may only be tightened (server ceiling %gs)"
-             ceiling))
+      | Some ceiling -> tightened ceiling)
     | false, Some s when s > 0.0 -> (
       match t.timeout_ceiling with
-      | Some ceiling when s > ceiling ->
-        Error
-          (Printf.sprintf
-             "statement_timeout may only be tightened (server ceiling %gs)"
-             ceiling)
+      | Some ceiling when s > ceiling -> tightened ceiling
       | _ ->
         Engine.set_options t.engine
           { options with Options.statement_timeout_seconds = Some s };
         Ok (Printf.sprintf "statement_timeout %gs" s))
     | false, _ -> Error "usage: SET statement_timeout SECONDS|off")
-  | "budget" -> (
-    match (off, int_of_string_opt value) with
-    | true, _ ->
-      Engine.set_options t.engine { options with Options.row_budget = None };
-      Ok "budget off"
-    | false, Some n when n > 0 ->
-      Engine.set_options t.engine
-        { options with Options.row_budget = Some n };
-      Ok (Printf.sprintf "budget %d rows" n)
-    | false, _ -> Error "usage: SET budget ROWS|off")
-  | "workers" -> (
-    match int_of_string_opt value with
-    | Some n when n >= 1 && n <= Parallel.max_workers ->
-      Engine.set_options t.engine
-        { options with Options.parallel_workers = n };
-      Ok (Printf.sprintf "workers %d" n)
-    | _ ->
-      Error
-        (Printf.sprintf "usage: SET workers N (1 <= N <= %d)"
-           Parallel.max_workers))
   | "max_iterations" -> (
     match int_of_string_opt value with
     | Some n when n >= 1 ->
@@ -142,7 +102,7 @@ let set t key value : (string, string) result =
       Ok (Printf.sprintf "max_iterations %d" n)
     | _ -> Error "usage: SET max_iterations N (N >= 1)")
   | "trace" -> (
-    match parse_bool value with
+    match Options.parse_bool value with
     | Some true ->
       ignore (Engine.enable_trace t.engine);
       Ok "trace on"
@@ -151,19 +111,18 @@ let set t key value : (string, string) result =
       Ok "trace off"
     | None -> Error "usage: SET trace on|off")
   | _ -> (
-    match parse_bool value with
-    | Some enabled -> (
-      match Options.set_bool_option options key enabled with
-      | Some options ->
-        Engine.set_options t.engine options;
-        Ok (Printf.sprintf "%s %b" key enabled)
-      | None ->
-        Error
-          (Printf.sprintf
-             "unknown option %s \
-              (%s|deadline|statement_timeout|budget|workers|max_iterations|trace)"
-             key
-             (String.concat "|" Options.bool_option_keys)))
+    match Options.set_shared_key options key value with
+    | Some (Ok (options, reply)) ->
+      Engine.set_options t.engine options;
+      Ok reply
+    | Some (Error usage) -> Error usage
+    | None when Option.is_some (Options.parse_bool value) ->
+      Error
+        (Printf.sprintf
+           "unknown option %s \
+            (%s|deadline|statement_timeout|budget|workers|max_iterations|trace)"
+           key
+           (String.concat "|" Options.bool_option_keys))
     | None -> Error (Printf.sprintf "SET %s expects on|off" key))
 
 (** The session's trace buffer as NDJSON ("" when tracing is off). *)

@@ -826,6 +826,23 @@ let test_pipeline_ordered_responses () =
               | Error (s, m) ->
                 Alcotest.fail (Printf.sprintf "request %d: %s %s" i s m))
             results;
+          (* A pipelined batch of iterative reads answers each one
+             exactly as the engine does on its own. *)
+          let sql = Queries.pr ~iterations:2 () in
+          let expected =
+            Dbspinner_storage.Relation.to_table_string
+              (Engine.query (Engine.create ~catalog:(graph_catalog ()) ()) sql)
+          in
+          List.iteri
+            (fun i result ->
+              match result with
+              | Ok body ->
+                Alcotest.(check string)
+                  (Printf.sprintf "pipelined PR read %d" i)
+                  expected body
+              | Error (s, m) ->
+                Alcotest.fail (Printf.sprintf "PR read %d: %s %s" i s m))
+            (Client.pipeline_queries c (List.init 4 (fun _ -> sql)));
           (* Mixed batches work too, and errors stay position-aligned. *)
           match
             Client.pipeline c
@@ -1089,8 +1106,10 @@ let test_session_set_and_stats () =
           | Ok _ -> Alcotest.fail "unknown option must be rejected"))
 
 (** [SET] takes every key of the shared on/off table and applies it as
-    {!Options.set_bool_option} does; a key outside the table, such as
-    the deleted rule-engine switch, gets the unknown-option error. *)
+    {!Options.set_bool_option} does; a value that is not on|off is
+    refused with the same error by {!Options.set_shared_key} and by
+    [SET], and changes nothing. A key outside the table, such as the
+    deleted rule-engine switch, gets the unknown-option error. *)
 let test_session_set_bool_keys () =
   let fresh () =
     Session.create ~id:0 ~options:Options.default
@@ -1105,7 +1124,25 @@ let test_session_set_bool_keys () =
       Alcotest.(check bool)
         (key ^ " applied") true
         (Options.set_bool_option Options.default key false
-        = Some (Engine.options (Session.engine s))))
+        = Some (Engine.options (Session.engine s)));
+      List.iter
+        (fun value ->
+          let expected = Printf.sprintf "SET %s expects on|off" key in
+          let what = Printf.sprintf "%s %S" key value in
+          (match Options.set_shared_key Options.default key value with
+          | Some (Error m) ->
+            Alcotest.(check string) ("shared parser refuses " ^ what) expected m
+          | _ -> Alcotest.failf "shared parser accepted %s" what);
+          let s = fresh () in
+          (match Session.set s key value with
+          | Error m ->
+            Alcotest.(check string) ("SET refuses " ^ what) expected m
+          | Ok _ -> Alcotest.failf "SET accepted %s" what);
+          Alcotest.(check bool)
+            ("options unchanged after " ^ what)
+            true
+            (Engine.options (Session.engine s) = Options.default))
+        [ "yes"; "of"; "" ])
     Options.bool_option_keys;
   let removed = "rule" ^ "_engine" in
   match Session.set (fresh ()) removed "off" with
