@@ -414,7 +414,7 @@ let client_mode socket_path commands file show_stats do_shutdown pipelined =
                 | Some (name, value) ->
                   flush_batch batch;
                   (match Client.set client name value with
-                  | Ok body -> print_string body
+                  | Ok reply -> print_endline reply
                   | Error msg ->
                     failed := true;
                     Printf.eprintf "SET %s: %s\n" name msg);
@@ -430,7 +430,7 @@ let client_mode socket_path commands file show_stats do_shutdown pipelined =
               match as_set_command sql with
               | Some (name, value) -> (
                 match Client.set client name value with
-                | Ok body -> print_string body
+                | Ok reply -> print_endline reply
                 | Error msg ->
                   failed := true;
                   Printf.eprintf "SET %s: %s\n" name msg)

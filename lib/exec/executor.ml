@@ -206,6 +206,17 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
 (* ------------------------------------------------------------------ *)
 (* Loop state (paper §VI-B)                                            *)
 
+(** A hashed index of a CTE's key column, carried in the loop state
+    from one [Merge] to the next. It stays valid while the CTE's key
+    column is physically the column it was built over: a merge that
+    changes no key value shares that column, so a loop whose keys are
+    stable builds the index once. *)
+type key_index = {
+  ki_col : Colbatch.col;
+  ki_table : Keyhash.t;
+  ki_unique : bool;  (** no non-NULL key occurs twice *)
+}
+
 type loop_state = {
   spec : Program.termination;
   cte : string;
@@ -235,6 +246,9 @@ type loop_state = {
           entirely (PageRank-style loops update every key every
           iteration — without the streak they would pay an O(|CTE|)
           diff per iteration just to learn that, every time). *)
+  mutable m_index : key_index option;
+      (** [Merge] only: the index of the CTE's key column the last merge
+          probed. *)
 }
 
 (** Consecutive large-delta cutoffs after which a loop permanently
@@ -474,6 +488,7 @@ let restore m ck =
 let step_label = function
   | Program.Materialize { target; _ } -> "materialize:" ^ target
   | Program.Delta_materialize { target; _ } -> "delta_materialize:" ^ target
+  | Program.Merge { target; _ } -> "merge:" ^ target
   | Program.Rename { from_; into } -> "rename:" ^ from_ ^ "->" ^ into
   | Program.Drop_temp name -> "drop:" ^ name
   | Program.Assert_unique_key { temp; _ } -> "assert_unique:" ^ temp
@@ -514,6 +529,25 @@ let key_batch rels =
             Colbatch.make ~len:(Colbatch.length b) [| Colbatch.col b idx |])
           rels))
 
+(* Rows grouped by their entry in [ids] ([-1]: no group), in row order
+   within a group: the rows of group [g] are [bucket.(start.(g))] to
+   [bucket.(start.(g + 1) - 1)]. *)
+let bucket_rows ids ng =
+  let start = Array.make (ng + 1) 0 in
+  Array.iter (fun g -> if g >= 0 then start.(g + 1) <- start.(g + 1) + 1) ids;
+  for g = 1 to ng do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let bucket = Array.make start.(ng) 0 and fill = Array.sub start 0 ng in
+  Array.iteri
+    (fun r g ->
+      if g >= 0 then begin
+        bucket.(fill.(g)) <- r;
+        fill.(g) <- fill.(g) + 1
+      end)
+    ids;
+  (start, bucket)
+
 (* Rebuild the work output in CTE order, one key at a time: recomputed
    rows for affected keys, the previous work row otherwise. Eligible
    plans emit output in driver (CTE) key order, so this reproduces the
@@ -529,24 +563,12 @@ let stitch ~key_idx ~affected ~restricted ~cur ~prev_work =
   let cur_key = key cur key_idx and prev_key = key prev_work key_idx in
   let aff_key = key affected 0 in
   let aff = Keyhash.build [| aff_key |] (Relation.cardinality affected) in
-  let n_aff = Keyhash.groups aff in
   (* Restricted rows bucketed by affected key, in restricted order. *)
-  let res_aff = Keyhash.probe aff [| key restricted key_idx |] n_res in
-  let start = Array.make (n_aff + 1) 0 in
-  Array.iter
-    (fun g -> if g >= 0 then start.(g + 1) <- start.(g + 1) + 1)
-    res_aff;
-  for g = 1 to n_aff do
-    start.(g) <- start.(g) + start.(g - 1)
-  done;
-  let bucket = Array.make n_res 0 and fill = Array.sub start 0 n_aff in
-  Array.iteri
-    (fun r g ->
-      if g >= 0 then begin
-        bucket.(fill.(g)) <- r;
-        fill.(g) <- fill.(g) + 1
-      end)
-    res_aff;
+  let start, bucket =
+    bucket_rows
+      (Keyhash.probe aff [| key restricted key_idx |] n_res)
+      (Keyhash.groups aff)
+  in
   (* Fast path: when the previous output lists the same keys at the
      same positions (the steady state of an iterative loop, whose key
      sequence is stable and — per the §II requirement, enforced by
@@ -697,6 +719,177 @@ let delta_eval m st ~cte ~key_idx ~full_plan ~restricted_plan ~affected_plans
   end;
   work
 
+(* ------------------------------------------------------------------ *)
+(* The partial update (Algorithm 1, line 8)                            *)
+
+(* What [cte LEFT JOIN work ON cte.key = work.key], projected to the
+   work row where one matched and to the CTE row otherwise, returns:
+   per CTE row in order, every work row with its key (the latest
+   first, the join's bucket order), or else the CTE row itself. A NULL
+   key matches nothing. One gather over [cte ++ work]. *)
+let merge_by_join ~key_idx cte work =
+  let cb = Relation.columnar cte and wb = Relation.columnar work in
+  let n = Colbatch.length cb and nw = Colbatch.length wb in
+  let ckey = Colbatch.col cb key_idx in
+  let wt = Keyhash.build [| Colbatch.col wb key_idx |] nw in
+  let start, bucket = bucket_rows (Keyhash.ids wt) (Keyhash.groups wt) in
+  let find = Keyhash.prober wt [| ckey |] in
+  let group =
+    Array.init n (fun i -> if Colbatch.is_null_at ckey i then -1 else find i)
+  in
+  let size = ref 0 in
+  Array.iter
+    (fun g -> size := !size + if g >= 0 then start.(g + 1) - start.(g) else 1)
+    group;
+  let sel = Array.make !size 0 and o = ref 0 in
+  Array.iteri
+    (fun i g ->
+      if g >= 0 then
+        for p = start.(g + 1) - 1 downto start.(g) do
+          sel.(!o) <- n + bucket.(p);
+          incr o
+        done
+      else begin
+        sel.(!o) <- i;
+        incr o
+      end)
+    group;
+  Relation.of_batch (Relation.schema cte) (Colbatch.gather2 cb wb sel)
+
+(* Whether cell [src.(k)] of [w] is the very value of cell [pos.(k)]
+   of [c] for every [k < m], given that the two are equal: int, string
+   or bool of the same kind. A float never is, since [Int 1] equals
+   [Float 1.0] and [0.0] equals [-0.0]. *)
+let identical_keys (c : Colbatch.col) (w : Colbatch.col) pos src m =
+  match c.Colbatch.data, w.Colbatch.data with
+  | Colbatch.D_int _, Colbatch.D_int _
+  | Colbatch.D_str _, Colbatch.D_str _
+  | Colbatch.D_bool _, Colbatch.D_bool _ ->
+    true
+  | _ ->
+    let rec all k =
+      k = m
+      ||
+      match Colbatch.get c pos.(k), Colbatch.get w src.(k) with
+      | Value.Int _, Value.Int _ | Value.Str _, Value.Str _
+      | Value.Bool _, Value.Bool _ ->
+        all (k + 1)
+      | _ -> false
+    in
+    all 0
+
+(* Column [c] of [n] rows with cell [pos.(k)] replaced by cell
+   [src.(k)] of [w], for [k < m]: a typed copy when both columns have
+   the same kind, a boxed one otherwise (as {!Colbatch.gather2}
+   boxes). *)
+let overwrite ~n (c : Colbatch.col) (w : Colbatch.col) pos src m :
+    Colbatch.col =
+  let set dst xs =
+    for k = 0 to m - 1 do
+      dst.(pos.(k)) <- xs.(src.(k))
+    done;
+    dst
+  in
+  let typed data =
+    let nulls =
+      match c.Colbatch.nulls, w.Colbatch.nulls with
+      | None, None -> None
+      | cn, _ ->
+        let mask =
+          match cn with Some a -> Array.copy a | None -> Array.make n false
+        in
+        for k = 0 to m - 1 do
+          mask.(pos.(k)) <- Colbatch.is_null_at w src.(k)
+        done;
+        Some mask
+    in
+    { Colbatch.data; nulls }
+  in
+  match c.Colbatch.data, w.Colbatch.data with
+  | Colbatch.D_int a, Colbatch.D_int b ->
+    typed (Colbatch.D_int (set (Array.copy a) b))
+  | Colbatch.D_float a, Colbatch.D_float b ->
+    typed (Colbatch.D_float (set (Array.copy a) b))
+  | Colbatch.D_bool a, Colbatch.D_bool b ->
+    typed (Colbatch.D_bool (set (Array.copy a) b))
+  | Colbatch.D_str a, Colbatch.D_str b ->
+    typed (Colbatch.D_str (set (Array.copy a) b))
+  | _ ->
+    let a = Colbatch.to_values c in
+    for k = 0 to m - 1 do
+      a.(pos.(k)) <- Colbatch.get w src.(k)
+    done;
+    Colbatch.of_values_raw a
+
+(* One [Merge]: the CTE with every row whose key the work table holds
+   replaced by that work row, in CTE order, exactly as [merge_by_join].
+   With unique CTE keys only the work keys are looked up, in the loop's
+   carried index of the CTE key column, and each column is a copy of
+   the CTE's with the matched cells overwritten. The key column is the
+   CTE's own when no matched key changes representation, which keeps
+   the index valid for the next iteration. *)
+let merge st ~key_idx cte work =
+  let cb = Relation.columnar cte and wb = Relation.columnar work in
+  let n = Colbatch.length cb and nw = Colbatch.length wb in
+  let ckey = Colbatch.col cb key_idx in
+  let index =
+    match st.m_index with
+    | Some ix when ix.ki_col == ckey -> ix
+    | _ ->
+      let t = Keyhash.build [| ckey |] n in
+      let nulls = ref 0 in
+      for i = 0 to n - 1 do
+        if Colbatch.is_null_at ckey i then incr nulls
+      done;
+      (* All NULL keys share one group. *)
+      let null_groups = if !nulls > 0 then 1 else 0 in
+      let ix =
+        {
+          ki_col = ckey;
+          ki_table = t;
+          ki_unique = Keyhash.groups t - null_groups = n - !nulls;
+        }
+      in
+      st.m_index <- Some ix;
+      ix
+  in
+  if not index.ki_unique then merge_by_join ~key_idx cte work
+  else begin
+    let wkey = Colbatch.col wb key_idx in
+    let find = Keyhash.prober index.ki_table [| wkey |] in
+    let reps = Keyhash.reps index.ki_table in
+    (* Matched pairs: CTE row [pos.(k)] takes work row [src.(k)]. *)
+    let pos = Array.make nw 0 and src = Array.make nw 0 and m = ref 0 in
+    let hit = Bytes.make n '\000' and hit_twice = ref false in
+    for j = 0 to nw - 1 do
+      if not (Colbatch.is_null_at wkey j) then begin
+        let g = find j in
+        if g >= 0 then begin
+          let p = reps.(g) in
+          if Bytes.get hit p <> '\000' then hit_twice := true;
+          Bytes.set hit p '\001';
+          pos.(!m) <- p;
+          src.(!m) <- j;
+          incr m
+        end
+      end
+    done;
+    let m = !m in
+    if m = 0 then cte
+    else if !hit_twice then
+      (* Two work rows share a key: the join gives their CTE row once
+         per work row. *)
+      merge_by_join ~key_idx cte work
+    else
+      let cols =
+        Array.init (Colbatch.arity cb) (fun c ->
+            let cc = Colbatch.col cb c and wc = Colbatch.col wb c in
+            if c = key_idx && identical_keys cc wc pos src m then cc
+            else overwrite ~n cc wc pos src m)
+      in
+      Relation.of_batch (Relation.schema cte) (Colbatch.make ~len:n cols)
+  end
+
 let step m =
   let b = m.backend and stats = m.stats in
   let s = m.steps.(m.pc) in
@@ -726,6 +919,14 @@ let step m =
         ~affected_plans ~delta_name ~affected_name
     in
     step_rows := materialize m target (b.scatter work)
+  | Program.Merge { loop_id; cte; work; target; key_idx } ->
+    let st = find_loop m "Merge" loop_id in
+    let merged =
+      merge st ~key_idx
+        (b.gather (find_temp m cte))
+        (b.gather (find_temp m work))
+    in
+    step_rows := materialize m target (b.scatter merged)
   | Program.Rename { from_; into } ->
     b.rename ~from_ ~into;
     stats.Stats.renames <- stats.Stats.renames + 1
@@ -746,6 +947,7 @@ let step m =
         d_prev_cte = None;
         d_prev_work = None;
         d_cutoff_streak = 0;
+        m_index = None;
       }
   | Program.Snapshot { loop_id } -> (
     let st = find_loop m "Snapshot" loop_id in

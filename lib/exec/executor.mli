@@ -61,7 +61,8 @@ val stitch :
 
     One interpreter runs every step program: the loop state, the
     termination check, the semi-naive [Delta_materialize] protocol, the
-    key check and the trace spans are written once, here. A backend
+    keyed [Merge], the key check and the trace spans are written once,
+    here. A backend
     says only where temps live and how a plan runs into one: the
     single-node backend ({!run_program}) keeps them in the catalog, the
     simulated distributed executor ([Distributed] in [lib/mpp]) keeps
@@ -71,8 +72,8 @@ val stitch :
 
 (** Where a program's temps of type ['t] live. [eval] runs a plan into
     a temp; [gather] and [scatter] convert to and from one
-    {!Relation.t} (the diff, stitch, key check and termination checks
-    read gathered relations); [find] returns [None] for an unbound
+    {!Relation.t} (the diff, stitch, merge, key check and termination
+    checks read gathered relations); [find] returns [None] for an unbound
     name; [rename] raises {!Catalog.Unknown_table} when [from_] is
     unbound. *)
 type 't backend = {

@@ -430,7 +430,10 @@ let fallback_single_node ~counts ~stats ~guards ~columnar ?trace
     every plan running distributed: the backend keeps materialized
     temps partitioned on the workers between steps (so the loop body's
     scans of the CTE table cost no exchange), and [Rename] is a pointer
-    swap of partition sets. Around the interpreter's steps it
+    swap of partition sets. The delta step's diff and stitch and the
+    keyed [Merge] read gathered relations and scatter their result
+    round-robin, with no exchange counted. Around the interpreter's
+    steps it
     adds fault recovery: a checkpoint at program start and after every
     [Loop_end], bounded retries from the last one, and single-node
     fallback once retries run out. *)

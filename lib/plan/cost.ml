@@ -228,6 +228,16 @@ let program (stats : statistics) (p : Program.t) : program_estimate =
           (String.lowercase_ascii target)
           (cardinality_of_rows est.rows);
         charge (est.cost +. (est.rows *. w_materialize))
+      | Program.Merge { cte; work; target; _ } ->
+        (* One lookup per working-table row, then a copy of the CTE
+           with the matched rows overwritten; the result has the CTE's
+           cardinality. *)
+        let rows name = Option.value (lookup name) ~default:1000 in
+        let cte_rows = rows cte in
+        Hashtbl.replace temp_rows (String.lowercase_ascii target) cte_rows;
+        charge
+          ((float_of_int (rows work) *. w_probe)
+          +. (float_of_int cte_rows *. w_materialize))
       | Program.Return pl -> charge (plan stats pl).cost
       | Program.Recursive_cte { base; step_plan; _ } ->
         (* Recursive CTEs: base once plus a log-bounded number of

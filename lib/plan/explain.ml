@@ -110,6 +110,12 @@ let step_to_lines idx (s : Program.step) =
         (List.length affected_plans)
         (if List.length affected_plans = 1 then "" else "s"))
     :: List.map (fun l -> "      " ^ l) (plan_lines 0 restricted_plan [])
+  | Program.Merge { cte; work; target; key_idx; _ } ->
+    [
+      head
+      ^ Printf.sprintf "Merge %s into %s as %s (key column %d)" work cte target
+          key_idx;
+    ]
   | Program.Rename { from_; into } ->
     [ head ^ Printf.sprintf "Rename %s -> %s" from_ into ]
   | Program.Drop_temp name -> [ head ^ Printf.sprintf "Drop %s" name ]

@@ -44,6 +44,17 @@ type step =
           affected keys and stitching unaffected keys from the previous
           iteration's working table (full re-evaluation on the first
           iteration, after recovery, or when most keys changed) *)
+  | Merge of {
+      loop_id : int;
+      cte : string;  (** the CTE temp the loop iterates over *)
+      work : string;  (** the loop's working table *)
+      target : string;  (** temp that receives the merged version *)
+      key_idx : int;
+    }
+      (** the partial update of Algorithm 1, lines 8–10: the CTE with
+          every row whose key the working table holds replaced by that
+          working-table row; keys only the working table holds are
+          dropped *)
   | Rename of { from_ : string; into : string }  (** O(1) pointer swap *)
   | Drop_temp of string
   | Assert_unique_key of { temp : string; key_idx : int }
@@ -86,7 +97,7 @@ let result_schema t = t.result_schema
 
 (** Count of steps of each interesting kind — used by tests asserting
     plan shape (e.g. "the optimized PR program contains exactly one
-    Rename and no merge Materialize inside the loop"). *)
+    Rename and no Merge inside the loop"). *)
 let count_steps t ~f = Array.fold_left (fun n s -> if f s then n + 1 else n) 0 t.steps
 
 let has_rename t =

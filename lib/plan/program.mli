@@ -34,6 +34,17 @@ type step =
       (** semi-naive working-table materialization: bag-identical to
           [Materialize target full_plan], but evaluates [Ri] only for
           keys whose inputs changed since the previous iteration *)
+  | Merge of {
+      loop_id : int;
+      cte : string;
+      work : string;
+      target : string;
+      key_idx : int;
+    }
+      (** the partial update (Algorithm 1, lines 8–10): bind [target]
+          to [cte] with each row whose key [work] holds replaced by
+          that [work] row, in [cte] order; [work]-only keys are
+          dropped and a NULL [cte] key is never matched *)
   | Rename of { from_ : string; into : string }  (** O(1) pointer swap *)
   | Drop_temp of string
   | Assert_unique_key of { temp : string; key_idx : int }

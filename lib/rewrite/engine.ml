@@ -138,8 +138,9 @@ let map_step_plans f (step : Program.step) : Program.step =
   | Program.Recursive_cte r ->
     Program.Recursive_cte
       { r with base = f r.base; step_plan = f r.step_plan }
-  | Program.Rename _ | Program.Drop_temp _ | Program.Assert_unique_key _
-  | Program.Init_loop _ | Program.Loop_end _ | Program.Snapshot _ ->
+  | Program.Merge _ | Program.Rename _ | Program.Drop_temp _
+  | Program.Assert_unique_key _ | Program.Init_loop _ | Program.Loop_end _
+  | Program.Snapshot _ ->
     step
 
 (** Generic plan-level filter push down as a rule over one step: fires

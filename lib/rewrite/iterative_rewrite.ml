@@ -11,9 +11,9 @@
     {- each iteration: materialize [Ri] into the working table
        (step 3), check the unique-row-key requirement of §II, then
        either {e rename} the working table over the CTE table (full
-       update, step 4) or materialize the merge of old and new rows
-       keyed by the row identifier (partial update, Algorithm 1
-       lines 8–10);}
+       update, step 4) or merge it into the CTE table by the row
+       identifier (partial update, Algorithm 1 lines 8–10: a
+       {!Program.Merge} step);}
     {- update the loop and jump back while [Tc] is unmet (steps 5–6);}
     {- finally bind the main query [Qf] over the CTE table.}}
 
@@ -27,7 +27,6 @@ module Ast = Dbspinner_sql.Ast
 module Binder = Dbspinner_plan.Binder
 module Logical = Dbspinner_plan.Logical
 module Program = Dbspinner_plan.Program
-module Bound_expr = Dbspinner_plan.Bound_expr
 module Cost = Dbspinner_plan.Cost
 
 exception Rewrite_error of string
@@ -65,32 +64,6 @@ let report_to_string r =
      delta-loops=%d"
     r.common_results_extracted r.predicates_pushed r.rename_paths r.merge_paths
     r.delta_paths
-
-(* ------------------------------------------------------------------ *)
-(* Merge plan for partial updates (Algorithm 1, line 8)                *)
-
-(** [SELECT CASE WHEN w.key IS NOT NULL THEN w.c ELSE cte.c END, ...
-    FROM cte LEFT JOIN w ON cte.key = w.key] — rows updated by the
-    iteration take the working table's values, all others keep the
-    previous version's. *)
-let merge_plan ~schema ~key_idx ~cte_name ~work_name =
-  let n = Schema.arity schema in
-  let left = Logical.scan ~name:cte_name ~schema in
-  let right = Logical.scan ~name:work_name ~schema in
-  let cond =
-    Bound_expr.B_binop (Ast.Eq, Bound_expr.B_col key_idx, Bound_expr.B_col (n + key_idx))
-  in
-  let joined = Logical.join Logical.Left_outer ~cond left right in
-  let exprs =
-    List.init n (fun i ->
-        let take_new =
-          ( Bound_expr.B_is_null (Bound_expr.B_col (n + key_idx), false),
-            Bound_expr.B_col (n + i) )
-        in
-        ( Bound_expr.B_case ([ take_new ], Some (Bound_expr.B_col i)),
-          (schema.(i) : Schema.column).name ))
-  in
-  Logical.project exprs joined
 
 (* ------------------------------------------------------------------ *)
 (* Per-CTE compilation                                                 *)
@@ -262,8 +235,9 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
   end
   else begin
     ctx.report.merge_paths <- ctx.report.merge_paths + 1;
-    let plan = merge_plan ~schema ~key_idx ~cte_name:name ~work_name in
-    emit ctx (Program.Materialize { target = merge_name; plan });
+    emit ctx
+      (Program.Merge
+         { loop_id; cte = name; work = work_name; target = merge_name; key_idx });
     if options.Options.use_rename then begin
       emit ctx (Program.Rename { from_ = merge_name; into = name });
       emit ctx (Program.Drop_temp work_name)

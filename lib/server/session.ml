@@ -116,14 +116,13 @@ let set t key value : (string, string) result =
       Engine.set_options t.engine options;
       Ok reply
     | Some (Error usage) -> Error usage
-    | None when Option.is_some (Options.parse_bool value) ->
+    | None ->
       Error
         (Printf.sprintf
            "unknown option %s \
             (%s|deadline|statement_timeout|budget|workers|max_iterations|trace)"
            key
-           (String.concat "|" Options.bool_option_keys))
-    | None -> Error (Printf.sprintf "SET %s expects on|off" key))
+           (String.concat "|" Options.bool_option_keys)))
 
 (** The session's trace buffer as NDJSON ("" when tracing is off). *)
 let trace_ndjson t =

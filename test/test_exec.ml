@@ -605,6 +605,277 @@ let test_missing_return () =
   | exception Executor.Execution_error _ -> ()
   | _ -> Alcotest.fail "expected error for program without Return"
 
+(* ------------------------------------------------------------------ *)
+(* The Merge step against a list-of-rows reference                     *)
+
+(** The partial update spelled out over lists: per CTE row, in order,
+    every work row whose key equals its key, the latest first, or else
+    the CTE row; a NULL key matches nothing. *)
+let reference_merge ~key_idx (cte : Value.t array list)
+    (work : Value.t array list) =
+  let latest_first = List.rev work in
+  List.concat_map
+    (fun row ->
+      let k = row.(key_idx) in
+      let hits =
+        if Value.is_null k then []
+        else List.filter (fun w -> Value.equal w.(key_idx) k) latest_first
+      in
+      if hits = [] then [ row ] else hits)
+    cte
+
+(* Same kind and same value, floats bit for bit: [Int 1] is not
+   [Float 1.0], and [0.0] is not [-0.0]. *)
+let identical_value a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let check_identical_rows msg expected (actual : Relation.t) =
+  let show rows =
+    String.concat "; "
+      (List.map
+         (fun r ->
+           String.concat ","
+             (Array.to_list (Array.map Value.to_string r)))
+         rows)
+  in
+  let actual = Array.to_list (Relation.rows actual) in
+  if
+    not
+      (List.length expected = List.length actual
+      && List.for_all2
+           (fun e a -> Array.for_all2 identical_value e a)
+           expected actual)
+  then Alcotest.failf "%s: expected [%s], got [%s]" msg (show expected)
+      (show actual)
+
+(** One [Merge] of [work] into [cte] in a program of its own. *)
+let run_merge ~key_idx cte work =
+  let schema = Relation.schema cte in
+  Executor.run_program (Catalog.create ())
+    (Program.make
+       [
+         Program.Materialize { target = "c"; plan = Logical.values cte };
+         Program.Materialize { target = "c#work"; plan = Logical.values work };
+         Program.Init_loop
+           {
+             loop_id = 0;
+             termination = Program.Max_iterations 1;
+             cte = "c";
+             key_idx;
+             guard = 10;
+           };
+         Program.Merge
+           {
+             loop_id = 0;
+             cte = "c";
+             work = "c#work";
+             target = "c#merge";
+             key_idx;
+           };
+         Program.Return (Logical.scan ~name:"c#merge" ~schema);
+       ]
+       ~result_schema:schema)
+
+let test_merge_cases () =
+  let case ?(key_idx = 0) name cte work =
+    let names = List.init (List.length (List.hd (cte @ work))) (Printf.sprintf "c%d") in
+    let arrays = List.map Array.of_list in
+    check_identical_rows name
+      (reference_merge ~key_idx (arrays cte) (arrays work))
+      (run_merge ~key_idx (rel names cte) (rel names work))
+  in
+  let cte = [ [ vi 1; vi 10 ]; [ vi 2; vi 20 ]; [ vi 3; vi 30 ] ] in
+  case "update in place" cte [ [ vi 3; vi 33 ]; [ vi 1; vi 11 ] ];
+  case "Int key takes the work's Float" cte [ [ vf 2.0; vi 22 ] ];
+  case "zero keys" [ [ vf 0.0; vi 1 ]; [ vf 1.5; vi 2 ] ] [ [ vf (-0.0); vi 9 ] ];
+  case "negative zero in the CTE"
+    [ [ vf (-0.0); vi 1 ]; [ vf 1.5; vi 2 ] ]
+    [ [ vf 0.0; vi 9 ] ];
+  case "duplicate CTE keys"
+    [ [ vi 1; vs "a" ]; [ vi 2; vs "b" ]; [ vi 1; vs "c" ] ]
+    [ [ vi 1; vs "z" ] ];
+  case "duplicate work keys" cte
+    [ [ vi 2; vi 21 ]; [ vi 3; vi 31 ]; [ vi 2; vi 22 ]; [ vi 2; vi 23 ] ];
+  case "NaN keys" [ [ vf Float.nan; vi 1 ]; [ vf 1.5; vi 2 ] ]
+    [ [ vf Float.nan; vi 3 ] ];
+  case "NULL CTE key"
+    [ [ vnull; vi 1 ]; [ vi 1; vi 2 ]; [ vnull; vi 3 ] ]
+    [ [ vi 1; vi 9 ]; [ vnull; vi 8 ] ];
+  case "NULL and duplicate CTE keys"
+    [ [ vnull; vi 1 ]; [ vi 1; vi 2 ]; [ vi 1; vi 3 ] ]
+    [ [ vnull; vi 8 ]; [ vi 1; vi 9 ] ];
+  case "work key absent from the CTE" cte [ [ vi 7; vi 70 ]; [ vi 2; vi 21 ] ];
+  case "Int column, Float work" cte [ [ vi 2; vf 2.5 ] ];
+  case "NULL cells"
+    [ [ vi 1; vnull ]; [ vi 2; vi 5 ]; [ vi 3; vi 6 ] ]
+    [ [ vi 1; vi 4 ]; [ vi 2; vnull ] ];
+  case "all-NULL column" [ [ vi 1; vnull ]; [ vi 2; vnull ] ] [ [ vi 2; vs "x" ] ];
+  case ~key_idx:1 "key in column 1"
+    [ [ vs "a"; vi 1; vb true ]; [ vs "b"; vi 2; vb false ] ]
+    [ [ vs "z"; vi 2; vb true ] ];
+  case "string keys" [ [ vs "a"; vi 1 ]; [ vs "b"; vi 2 ] ] [ [ vs "b"; vi 3 ] ];
+  let names = [ "c0"; "c1" ] in
+  let merged = run_merge ~key_idx:0 (rel names cte) (rel names []) in
+  check_identical_rows "empty work" (List.map Array.of_list cte) merged;
+  check_identical_rows "empty CTE" []
+    (run_merge ~key_idx:0 (rel names []) (rel names [ [ vi 1; vi 2 ] ]))
+
+(** Run [program] on a catalog, returning every relation its [Merge]
+    steps bound to [c#merge], in order. *)
+let run_recording_merges program =
+  let catalog = Catalog.create () and stats = Stats.create () in
+  let merged = ref [] in
+  let backend =
+    {
+      Executor.eval = Executor.run_plan ~stats catalog;
+      find = Catalog.find_temp_opt catalog;
+      bind =
+        (fun name r ->
+          if name = "c#merge" then merged := r :: !merged;
+          Catalog.set_temp catalog name r);
+      rename = (fun ~from_ ~into -> Catalog.rename_temp catalog ~from_ ~into);
+      drop = Catalog.drop_temp catalog;
+      gather = Fun.id;
+      scatter = Fun.id;
+      cardinality = Relation.cardinality;
+      recursive_cte =
+        (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_
+             ~max_recursion:_ -> Alcotest.fail "no recursive CTE here");
+    }
+  in
+  let m =
+    Executor.start backend ~stats ~guards:Dbspinner_exec.Guards.none program
+  in
+  while not (Executor.halted m) do
+    Executor.step m
+  done;
+  ignore (Executor.finish m);
+  Array.of_list (List.rev !merged)
+
+let kv_schema = Schema.of_names [ "k"; "v" ]
+
+let merge_step =
+  Program.Merge
+    { loop_id = 0; cte = "c"; work = "c#work"; target = "c#merge"; key_idx = 0 }
+
+let init_loop iterations =
+  Program.Init_loop
+    {
+      loop_id = 0;
+      termination = Program.Max_iterations iterations;
+      cte = "c";
+      key_idx = 0;
+      guard = 10;
+    }
+
+let values rows = Logical.values (rel [ "k"; "v" ] (List.map Array.to_list rows))
+
+(** A loop whose work keys keep their representation for two
+    iterations (the merge shares the CTE's key column, so the carried
+    index is reused) and then turn into floats (the key column is
+    rewritten and the index rebuilt). Every iteration's merge matches
+    the reference. *)
+let test_merge_carried_index () =
+  let col i = Bound_expr.B_col i and lit v = Bound_expr.B_lit v in
+  (* SELECT CASE WHEN v >= 2 THEN k * 1.0 ELSE k END, v + 1 FROM c
+     WHERE k <= 2 *)
+  let step =
+    Logical.project
+      [
+        ( Bound_expr.B_case
+            ( [
+                ( Bound_expr.B_binop (Ast.Ge, col 1, lit (vi 2)),
+                  Bound_expr.B_binop (Ast.Mul, col 0, lit (vf 1.0)) );
+              ],
+              Some (col 0) ),
+          "k" );
+        (Bound_expr.B_binop (Ast.Add, col 1, lit (vi 1)), "v");
+      ]
+      (Logical.filter
+         (Bound_expr.B_binop (Ast.Le, col 0, lit (vi 2)))
+         (Logical.scan ~name:"c" ~schema:kv_schema))
+  in
+  let r0 = List.init 5 (fun i -> [| vi (i + 1); vi 0 |]) in
+  let merged =
+    run_recording_merges
+      (Program.make
+         [
+           Program.Materialize { target = "c"; plan = values r0 };
+           init_loop 4;
+           Program.Materialize { target = "c#work"; plan = step };
+           merge_step;
+           Program.Rename { from_ = "c#merge"; into = "c" };
+           Program.Loop_end { loop_id = 0; body_start = 2 };
+           Program.Return (Logical.scan ~name:"c" ~schema:kv_schema);
+         ]
+         ~result_schema:kv_schema)
+  in
+  Alcotest.(check int) "one merge per iteration" 4 (Array.length merged);
+  let work_of rows =
+    List.filter_map
+      (fun r ->
+        if Value.compare r.(0) (vi 2) <= 0 then
+          let v = Value.to_int r.(1) in
+          Some
+            [| (if v >= 2 then Value.Float (Value.to_float r.(0)) else r.(0));
+               vi (v + 1) |]
+        else None)
+      rows
+  in
+  ignore
+    (Array.fold_left
+       (fun (i, cte) out ->
+         let expected = reference_merge ~key_idx:0 cte (work_of cte) in
+         check_identical_rows (Printf.sprintf "iteration %d" (i + 1)) expected out;
+         (i + 1, expected))
+       (0, r0) merged);
+  let key i = Colbatch.col (Relation.columnar merged.(i)) 0 in
+  Alcotest.(check bool) "unchanged keys share the key column" true
+    (key 0 == key 1);
+  Alcotest.(check bool) "float keys rewrite the key column" false
+    (key 1 == key 2)
+
+(** Merges of one loop where the second, with a duplicate work key,
+    repeats a CTE row: the CTE it leaves has new row positions and a
+    duplicate key, so the next merge must not probe the index built
+    before it. *)
+let test_merge_index_after_fallback () =
+  let r0 = List.init 4 (fun i -> [| vi (i + 1); vi 0 |]) in
+  let works =
+    [
+      [ [| vi 3; vi 30 |] ];
+      [ [| vi 2; vi 20 |]; [| vi 2; vi 21 |] ];
+      [ [| vi 4; vi 40 |]; [| vi 2; vi 22 |] ];
+    ]
+  in
+  let merged =
+    run_recording_merges
+      (Program.make
+         (Program.Materialize { target = "c"; plan = values r0 }
+          :: init_loop 1
+          :: List.concat_map
+               (fun w ->
+                 [
+                   Program.Materialize { target = "c#work"; plan = values w };
+                   merge_step;
+                   Program.Rename { from_ = "c#merge"; into = "c" };
+                 ])
+               works
+         @ [ Program.Return (Logical.scan ~name:"c" ~schema:kv_schema) ])
+         ~result_schema:kv_schema)
+  in
+  ignore
+    (List.fold_left
+       (fun (i, cte) w ->
+         let expected = reference_merge ~key_idx:0 cte w in
+         check_identical_rows (Printf.sprintf "merge %d" (i + 1)) expected
+           merged.(i);
+         (i + 1, expected))
+       (0, r0) works)
+
 let () =
   Alcotest.run "exec"
     [
@@ -649,5 +920,12 @@ let () =
           Alcotest.test_case "recursive-cte" `Quick test_recursive_cte_program;
           Alcotest.test_case "recursive-cycle" `Quick test_recursive_cycle_terminates;
           Alcotest.test_case "missing-return" `Quick test_missing_return;
+        ] );
+      ( "merge",
+        [
+          Alcotest.test_case "reference-cases" `Quick test_merge_cases;
+          Alcotest.test_case "carried-index" `Quick test_merge_carried_index;
+          Alcotest.test_case "index-after-fallback" `Quick
+            test_merge_index_after_fallback;
         ] );
     ]

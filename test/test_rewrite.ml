@@ -37,7 +37,8 @@ let count program f = Program.count_steps program ~f
    semi-naive evaluation; shape-wise it occupies the same slot. *)
 let materialize_count p =
   count p (function
-    | Program.Materialize _ | Program.Delta_materialize _ -> true
+    | Program.Materialize _ | Program.Delta_materialize _ | Program.Merge _ ->
+      true
     | _ -> false)
 
 let rename_count p = count p (function Program.Rename _ -> true | _ -> false)

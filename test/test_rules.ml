@@ -307,11 +307,7 @@ let golden_pr_vs =
                 Scan pagerank__common1
               Scan PageRank
  6. AssertUniqueKey PageRank#work (column 0)
- 7. Materialize PageRank#merge:
-      Project [CASE WHEN ($3 IS NOT NULL) THEN $3 ELSE $0 END AS Node, CASE WHEN ($3 IS NOT NULL) THEN $4 ELSE $1 END AS Rank, CASE WHEN ($3 IS NOT NULL) THEN $5 ELSE $2 END AS delta]
-        LeftOuterJoin ON ($0 = $3)
-          Scan PageRank
-          Scan PageRank#work
+ 7. Merge PageRank#work into PageRank as PageRank#merge (key column 0)
  8. Rename PageRank#merge -> PageRank
  9. Drop PageRank#work
 10. LoopEnd #0: go to step 4 while continue
@@ -344,11 +340,7 @@ let golden_sssp =
               Filter ($2 <> 9999999)
                 Scan sssp
  5. AssertUniqueKey sssp#work (column 0)
- 6. Materialize sssp#merge:
-      Project [CASE WHEN ($3 IS NOT NULL) THEN $3 ELSE $0 END AS Node, CASE WHEN ($3 IS NOT NULL) THEN $4 ELSE $1 END AS Distance, CASE WHEN ($3 IS NOT NULL) THEN $5 ELSE $2 END AS delta]
-        LeftOuterJoin ON ($0 = $3)
-          Scan sssp
-          Scan sssp#work
+ 6. Merge sssp#work into sssp as sssp#merge (key column 0)
  7. Rename sssp#merge -> sssp
  8. Drop sssp#work
  9. LoopEnd #0: go to step 3 while continue

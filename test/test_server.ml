@@ -1145,11 +1145,16 @@ let test_session_set_bool_keys () =
         [ "yes"; "of"; "" ])
     Options.bool_option_keys;
   let removed = "rule" ^ "_engine" in
-  match Session.set (fresh ()) removed "off" with
-  | Error m ->
-    Alcotest.(check bool) "unknown-option error" true
-      (Helpers.contains m ("unknown option " ^ removed))
-  | Ok _ -> Alcotest.failf "%s must be rejected" removed
+  List.iter
+    (fun (key, value) ->
+      match Session.set (fresh ()) key value with
+      | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "unknown-option error for %s %s" key value)
+          true
+          (Helpers.contains m ("unknown option " ^ key))
+      | Ok _ -> Alcotest.failf "SET %s %s must be rejected" key value)
+    [ (removed, "off"); ("nonsense", "5") ]
 
 (** A hostile [SET workers] must not wedge the server: a size over
     {!Parallel.max_workers} is refused with the usage error before any
