@@ -206,16 +206,12 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
 (* ------------------------------------------------------------------ *)
 (* Loop state (paper §VI-B)                                            *)
 
-(** A hashed index of a CTE's key column, carried in the loop state
-    from one [Merge] to the next. It stays valid while the CTE's key
-    column is physically the column it was built over: a merge that
-    changes no key value shares that column, so a loop whose keys are
-    stable builds the index once. *)
-type key_index = {
-  ki_col : Colbatch.col;
-  ki_table : Keyhash.t;
-  ki_unique : bool;  (** no non-NULL key occurs twice *)
-}
+(** The checked index of a CTE's key column ({!keyed_table}), carried
+    in the loop state from one [Merge] to the next. It stays valid
+    while the CTE's key column is physically the column it was built
+    over: a merge that changes no key value shares that column, so a
+    loop whose keys are stable checks and builds the index once. *)
+type key_index = { ki_col : Colbatch.col; ki_table : Keyhash.t }
 
 type loop_state = {
   spec : Program.termination;
@@ -371,37 +367,33 @@ let run_recursive ?parallel ?cache ?guards ?columnar ~stats catalog ~name
 (* ------------------------------------------------------------------ *)
 (* The §II key check                                                   *)
 
-(* Keys compare under {!Value.equal}, the equality of the merge and
-   hash joins, so [Int 1] and [Float 1.0] are one key. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = Value.t
+let duplicate_key k =
+  error
+    "iterative CTE produced duplicate rows for key %s; resolve duplicates \
+     with an aggregation or GROUP BY (see paper §II)"
+    (Value.to_string k)
 
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-let check_unique_keys (rel : Relation.t) ~key_idx =
-  (* [key_values] reads whichever view is materialized, so a columnar
-     pipeline is not forced into a full row conversion just to check
-     one column. *)
-  let keys = Relation.key_values rel key_idx in
-  let seen = Key_tbl.create (Array.length keys) in
-  Array.iter
-    (fun k ->
-      if Value.is_null k then
+(* The [Keyhash] table of column [key_idx] of [rel], or the §II error
+   for its first row whose key is NULL or repeats an earlier row's.
+   Keys compare under {!Value.equal}, the equality of the hash joins,
+   so [Int 1] and [Float 1.0] are one key. *)
+let keyed_table (rel : Relation.t) ~key_idx =
+  let cb = Relation.columnar rel in
+  let key = Colbatch.col cb key_idx in
+  let t = Keyhash.build [| key |] (Colbatch.length cb) in
+  let reps = Keyhash.reps t in
+  Array.iteri
+    (fun i g ->
+      if Colbatch.is_null_at key i then
         error
           "iterative CTE produced a NULL row key; specify a key column or \
            remove NULL keys"
-      else if Key_tbl.mem seen k then
-        error
-          "iterative CTE produced duplicate rows for key %s; resolve \
-           duplicates with an aggregation or GROUP BY (see paper §II)"
-          (Value.to_string k)
-      else Key_tbl.replace seen k ())
-    keys
+      else if reps.(g) <> i then duplicate_key (Colbatch.get key i))
+    (Keyhash.ids t);
+  t
 
 let assert_unique_key catalog ~temp ~key_idx =
-  check_unique_keys (Catalog.find_temp catalog temp) ~key_idx
+  ignore (keyed_table (Catalog.find_temp catalog temp) ~key_idx)
 
 (* ------------------------------------------------------------------ *)
 (* Step-program interpreter                                            *)
@@ -722,40 +714,6 @@ let delta_eval m st ~cte ~key_idx ~full_plan ~restricted_plan ~affected_plans
 (* ------------------------------------------------------------------ *)
 (* The partial update (Algorithm 1, line 8)                            *)
 
-(* What [cte LEFT JOIN work ON cte.key = work.key], projected to the
-   work row where one matched and to the CTE row otherwise, returns:
-   per CTE row in order, every work row with its key (the latest
-   first, the join's bucket order), or else the CTE row itself. A NULL
-   key matches nothing. One gather over [cte ++ work]. *)
-let merge_by_join ~key_idx cte work =
-  let cb = Relation.columnar cte and wb = Relation.columnar work in
-  let n = Colbatch.length cb and nw = Colbatch.length wb in
-  let ckey = Colbatch.col cb key_idx in
-  let wt = Keyhash.build [| Colbatch.col wb key_idx |] nw in
-  let start, bucket = bucket_rows (Keyhash.ids wt) (Keyhash.groups wt) in
-  let find = Keyhash.prober wt [| ckey |] in
-  let group =
-    Array.init n (fun i -> if Colbatch.is_null_at ckey i then -1 else find i)
-  in
-  let size = ref 0 in
-  Array.iter
-    (fun g -> size := !size + if g >= 0 then start.(g + 1) - start.(g) else 1)
-    group;
-  let sel = Array.make !size 0 and o = ref 0 in
-  Array.iteri
-    (fun i g ->
-      if g >= 0 then
-        for p = start.(g + 1) - 1 downto start.(g) do
-          sel.(!o) <- n + bucket.(p);
-          incr o
-        done
-      else begin
-        sel.(!o) <- i;
-        incr o
-      end)
-    group;
-  Relation.of_batch (Relation.schema cte) (Colbatch.gather2 cb wb sel)
-
 (* Whether cell [src.(k)] of [w] is the very value of cell [pos.(k)]
    of [c] for every [k < m], given that the two are equal: int, string
    or bool of the same kind. A float never is, since [Int 1] equals
@@ -822,73 +780,54 @@ let overwrite ~n (c : Colbatch.col) (w : Colbatch.col) pos src m :
     Colbatch.of_values_raw a
 
 (* One [Merge]: the CTE with every row whose key the work table holds
-   replaced by that work row, in CTE order, exactly as [merge_by_join].
-   With unique CTE keys only the work keys are looked up, in the loop's
-   carried index of the CTE key column, and each column is a copy of
-   the CTE's with the matched cells overwritten. The key column is the
-   CTE's own when no matched key changes representation, which keeps
-   the index valid for the next iteration. *)
+   replaced by that work row, in CTE order. The CTE is keyed (§II):
+   [keyed_table] checks and hashes its key column whenever the loop's
+   carried index was built over another one. Only the work keys are
+   looked up, and each column is a copy of the CTE's with the matched
+   cells overwritten. The key column is the CTE's own when no matched
+   key changes representation, which keeps the index valid for the
+   next iteration. A NULL work key matches nothing, since the checked
+   CTE has no NULL key; two work rows with one key raise the §II
+   duplicate-key error. *)
 let merge st ~key_idx cte work =
   let cb = Relation.columnar cte and wb = Relation.columnar work in
   let n = Colbatch.length cb and nw = Colbatch.length wb in
   let ckey = Colbatch.col cb key_idx in
   let index =
     match st.m_index with
-    | Some ix when ix.ki_col == ckey -> ix
+    | Some ix when ix.ki_col == ckey -> ix.ki_table
     | _ ->
-      let t = Keyhash.build [| ckey |] n in
-      let nulls = ref 0 in
-      for i = 0 to n - 1 do
-        if Colbatch.is_null_at ckey i then incr nulls
-      done;
-      (* All NULL keys share one group. *)
-      let null_groups = if !nulls > 0 then 1 else 0 in
-      let ix =
-        {
-          ki_col = ckey;
-          ki_table = t;
-          ki_unique = Keyhash.groups t - null_groups = n - !nulls;
-        }
-      in
-      st.m_index <- Some ix;
-      ix
+      let t = keyed_table cte ~key_idx in
+      st.m_index <- Some { ki_col = ckey; ki_table = t };
+      t
   in
-  if not index.ki_unique then merge_by_join ~key_idx cte work
-  else begin
-    let wkey = Colbatch.col wb key_idx in
-    let find = Keyhash.prober index.ki_table [| wkey |] in
-    let reps = Keyhash.reps index.ki_table in
-    (* Matched pairs: CTE row [pos.(k)] takes work row [src.(k)]. *)
-    let pos = Array.make nw 0 and src = Array.make nw 0 and m = ref 0 in
-    let hit = Bytes.make n '\000' and hit_twice = ref false in
-    for j = 0 to nw - 1 do
-      if not (Colbatch.is_null_at wkey j) then begin
-        let g = find j in
-        if g >= 0 then begin
-          let p = reps.(g) in
-          if Bytes.get hit p <> '\000' then hit_twice := true;
-          Bytes.set hit p '\001';
-          pos.(!m) <- p;
-          src.(!m) <- j;
-          incr m
-        end
-      end
-    done;
-    let m = !m in
-    if m = 0 then cte
-    else if !hit_twice then
-      (* Two work rows share a key: the join gives their CTE row once
-         per work row. *)
-      merge_by_join ~key_idx cte work
-    else
-      let cols =
-        Array.init (Colbatch.arity cb) (fun c ->
-            let cc = Colbatch.col cb c and wc = Colbatch.col wb c in
-            if c = key_idx && identical_keys cc wc pos src m then cc
-            else overwrite ~n cc wc pos src m)
-      in
-      Relation.of_batch (Relation.schema cte) (Colbatch.make ~len:n cols)
-  end
+  let wkey = Colbatch.col wb key_idx in
+  let find = Keyhash.prober index [| wkey |] in
+  let reps = Keyhash.reps index in
+  (* Matched pairs: CTE row [pos.(k)] takes work row [src.(k)]. *)
+  let pos = Array.make nw 0 and src = Array.make nw 0 and m = ref 0 in
+  let hit = Bytes.make n '\000' in
+  for j = 0 to nw - 1 do
+    let g = find j in
+    if g >= 0 then begin
+      let p = reps.(g) in
+      if Bytes.get hit p <> '\000' then duplicate_key (Colbatch.get wkey j);
+      Bytes.set hit p '\001';
+      pos.(!m) <- p;
+      src.(!m) <- j;
+      incr m
+    end
+  done;
+  let m = !m in
+  if m = 0 then cte
+  else
+    let cols =
+      Array.init (Colbatch.arity cb) (fun c ->
+          let cc = Colbatch.col cb c and wc = Colbatch.col wb c in
+          if c = key_idx && identical_keys cc wc pos src m then cc
+          else overwrite ~n cc wc pos src m)
+    in
+    Relation.of_batch (Relation.schema cte) (Colbatch.make ~len:n cols)
 
 let step m =
   let b = m.backend and stats = m.stats in
@@ -932,7 +871,7 @@ let step m =
     stats.Stats.renames <- stats.Stats.renames + 1
   | Program.Drop_temp name -> b.drop name
   | Program.Assert_unique_key { temp; key_idx } ->
-    check_unique_keys (b.gather (find_temp m temp)) ~key_idx
+    ignore (keyed_table (b.gather (find_temp m temp)) ~key_idx)
   | Program.Init_loop { loop_id; termination; cte; key_idx; guard } ->
     Hashtbl.replace m.loops loop_id
       {

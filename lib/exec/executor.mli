@@ -32,7 +32,8 @@ val run_plan :
   Relation.t
 
 (** The §II duplicate-row-key check: fails when the named temp has
-    duplicate or NULL keys in column [key_idx]. Keys compare under
+    duplicate or NULL keys in column [key_idx], naming its first
+    offending row in row order. Keys compare under
     {!Dbspinner_storage.Value.equal}, so [Int 1] and [Float 1.0] are
     duplicates, as they are under SQL [=].
     @raise Execution_error with a message directing the user to resolve

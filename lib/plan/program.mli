@@ -44,11 +44,15 @@ type step =
       (** the partial update (Algorithm 1, lines 8–10): bind [target]
           to [cte] with each row whose key [work] holds replaced by
           that [work] row, in [cte] order; [work]-only keys are
-          dropped and a NULL [cte] key is never matched *)
+          dropped and a NULL [work] key matches nothing. A [cte] that
+          is not keyed, or two [work] rows with one key, raise the §II
+          error. *)
   | Rename of { from_ : string; into : string }  (** O(1) pointer swap *)
   | Drop_temp of string
   | Assert_unique_key of { temp : string; key_idx : int }
-      (** the §II duplicate-row-key runtime check *)
+      (** the §II runtime check that no key of [temp] is NULL or
+          repeated; compiled loops run it on R0 and on every working
+          table *)
   | Init_loop of {
       loop_id : int;
       termination : termination;

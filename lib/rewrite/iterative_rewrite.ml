@@ -6,7 +6,8 @@
     For an iterative CTE [R as (R0 ITERATE Ri UNTIL Tc)]:
 
     {ol
-    {- materialize [R0] into the CTE table (step 1 of Table I);}
+    {- materialize [R0] into the CTE table (step 1 of Table I) and
+       check its unique row key (§II);}
     {- initialize the loop operator (step 2);}
     {- each iteration: materialize [Ri] into the working table
        (step 3), check the unique-row-key requirement of §II, then
@@ -207,6 +208,9 @@ let compile_iterative ctx ~name ~columns ~key ~base ~step ~until
   let loop_id = ctx.next_loop in
   ctx.next_loop <- ctx.next_loop + 1;
   emit ctx (Program.Materialize { target = name; plan = base_plan });
+  (* §II: the CTE is keyed from R0 on, so every later step may merge
+     by key. *)
+  emit ctx (Program.Assert_unique_key { temp = name; key_idx });
   emit ctx
     (Program.Init_loop
        {

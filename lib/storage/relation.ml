@@ -104,18 +104,6 @@ let column t name =
   | Some b when Atomic.get t.rows_v = None -> Colbatch.to_values (Colbatch.col b i)
   | _ -> Array.map (fun r -> r.(i)) (rows t)
 
-(** [key_values t i] — column [i] as boxed values, read from whichever
-    view is already materialized (the unique-key check's accessor: it
-    must not force a full row materialization of a columnar CTE every
-    iteration). *)
-let key_values t i =
-  match Atomic.get t.rows_v with
-  | Some rs -> Array.map (fun r -> r.(i)) rs
-  | None -> (
-    match Atomic.get t.cols_v with
-    | Some b -> Colbatch.to_values (Colbatch.col b i)
-    | None -> [||])
-
 (** Structural equality as a {e bag} of rows (order-insensitive):
     relations are sets/bags in SQL, so tests compare with this. *)
 let equal_bag a b =

@@ -33,11 +33,6 @@ val rows : t -> Row.t array
     work). *)
 val columnar : t -> Colbatch.t
 
-(** [key_values t i] — column [i] as boxed values, read from whichever
-    view is already materialized (never forces a row
-    materialization). *)
-val key_values : t -> int -> Value.t array
-
 val cardinality : t -> int
 val is_empty : t -> bool
 val iter : (Row.t -> unit) -> t -> unit

@@ -507,20 +507,61 @@ let test_loop_guard () =
     Alcotest.(check bool) "mentions guard" true (contains m "guard")
   | _ -> Alcotest.fail "expected guard error"
 
+let null_key_error =
+  "iterative CTE produced a NULL row key; specify a key column or remove \
+   NULL keys"
+
+let duplicate_key_error k =
+  Printf.sprintf
+    "iterative CTE produced duplicate rows for key %s; resolve duplicates \
+     with an aggregation or GROUP BY (see paper §II)"
+    k
+
+(** The §II check over one key column, built from rows (the columnar
+    view classifies it: typed with a NULL mask where it can) and from a
+    batch of boxed cells (NULLs inline). Each case names the error of
+    its first offending row in row order, NULL before duplicate at one
+    row, or [None] for a keyed column. *)
 let test_assert_unique_key () =
-  let catalog = Catalog.create () in
-  Catalog.set_temp catalog "w" (rel [ "k" ] [ [ vi 1 ]; [ vi 1 ] ]);
-  (match Executor.assert_unique_key catalog ~temp:"w" ~key_idx:0 with
-  | exception Executor.Execution_error m ->
-    Alcotest.(check bool) "duplicate detected" true (contains m "duplicate")
-  | () -> Alcotest.fail "expected duplicate-key error");
-  Catalog.set_temp catalog "w2" (rel [ "k" ] [ [ vnull ] ]);
-  (match Executor.assert_unique_key catalog ~temp:"w2" ~key_idx:0 with
-  | exception Executor.Execution_error m ->
-    Alcotest.(check bool) "null key detected" true (contains m "null")
-  | () -> Alcotest.fail "expected null-key error");
-  Catalog.set_temp catalog "w3" (rel [ "k" ] [ [ vi 1 ]; [ vi 2 ] ]);
-  Executor.assert_unique_key catalog ~temp:"w3" ~key_idx:0
+  let check name keys expected =
+    let schema = Schema.of_names [ "k"; "v" ] in
+    let n = List.length keys in
+    let from_rows = rel [ "k"; "v" ] (List.map (fun k -> [ k; vi 0 ]) keys) in
+    let from_batch =
+      Relation.of_batch schema
+        (Colbatch.make ~len:n
+           [|
+             Colbatch.of_values_raw (Array.of_list keys);
+             Colbatch.const (vi 0) n;
+           |])
+    in
+    List.iter
+      (fun (view, r) ->
+        let catalog = Catalog.create () in
+        Catalog.set_temp catalog "w" r;
+        let got =
+          match Executor.assert_unique_key catalog ~temp:"w" ~key_idx:0 with
+          | () -> None
+          | exception Executor.Execution_error m -> Some m
+        in
+        Alcotest.(check (option string)) (name ^ ", " ^ view) expected got)
+      [ ("from rows", from_rows); ("from a batch", from_batch) ]
+  in
+  let dup k = Some (duplicate_key_error k) and null = Some null_key_error in
+  check "distinct ints" [ vi 1; vi 2; vi 3 ] None;
+  check "repeated int" [ vi 1; vi 2; vi 1 ] (dup "1");
+  check "Int 1 and Float 1.0" [ vi 1; vf 1.0 ] (dup "1.0");
+  check "0.0 and -0.0" [ vf 0.0; vf 1.5; vf (-0.0) ] (dup "-0.0");
+  check "two NaNs" [ vf Float.nan; vf 1.5; vf Float.nan ] (dup "nan");
+  check "one NaN" [ vf Float.nan; vf 1.5 ] None;
+  check "NULL key" [ vi 1; vnull ] null;
+  check "NULL float key" [ vf 1.5; vnull ] null;
+  check "2^53 and 2^53 + 1" [ vi (1 lsl 53); vi ((1 lsl 53) + 1) ] None;
+  check "distinct strings" [ vs "a"; vs "b" ] None;
+  check "repeated string" [ vs "a"; vs "b"; vs "a" ] (dup "'a'");
+  check "NULL before a later duplicate" [ vi 1; vnull; vi 1 ] null;
+  check "duplicate before a later NULL" [ vi 1; vi 1; vnull ] (dup "1");
+  check "empty" [] None
 
 let test_recursive_cte_program () =
   (* Transitive closure of 1 -> 2 -> 3 -> 4 from node 1. *)
@@ -608,20 +649,16 @@ let test_missing_return () =
 (* ------------------------------------------------------------------ *)
 (* The Merge step against a list-of-rows reference                     *)
 
-(** The partial update spelled out over lists: per CTE row, in order,
-    every work row whose key equals its key, the latest first, or else
-    the CTE row; a NULL key matches nothing. *)
+(** The partial update spelled out over lists of keyed rows: per CTE
+    row, in order, the work row whose key equals its key, or else the
+    CTE row; a NULL work key matches nothing. *)
 let reference_merge ~key_idx (cte : Value.t array list)
     (work : Value.t array list) =
-  let latest_first = List.rev work in
-  List.concat_map
+  List.map
     (fun row ->
       let k = row.(key_idx) in
-      let hits =
-        if Value.is_null k then []
-        else List.filter (fun w -> Value.equal w.(key_idx) k) latest_first
-      in
-      if hits = [] then [ row ] else hits)
+      Option.value ~default:row
+        (List.find_opt (fun w -> Value.equal w.(key_idx) k) work))
     cte
 
 (* Same kind and same value, floats bit for bit: [Int 1] is not
@@ -694,19 +731,29 @@ let test_merge_cases () =
   case "negative zero in the CTE"
     [ [ vf (-0.0); vi 1 ]; [ vf 1.5; vi 2 ] ]
     [ [ vf 0.0; vi 9 ] ];
-  case "duplicate CTE keys"
+  (* A CTE that is not keyed, or two work rows with one key, raise
+     the §II error of the first offending row. *)
+  let fails name expected cte work =
+    let names = [ "c0"; "c1" ] in
+    match run_merge ~key_idx:0 (rel names cte) (rel names work) with
+    | exception Executor.Execution_error m ->
+      Alcotest.(check string) name expected m
+    | _ -> Alcotest.failf "%s: expected the §II error" name
+  in
+  fails "duplicate CTE keys" (duplicate_key_error "1")
     [ [ vi 1; vs "a" ]; [ vi 2; vs "b" ]; [ vi 1; vs "c" ] ]
     [ [ vi 1; vs "z" ] ];
-  case "duplicate work keys" cte
+  fails "duplicate work keys" (duplicate_key_error "2") cte
     [ [ vi 2; vi 21 ]; [ vi 3; vi 31 ]; [ vi 2; vi 22 ]; [ vi 2; vi 23 ] ];
   case "NaN keys" [ [ vf Float.nan; vi 1 ]; [ vf 1.5; vi 2 ] ]
     [ [ vf Float.nan; vi 3 ] ];
-  case "NULL CTE key"
+  fails "NULL CTE key" null_key_error
     [ [ vnull; vi 1 ]; [ vi 1; vi 2 ]; [ vnull; vi 3 ] ]
     [ [ vi 1; vi 9 ]; [ vnull; vi 8 ] ];
-  case "NULL and duplicate CTE keys"
+  fails "NULL and duplicate CTE keys" null_key_error
     [ [ vnull; vi 1 ]; [ vi 1; vi 2 ]; [ vi 1; vi 3 ] ]
     [ [ vnull; vi 8 ]; [ vi 1; vi 9 ] ];
+  case "NULL work key" cte [ [ vnull; vi 8 ]; [ vi 1; vi 9 ] ];
   case "work key absent from the CTE" cte [ [ vi 7; vi 70 ]; [ vi 2; vi 21 ] ];
   case "Int column, Float work" cte [ [ vi 2; vf 2.5 ] ];
   case "NULL cells"
@@ -724,7 +771,8 @@ let test_merge_cases () =
     (run_merge ~key_idx:0 (rel names []) (rel names [ [ vi 1; vi 2 ] ]))
 
 (** Run [program] on a catalog, returning every relation its [Merge]
-    steps bound to [c#merge], in order. *)
+    steps bound to [c#merge], in order, and the execution error that
+    stopped it, if one did. *)
 let run_recording_merges program =
   let catalog = Catalog.create () and stats = Stats.create () in
   let merged = ref [] in
@@ -749,11 +797,18 @@ let run_recording_merges program =
   let m =
     Executor.start backend ~stats ~guards:Dbspinner_exec.Guards.none program
   in
-  while not (Executor.halted m) do
-    Executor.step m
-  done;
-  ignore (Executor.finish m);
-  Array.of_list (List.rev !merged)
+  let error =
+    match
+      while not (Executor.halted m) do
+        Executor.step m
+      done
+    with
+    | () ->
+      ignore (Executor.finish m);
+      None
+    | exception Executor.Execution_error msg -> Some msg
+  in
+  (Array.of_list (List.rev !merged), error)
 
 let kv_schema = Schema.of_names [ "k"; "v" ]
 
@@ -799,7 +854,7 @@ let test_merge_carried_index () =
          (Logical.scan ~name:"c" ~schema:kv_schema))
   in
   let r0 = List.init 5 (fun i -> [| vi (i + 1); vi 0 |]) in
-  let merged =
+  let merged, error =
     run_recording_merges
       (Program.make
          [
@@ -813,6 +868,7 @@ let test_merge_carried_index () =
          ]
          ~result_schema:kv_schema)
   in
+  Alcotest.(check (option string)) "no error" None error;
   Alcotest.(check int) "one merge per iteration" 4 (Array.length merged);
   let work_of rows =
     List.filter_map
@@ -838,20 +894,19 @@ let test_merge_carried_index () =
   Alcotest.(check bool) "float keys rewrite the key column" false
     (key 1 == key 2)
 
-(** Merges of one loop where the second, with a duplicate work key,
-    repeats a CTE row: the CTE it leaves has new row positions and a
-    duplicate key, so the next merge must not probe the index built
-    before it. *)
+(** Merges of one loop where the second has a duplicate work key: it
+    raises the §II error for that key instead of merging, so no CTE
+    with a repeated key (and new row positions) reaches a later merge
+    through the index built before it. *)
 let test_merge_index_after_fallback () =
   let r0 = List.init 4 (fun i -> [| vi (i + 1); vi 0 |]) in
   let works =
     [
       [ [| vi 3; vi 30 |] ];
       [ [| vi 2; vi 20 |]; [| vi 2; vi 21 |] ];
-      [ [| vi 4; vi 40 |]; [| vi 2; vi 22 |] ];
     ]
   in
-  let merged =
+  let merged, error =
     run_recording_merges
       (Program.make
          (Program.Materialize { target = "c"; plan = values r0 }
@@ -867,14 +922,12 @@ let test_merge_index_after_fallback () =
          @ [ Program.Return (Logical.scan ~name:"c" ~schema:kv_schema) ])
          ~result_schema:kv_schema)
   in
-  ignore
-    (List.fold_left
-       (fun (i, cte) w ->
-         let expected = reference_merge ~key_idx:0 cte w in
-         check_identical_rows (Printf.sprintf "merge %d" (i + 1)) expected
-           merged.(i);
-         (i + 1, expected))
-       (0, r0) works)
+  Alcotest.(check int) "only the first merge binds" 1 (Array.length merged);
+  check_identical_rows "merge 1"
+    (reference_merge ~key_idx:0 r0 (List.hd works))
+    merged.(0);
+  Alcotest.(check (option string)) "merge 2 raises for key 2"
+    (Some (duplicate_key_error "2")) error
 
 let () =
   Alcotest.run "exec"

@@ -421,6 +421,66 @@ let test_int_float_duplicate_key () =
        (error_text (fun () -> ignore (Executor.run_program catalog program)))
        "duplicate rows for key")
 
+(** §II keys the CTE from R0 on: an R0 with a repeated or NULL key is
+    an error before the first iteration, whichever update path the loop
+    compiles to. The same error text on every executor, with [use_rename]
+    on and off (rename vs merge must not change the answer). *)
+let test_r0_key_check () =
+  let e = Engine.create () in
+  Engine.load_table e ~name:"t"
+    (rel [ "k"; "v" ] [ [ vi 1; vi 10 ]; [ vi 1; vi 11 ]; [ vi 2; vi 20 ] ]);
+  Engine.load_table e ~name:"n"
+    (rel [ "k"; "v" ] [ [ vi 1; vi 10 ]; [ vnull; vi 11 ]; [ vi 2; vi 20 ] ]);
+  let catalog = Engine.catalog e in
+  let loop r0 ri =
+    Printf.sprintf
+      "WITH ITERATIVE r (k, v) KEY k AS (SELECT k, v FROM %s ITERATE %s \
+       UNTIL 3 ITERATIONS) SELECT * FROM r"
+      r0 ri
+  in
+  let duplicate =
+    "execute error: iterative CTE produced duplicate rows for key 1; resolve \
+     duplicates with an aggregation or GROUP BY (see paper §II)"
+  and null =
+    "execute error: iterative CTE produced a NULL row key; specify a key \
+     column or remove NULL keys"
+  in
+  List.iter
+    (fun (name, sql, expected) ->
+      List.iter
+        (fun use_rename ->
+          let options = { Options.default with use_rename } in
+          let config what = Printf.sprintf "%s, rename %b, %s" name use_rename what in
+          List.iter
+            (fun parallel_workers ->
+              let options = { options with parallel_workers } in
+              Alcotest.(check string)
+                (config (Printf.sprintf "%d workers" parallel_workers))
+                expected
+                (error_text (fun () ->
+                     Engine.with_options e options (fun () ->
+                         ignore (Engine.query e sql)))))
+            [ 1; 2 ];
+          let program =
+            Iterative_rewrite.compile ~options
+              ~lookup:(fun name ->
+                Option.map Dbspinner_storage.Table.schema
+                  (Catalog.find_table_opt catalog name))
+              (Dbspinner_sql.Parser.parse_query sql)
+          in
+          Catalog.clear_temps catalog;
+          Alcotest.(check string) (config "distributed") expected
+            (error_text (fun () ->
+                 ignore (Distributed.run_program ~workers:2 catalog program))))
+        [ true; false ])
+    [
+      ( "grouping full update",
+        loop "t" "SELECT r.k, MAX(r.v) + 1 FROM r GROUP BY r.k",
+        duplicate );
+      ("partial update", loop "t" "SELECT k, v + 1 FROM r WHERE k = 2", duplicate);
+      ("NULL R0 key", loop "n" "SELECT k, v + 1 FROM r WHERE k = 2", null);
+    ]
+
 (** The distributed twin of the engine's mid-operator timeout test: a
     nested-loop double self-join with no materialize boundary must
     trip the statement timeout inside the operator on the distributed
@@ -484,6 +544,7 @@ let () =
           Alcotest.test_case "error-parity" `Quick test_error_parity;
           Alcotest.test_case "int-float-duplicate-key" `Quick
             test_int_float_duplicate_key;
+          Alcotest.test_case "r0-key-check" `Quick test_r0_key_check;
           Alcotest.test_case "timeout-inside-operator" `Quick
             test_statement_timeout_inside_operator;
         ] );

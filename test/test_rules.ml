@@ -257,9 +257,10 @@ let golden_pr =
                 Scan edges
               Project [$1 AS dst]
                 Scan edges
- 2. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
- 3. Snapshot #0
- 4. DeltaMaterialize PageRank#work (1 affected-key plan):
+ 2. AssertUniqueKey PageRank (column 0)
+ 3. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
+ 4. Snapshot #0
+ 5. DeltaMaterialize PageRank#work (1 affected-key plan):
       Project [$0 AS Node, $1 AS Rank, $2 AS delta]
         Project [$0 AS node, $1 AS _col1, COALESCE((0.85 * $2), 0) AS coalesce]
           Aggregate keys=[$0, ($1 + $2)] aggs=[SUM(($8 * $5))]
@@ -270,10 +271,10 @@ let golden_pr =
                   Scan PageRank#affected
                 Scan edges
               Scan PageRank
- 5. AssertUniqueKey PageRank#work (column 0)
- 6. Rename PageRank#work -> PageRank
- 7. LoopEnd #0: go to step 3 while continue
- 8. Return:
+ 6. AssertUniqueKey PageRank#work (column 0)
+ 7. Rename PageRank#work -> PageRank
+ 8. LoopEnd #0: go to step 4 while continue
+ 9. Return:
       Project [$0 AS Node, $1 AS Rank]
         Scan PageRank|}
 
@@ -293,9 +294,10 @@ let golden_pr_vs =
                 Scan edges
               Project [$1 AS dst]
                 Scan edges
- 3. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
- 4. Snapshot #0
- 5. DeltaMaterialize PageRank#work (1 affected-key plan):
+ 3. AssertUniqueKey PageRank (column 0)
+ 4. InitLoop #0 over PageRank <<Metadata(iterations=10)>>
+ 5. Snapshot #0
+ 6. DeltaMaterialize PageRank#work (1 affected-key plan):
       Project [$0 AS Node, $1 AS Rank, $2 AS delta]
         Project [$0 AS node, $1 AS _col1, COALESCE((0.85 * $2), 0) AS coalesce]
           Aggregate keys=[$0, ($1 + $2)] aggs=[SUM(($10 * $5))]
@@ -306,12 +308,12 @@ let golden_pr_vs =
                   Scan PageRank#affected
                 Scan pagerank__common1
               Scan PageRank
- 6. AssertUniqueKey PageRank#work (column 0)
- 7. Merge PageRank#work into PageRank as PageRank#merge (key column 0)
- 8. Rename PageRank#merge -> PageRank
- 9. Drop PageRank#work
-10. LoopEnd #0: go to step 4 while continue
-11. Return:
+ 7. AssertUniqueKey PageRank#work (column 0)
+ 8. Merge PageRank#work into PageRank as PageRank#merge (key column 0)
+ 9. Rename PageRank#merge -> PageRank
+10. Drop PageRank#work
+11. LoopEnd #0: go to step 5 while continue
+12. Return:
       Project [$0 AS Node, $1 AS Rank]
         Scan PageRank|}
 
@@ -325,9 +327,10 @@ let golden_sssp =
                 Scan edges
               Project [$1 AS dst]
                 Scan edges
- 2. InitLoop #0 over sssp <<Metadata(iterations=10)>>
- 3. Snapshot #0
- 4. DeltaMaterialize sssp#work (1 affected-key plan):
+ 2. AssertUniqueKey sssp (column 0)
+ 3. InitLoop #0 over sssp <<Metadata(iterations=10)>>
+ 4. Snapshot #0
+ 5. DeltaMaterialize sssp#work (1 affected-key plan):
       Project [$0 AS Node, $1 AS Distance, $2 AS delta]
         Project [$0 AS node, $1 AS least, COALESCE($2, 9999999) AS coalesce]
           Aggregate keys=[$0, LEAST($1, $2)] aggs=[MIN(($8 + $5))]
@@ -339,12 +342,12 @@ let golden_sssp =
                 Scan edges
               Filter ($2 <> 9999999)
                 Scan sssp
- 5. AssertUniqueKey sssp#work (column 0)
- 6. Merge sssp#work into sssp as sssp#merge (key column 0)
- 7. Rename sssp#merge -> sssp
- 8. Drop sssp#work
- 9. LoopEnd #0: go to step 3 while continue
-10. Return:
+ 6. AssertUniqueKey sssp#work (column 0)
+ 7. Merge sssp#work into sssp as sssp#merge (key column 0)
+ 8. Rename sssp#merge -> sssp
+ 9. Drop sssp#work
+10. LoopEnd #0: go to step 4 while continue
+11. Return:
       Project [$0 AS Node, $1 AS Distance, $2 AS delta]
         Scan sssp|}
 
@@ -355,18 +358,19 @@ let golden_ff =
           Aggregate keys=[$0] aggs=[COUNT($1)]
             Filter (($0 % 10) = 0)
               Scan edges
- 2. InitLoop #0 over forecast <<Metadata(iterations=5)>>
- 3. Snapshot #0
- 4. DeltaMaterialize forecast#work (0 affected-key plans):
+ 2. AssertUniqueKey forecast (column 0)
+ 3. InitLoop #0 over forecast <<Metadata(iterations=5)>>
+ 4. Snapshot #0
+ 5. DeltaMaterialize forecast#work (0 affected-key plans):
       Project [$0 AS node, $1 AS friends, $2 AS friendsPrev]
         Project [$0 AS node, ROUND(CAST((($1 / $2) * $1) AS FLOAT), 5) AS friends, $1 AS friendsPrev]
           SemiJoin (IN $0)
             Scan forecast
             Scan forecast#affected
- 5. AssertUniqueKey forecast#work (column 0)
- 6. Rename forecast#work -> forecast
- 7. LoopEnd #0: go to step 3 while continue
- 8. Return:
+ 6. AssertUniqueKey forecast#work (column 0)
+ 7. Rename forecast#work -> forecast
+ 8. LoopEnd #0: go to step 4 while continue
+ 9. Return:
       Limit 10
         Sort [$1 DESC, $0 ASC]
           Project [$0 AS node, $1 AS friends]
