@@ -115,15 +115,20 @@ rewrite-smoke: build
 # test suite misses it. paper-iterative covers PR, PR-VS and SSSP-VS,
 # whose float SUMs are fed by join output order; server-mixed covers
 # the server read path, whose short loops reuse join probes too.
+# frontier-sssp also runs traced: the traced path takes snapshots and
+# forces every iteration's delta, and fails a statement whose answer
+# differs from the untraced run's, so the index-served semi-naive path
+# is checked against the untraced run as well as the oracle.
 perfbench-smoke: build
 	@set -e; \
-	for WL in frontier-sssp paper-iterative server-mixed; do \
-	  OUT=$$(sh perfbench/run.sh --workload $$WL --seed 1 --seconds 3 --trace 0); \
+	for RUN in frontier-sssp:0 frontier-sssp:1 paper-iterative:0 server-mixed:0; do \
+	  WL=$${RUN%:*}; TRACE=$${RUN#*:}; \
+	  OUT=$$(sh perfbench/run.sh --workload $$WL --seed 1 --seconds 3 --trace $$TRACE); \
 	  LINE=$$(echo "$$OUT" | tail -1); \
 	  echo "$$LINE"; \
-	  echo "$$LINE" | grep -q '"correct": true' || { echo "FAIL: $$WL answers disagree with the oracle"; exit 1; }; \
-	  echo "$$LINE" | grep -Eq '"failed": 0[,}]' || { echo "FAIL: $$WL reported failed operations"; exit 1; }; \
-	  echo "perfbench-smoke: $$WL answers correct, no failures"; \
+	  echo "$$LINE" | grep -q '"correct": true' || { echo "FAIL: $$WL (trace $$TRACE) answers disagree with the oracle"; exit 1; }; \
+	  echo "$$LINE" | grep -Eq '"failed": 0[,}]' || { echo "FAIL: $$WL (trace $$TRACE) reported failed operations"; exit 1; }; \
+	  echo "perfbench-smoke: $$WL (trace $$TRACE) answers correct, no failures"; \
 	done
 
 bench-fast: build

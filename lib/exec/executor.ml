@@ -77,8 +77,55 @@ let cache_sources (catalog : Catalog.t) (plan : Logical.t) :
   | () -> Some (List.sort_uniq compare !acc)
   | exception Not_cacheable -> None
 
-let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
+(** The checked index of a CTE's key column ({!key_index}): the
+    [Keyhash] table of column [ki_key], built over the column [ki_col]
+    and valid for any relation of as many rows whose key column is
+    physically that column. Keys are unique and never NULL. *)
+type key_index = { ki_key : int; ki_col : Colbatch.col; ki_table : Keyhash.t }
+
+(* Whether [ix] indexes the key column of [rel]. *)
+let indexes ix (rel : Relation.t) =
+  Relation.cardinality rel = Keyhash.groups ix.ki_table
+  && Colbatch.col (Relation.columnar rel) ix.ki_key == ix.ki_col
+
+(* The relation [plan] scans, when it is a scan whose key column is
+   physically the column [index] was built over. *)
+let indexed_scan index catalog (plan : Logical.t) =
+  match index, plan with
+  | Some ix, Logical.L_scan { name; scan_schema } -> (
+    match Catalog.resolve_opt catalog name with
+    | Some rel
+      when Schema.arity (Relation.schema rel) = Schema.arity scan_schema
+           && ix.ki_key < Schema.arity scan_schema
+           && indexes ix rel ->
+      Some (ix, rel)
+    | _ -> None)
+  | _ -> None
+
+(* A join leg served by [index]: the right input is [Scan cte] or
+   [Filter (p, Scan cte)] over the indexed CTE and the condition's only
+   equi-key is the CTE key. Returns the probe expression, the filter,
+   the residual and the CTE. *)
+let indexed_leg index catalog ~left_arity kind cond right =
+  match kind, cond with
+  | (Logical.Inner | Logical.Left_outer), Some cnd -> (
+    let filter, scan =
+      match right with
+      | Logical.L_filter { pred; input } -> (Some pred, input)
+      | _ -> (None, right)
+    in
+    match indexed_scan index catalog scan with
+    | None -> None
+    | Some (ix, rel) -> (
+      match Operators.split_equi_condition ~left_arity cnd with
+      | [ (probe, Bound_expr.B_col k) ], residual when k = ix.ki_key ->
+        Some (probe, filter, residual, ix, rel)
+      | _ -> None))
+  | _ -> None
+
+let rec run_plan ?parallel ?cache ?guards ?columnar ?index ~(stats : Stats.t)
     (catalog : Catalog.t) (plan : Logical.t) : Relation.t =
+  let run = run_plan ?parallel ?cache ?guards ?columnar ?index ~stats catalog in
   match plan with
   | Logical.L_scan { name; scan_schema } -> (
     Stats.timed stats Stats.Op_scan @@ fun () ->
@@ -92,126 +139,121 @@ let rec run_plan ?parallel ?cache ?guards ?columnar ~(stats : Stats.t)
       rel)
   | Logical.L_values rel -> rel
   | Logical.L_filter { pred; input } ->
-    Operators.filter ?parallel ?cache ?guards ?columnar ~stats pred
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
+    Operators.filter ?parallel ?cache ?guards ?columnar ~stats pred (run input)
   | Logical.L_project { exprs; input } ->
     Operators.project ?parallel ?cache ?guards ?columnar ~stats exprs
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
+      (run input)
   | Logical.L_join { kind; cond; left; right; join_schema } -> (
-    let l = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog left in
-    (* Cached hash-join path: when the build (right) side reads only
-       named relations, memoize its build table under the sources'
-       generations. A loop-invariant side (the common-result temp, or a
-       base table like [edges]) keeps its generation across iterations
-       and hits; the iterative temp is rebound each iteration and
-       misses. The node's site in the cache lets a probe whose key
-       columns come back unchanged reuse its previous selection
-       vectors. Falls back to the ordinary join when no equi-key exists
-       or the side is not eligible. *)
-    let cached =
-      match cache, cond with
-      | Some c, Some cnd when kind <> Logical.Cross -> (
-        let left_arity = Schema.arity (Relation.schema l) in
-        match Operators.split_equi_condition ~left_arity cnd with
-        | [], _ -> None
-        | keys, residual -> (
-          match cache_sources catalog right with
-          | None -> None
-          | Some srcs ->
-            let build_keys = List.map snd keys in
-            let build =
-              Cache.join_build c ~stats
-                { Cache.bk_sources = srcs; bk_plan = right; bk_keys = build_keys }
-                (fun local ->
-                  let r =
-                    run_plan ?parallel ?cache ?guards ?columnar ~stats:local
-                      catalog right
-                  in
-                  Operators.make_join_build ?cache ?guards ~stats:local
-                    build_keys r)
-            in
-            Some
-              (Operators.hash_join_probe ?parallel ?cache ?guards ?columnar
-                 ~site:(Cache.join_site c plan) ~stats kind keys residual
-                 build l join_schema)))
-      | _ -> None
-    in
-    match cached with
-    | Some rel -> rel
-    | None ->
-      let r = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog right in
-      Operators.join ?parallel ?cache ?guards ?columnar ~stats kind cond l r
-        join_schema)
+    let l = run left in
+    let left_arity = Schema.arity (Relation.schema l) in
+    match indexed_leg index catalog ~left_arity kind cond right with
+    | Some (probe, filter, residual, ix, rel) ->
+      Operators.index_join ?cache ?guards ~stats kind ~probe
+        ~index:ix.ki_table ~filter ~residual l rel join_schema
+    | None -> (
+      (* Cached hash-join path: when the build (right) side reads only
+         named relations, memoize its build table under the sources'
+         generations. A loop-invariant side (the common-result temp, or
+         a base table like [edges]) keeps its generation across
+         iterations and hits; the iterative temp is rebound each
+         iteration and misses. The node's site in the cache lets a
+         probe whose key columns come back unchanged reuse its previous
+         selection vectors. Falls back to the ordinary join when no
+         equi-key exists or the side is not eligible. *)
+      let cached =
+        match cache, cond with
+        | Some c, Some cnd when kind <> Logical.Cross -> (
+          match Operators.split_equi_condition ~left_arity cnd with
+          | [], _ -> None
+          | keys, residual -> (
+            match cache_sources catalog right with
+            | None -> None
+            | Some srcs ->
+              let build_keys = List.map snd keys in
+              let build =
+                Cache.join_build c ~stats
+                  {
+                    Cache.bk_sources = srcs;
+                    bk_plan = right;
+                    bk_keys = build_keys;
+                  }
+                  (fun local ->
+                    let r =
+                      run_plan ?parallel ?cache ?guards ?columnar ?index
+                        ~stats:local catalog right
+                    in
+                    Operators.make_join_build ?cache ?guards ~stats:local
+                      build_keys r)
+              in
+              Some
+                (Operators.hash_join_probe ?parallel ?cache ?guards ?columnar
+                   ~site:(Cache.join_site c plan) ~stats kind keys residual
+                   build l join_schema)))
+        | _ -> None
+      in
+      match cached with
+      | Some rel -> rel
+      | None ->
+        Operators.join ?parallel ?cache ?guards ?columnar ~stats kind cond l
+          (run right) join_schema))
   | Logical.L_aggregate { keys; aggs; input; agg_schema } ->
     Operators.aggregate ?cache ?guards ?columnar
       ?site:(Option.map (fun c -> Cache.agg_site c plan) cache)
-      ~stats ~keys ~aggs
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
-      agg_schema
-  | Logical.L_distinct input ->
-    Operators.distinct ~stats
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
+      ~stats ~keys ~aggs (run input) agg_schema
+  | Logical.L_distinct input -> Operators.distinct ~stats (run input)
   | Logical.L_sort { keys; input } ->
-    Operators.sort ?cache ~stats keys
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
-  | Logical.L_limit (n, input) ->
-    Operators.limit ~stats n
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
-  | Logical.L_offset (n, input) ->
-    Operators.offset ~stats n
-      (run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input)
+    Operators.sort ?cache ~stats keys (run input)
+  | Logical.L_limit (n, input) -> Operators.limit ~stats n (run input)
+  | Logical.L_offset (n, input) -> Operators.offset ~stats n (run input)
   | Logical.L_union { all; left; right } ->
-    let l = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog left in
-    let r = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog right in
-    let u = Operators.union_all ~stats l r in
+    let l = run left in
+    let u = Operators.union_all ~stats l (run right) in
     if all then u else Operators.distinct ~stats u
   | Logical.L_intersect { all; left; right } ->
-    let l = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog left in
-    let r = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog right in
-    Operators.intersect ~stats ~all l r
+    let l = run left in
+    Operators.intersect ~stats ~all l (run right)
   | Logical.L_except { all; left; right } ->
-    let l = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog left in
-    let r = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog right in
-    Operators.except ~stats ~all l r
+    let l = run left in
+    Operators.except ~stats ~all l (run right)
   | Logical.L_subquery_filter { anti; key; input; sub } -> (
-    let i = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog input in
-    (* Same memoization for IN / EXISTS subquery digests: a
-       loop-invariant subquery is digested once per run. *)
-    let cached =
-      match cache with
-      | Some c -> (
-        match cache_sources catalog sub with
+    match anti, key, indexed_scan index catalog input with
+    | false, Some (Bound_expr.B_col k), Some (ix, rel) when k = ix.ki_key ->
+      (* [cte.key IN (sub)] over the indexed CTE: look the subquery's
+         keys up instead of reading every CTE row. *)
+      Operators.index_semijoin ~stats ~index:ix.ki_table (run sub) rel
+    | _ -> (
+      let i = run input in
+      (* Same memoization for IN / EXISTS subquery digests: a
+         loop-invariant subquery is digested once per run. *)
+      let cached =
+        match cache with
+        | Some c -> (
+          match cache_sources catalog sub with
+          | None -> None
+          | Some srcs ->
+            let keyed = key <> None in
+            let set =
+              Cache.sub_set c ~stats
+                { Cache.sk_sources = srcs; sk_plan = sub; sk_keyed = keyed }
+                (fun local ->
+                  let sq =
+                    run_plan ?parallel ?cache ?guards ?columnar ?index
+                      ~stats:local catalog sub
+                  in
+                  Operators.make_sub_set ~stats:local ~need_members:keyed sq)
+            in
+            Some
+              (Operators.subquery_filter_with_set ?cache ~stats ~anti ~key i
+                 set))
         | None -> None
-        | Some srcs ->
-          let keyed = key <> None in
-          let set =
-            Cache.sub_set c ~stats
-              { Cache.sk_sources = srcs; sk_plan = sub; sk_keyed = keyed }
-              (fun local ->
-                let sq =
-                  run_plan ?parallel ?cache ?guards ?columnar ~stats:local
-                    catalog sub
-                in
-                Operators.make_sub_set ~stats:local ~need_members:keyed sq)
-          in
-          Some (Operators.subquery_filter_with_set ?cache ~stats ~anti ~key i set))
-      | None -> None
-    in
-    match cached with
-    | Some rel -> rel
-    | None ->
-      let sq = run_plan ?parallel ?cache ?guards ?columnar ~stats catalog sub in
-      Operators.subquery_filter ?cache ~stats ~anti ~key i sq)
+      in
+      match cached with
+      | Some rel -> rel
+      | None ->
+        Operators.subquery_filter ?cache ~stats ~anti ~key i (run sub)))
 
 (* ------------------------------------------------------------------ *)
 (* Loop state (paper §VI-B)                                            *)
-
-(** The checked index of a CTE's key column ({!keyed_table}), carried
-    in the loop state from one [Merge] to the next. It stays valid
-    while the CTE's key column is physically the column it was built
-    over: a merge that changes no key value shares that column, so a
-    loop whose keys are stable checks and builds the index once. *)
-type key_index = { ki_col : Colbatch.col; ki_table : Keyhash.t }
 
 type loop_state = {
   spec : Program.termination;
@@ -243,9 +285,34 @@ type loop_state = {
           iteration — without the streak they would pay an O(|CTE|)
           diff per iteration just to learn that, every time). *)
   mutable m_index : key_index option;
-      (** [Merge] only: the index of the CTE's key column the last merge
-          probed. *)
+      (** the index of the CTE's key column: R0's key check builds it,
+          and each [Merge] probes it (rebuilding it when the CTE's key
+          column is another one). A merge that changes no key value
+          shares the key column, so the index stays valid for its
+          output, and the next iteration's restricted plan and stitch
+          read the CTE through it. *)
+  mutable m_changes : merge_changes option;
+      (** the last [Merge]'s changed positions, when the loop's delta
+          step or its update count reads them *)
 }
+
+(** What one [Merge] changed: the CTE rows it overwrote with a row
+    that differs under {!Keyhash.row_equal}, by position ([mc_pos], in
+    work order). Merging keeps every key at its position, so these are
+    exactly the positions where [mc_output] and [mc_input] differ. *)
+and merge_changes = {
+  mc_input : Relation.t;
+  mc_output : Relation.t;
+  mc_pos : int array;
+}
+
+(* The update count of a CTE going from [prev] to [cur]: the merge's
+   count when it took [prev] to [cur], else a diff. *)
+let update_count st ~prev ~cur =
+  match st.m_changes with
+  | Some mc when mc.mc_input == prev && mc.mc_output == cur ->
+    Array.length mc.mc_pos
+  | _ -> Relation.delta_count ~key_idx:st.key_idx prev cur
 
 (** Consecutive large-delta cutoffs after which a loop permanently
     falls back to full re-evaluation. Deterministic (purely
@@ -282,7 +349,7 @@ let loop_continue ~(stats : Stats.t) ~want_delta ~current (st : loop_state) :
     lazy
       (match st.snapshot with
       | None -> Relation.cardinality (current ())
-      | Some prev -> Relation.delta_count ~key_idx:st.key_idx prev (current ()))
+      | Some prev -> update_count st ~prev ~cur:(current ()))
   in
   let continue_ =
     match st.spec with
@@ -373,11 +440,11 @@ let duplicate_key k =
      with an aggregation or GROUP BY (see paper §II)"
     (Value.to_string k)
 
-(* The [Keyhash] table of column [key_idx] of [rel], or the §II error
-   for its first row whose key is NULL or repeats an earlier row's.
-   Keys compare under {!Value.equal}, the equality of the hash joins,
-   so [Int 1] and [Float 1.0] are one key. *)
-let keyed_table (rel : Relation.t) ~key_idx =
+(* The index of column [key_idx] of [rel], or the §II error for its
+   first row whose key is NULL or repeats an earlier row's. Keys
+   compare under {!Value.equal}, the equality of the hash joins, so
+   [Int 1] and [Float 1.0] are one key. *)
+let key_index (rel : Relation.t) ~key_idx =
   let cb = Relation.columnar rel in
   let key = Colbatch.col cb key_idx in
   let t = Keyhash.build [| key |] (Colbatch.length cb) in
@@ -390,10 +457,10 @@ let keyed_table (rel : Relation.t) ~key_idx =
            remove NULL keys"
       else if reps.(g) <> i then duplicate_key (Colbatch.get key i))
     (Keyhash.ids t);
-  t
+  { ki_key = key_idx; ki_col = key; ki_table = t }
 
 let assert_unique_key catalog ~temp ~key_idx =
-  ignore (keyed_table (Catalog.find_temp catalog temp) ~key_idx)
+  ignore (key_index (Catalog.find_temp catalog temp) ~key_idx)
 
 (* ------------------------------------------------------------------ *)
 (* Step-program interpreter                                            *)
@@ -419,6 +486,11 @@ type 't backend = {
 
 type 't machine = {
   backend : 't backend;
+  eval_indexed : (key_index -> Logical.t -> 't) option;
+      (** runs a restricted plan with the CTE's carried index; [None]
+          runs it through [backend.eval] *)
+  mutable last_check : key_index option;
+      (** the index the last [Assert_unique_key] built *)
   stats : Stats.t;
   guards : Guards.t;
   trace : Trace.t option;
@@ -436,9 +508,11 @@ let trace_mark trace stats =
   | None -> None
   | Some _ -> Some (Unix.gettimeofday (), Stats.copy stats)
 
-let start backend ~stats ~guards ?trace program =
+let start ?eval_indexed backend ~stats ~guards ?trace program =
   {
     backend;
+    eval_indexed;
+    last_check = None;
     stats;
     guards;
     trace;
@@ -547,7 +621,7 @@ let bucket_rows ids ng =
    so a duplicate-key plan still trips [Assert_unique_key] exactly as it
    would have. [affected] holds the affected keys in column 0. The
    output is one gather over [prev_work ++ restricted]. *)
-let stitch ~key_idx ~affected ~restricted ~cur ~prev_work =
+let stitch_with ~index ~key_idx ~affected ~restricted ~cur ~prev_work =
   let key rel idx = Colbatch.col (Relation.columnar rel) idx in
   let n_cur = Relation.cardinality cur in
   let n_res = Relation.cardinality restricted in
@@ -584,7 +658,11 @@ let stitch ~key_idx ~affected ~restricted ~cur ~prev_work =
       (* Each key once, at its first CTE row; an unaffected key keeps
          its first previous row, if it had one. The CTE's keys are
          numbered, and the other inputs looked up in that numbering. *)
-      let cur_t = Keyhash.build [| cur_key |] n_cur in
+      let cur_t =
+        match index with
+        | Some ix when ix.ki_col == cur_key -> ix.ki_table
+        | _ -> Keyhash.build [| cur_key |] n_cur
+      in
       let cur_ids = Keyhash.ids cur_t and first_cur = Keyhash.reps cur_t in
       let ng = Keyhash.groups cur_t in
       let aff_of = Array.make ng (-1) and aff_ids = Keyhash.ids aff in
@@ -632,10 +710,40 @@ let stitch ~key_idx ~affected ~restricted ~cur ~prev_work =
     (Colbatch.gather2 (Relation.columnar prev_work)
        (Relation.columnar restricted) sel)
 
-(* Semi-naive evaluation of one [Delta_materialize]: diff the CTE
-   against the version the previous iteration consumed, evaluate the
-   restricted plan over the affected keys only, and stitch. The diff
-   and stitch run on gathered relations (they are cheap hash passes);
+(* The delta diff from [mc_input] to [mc_output], read off the merge's
+   changed positions: ascending, each as its output row then its input
+   row — the selection the aligned diff makes — or [None] at [cutoff]
+   changed positions. *)
+let merge_delta ~cutoff mc =
+  let k = Array.length mc.mc_pos in
+  if k >= cutoff then None
+  else begin
+    let pos = Array.copy mc.mc_pos in
+    Array.sort Int.compare pos;
+    let np = Relation.cardinality mc.mc_input in
+    let sel = Array.make (2 * k) 0 in
+    Array.iteri
+      (fun i p ->
+        sel.(2 * i) <- np + p;
+        sel.((2 * i) + 1) <- p)
+      pos;
+    Some
+      (Relation.of_batch
+         (Relation.schema mc.mc_output)
+         (Colbatch.gather2
+            (Relation.columnar mc.mc_input)
+            (Relation.columnar mc.mc_output)
+            sel))
+  end
+
+let stitch = stitch_with ~index:None
+
+(* Semi-naive evaluation of one [Delta_materialize]: find the CTE rows
+   changed since the version the previous iteration consumed (read off
+   the loop's last merge when that merge made the one version from the
+   other, else diffed), evaluate the restricted plan over the affected
+   keys only, and stitch. The diff and stitch run on gathered relations
+   (they are cheap hash passes);
    every plan runs on the backend, with the delta and affected-key
    temps bound like any materialized temp. The result is
    bag-identical to running the full plan. *)
@@ -661,7 +769,13 @@ let delta_eval m st ~cte ~key_idx ~full_plan ~restricted_plan ~affected_plans
          original: a zero-change scan must fall through to the
          empty-delta fast path, not report a cutoff. *)
       let cutoff = max 1 ((Relation.cardinality cur + 1) / 2) in
-      match Relation.changed_rows_bounded ~key_idx ~cutoff prev cur with
+      let delta =
+        match st.m_changes with
+        | Some mc when mc.mc_input == prev && mc.mc_output == cur ->
+          merge_delta ~cutoff mc
+        | _ -> Relation.changed_rows_bounded ~key_idx ~cutoff prev cur
+      in
+      match delta with
       | None ->
         st.d_cutoff_streak <- st.d_cutoff_streak + 1;
         full_eval ()
@@ -690,10 +804,27 @@ let delta_eval m st ~cte ~key_idx ~full_plan ~restricted_plan ~affected_plans
             (Colbatch.gather keys (Keyhash.reps distinct))
         in
         b.bind affected_name (b.scatter affected);
-        let restricted = eval restricted_plan in
+        (* The carried index serves the restricted plan's CTE legs and
+           the stitch when this CTE version is the last merge's output
+           and shares its input's key column. Only a merge's output
+           qualifies: whether another step's output shares a column
+           depends on how its operators ran (in chunks, as rows or as
+           batches), and the counters the index changes must not. *)
+        let index =
+          match st.m_changes, st.m_index with
+          | Some mc, Some ix when mc.mc_output == cur && indexes ix cur ->
+            Some ix
+          | _ -> None
+        in
+        let restricted =
+          match index, m.eval_indexed with
+          | Some ix, Some eval_indexed ->
+            b.gather (eval_indexed ix restricted_plan)
+          | _ -> eval restricted_plan
+        in
         stats.Stats.delta_rows_evaluated <-
           stats.Stats.delta_rows_evaluated + Relation.cardinality restricted;
-        stitch ~key_idx ~affected ~restricted ~cur ~prev_work)
+        stitch_with ~index ~key_idx ~affected ~restricted ~cur ~prev_work)
     | _ -> full_eval ()
   in
   (* Rebind the baselines only after every evaluation has completed: a
@@ -781,25 +912,27 @@ let overwrite ~n (c : Colbatch.col) (w : Colbatch.col) pos src m :
 
 (* One [Merge]: the CTE with every row whose key the work table holds
    replaced by that work row, in CTE order. The CTE is keyed (§II):
-   [keyed_table] checks and hashes its key column whenever the loop's
+   {!key_index} checks and hashes its key column whenever the loop's
    carried index was built over another one. Only the work keys are
    looked up, and each column is a copy of the CTE's with the matched
    cells overwritten. The key column is the CTE's own when no matched
    key changes representation, which keeps the index valid for the
    next iteration. A NULL work key matches nothing, since the checked
    CTE has no NULL key; two work rows with one key raise the §II
-   duplicate-key error. *)
+   duplicate-key error. The overwritten positions whose row changed
+   are recorded in [st.m_changes] when something reads them: the
+   loop's delta step still diffs ([d_prev_cte]), or its termination
+   counts updates against a snapshot. *)
 let merge st ~key_idx cte work =
   let cb = Relation.columnar cte and wb = Relation.columnar work in
   let n = Colbatch.length cb and nw = Colbatch.length wb in
-  let ckey = Colbatch.col cb key_idx in
   let index =
     match st.m_index with
-    | Some ix when ix.ki_col == ckey -> ix.ki_table
+    | Some ix when indexes ix cte -> ix.ki_table
     | _ ->
-      let t = keyed_table cte ~key_idx in
-      st.m_index <- Some { ki_col = ckey; ki_table = t };
-      t
+      let ix = key_index cte ~key_idx in
+      st.m_index <- Some ix;
+      ix.ki_table
   in
   let wkey = Colbatch.col wb key_idx in
   let find = Keyhash.prober index [| wkey |] in
@@ -819,15 +952,35 @@ let merge st ~key_idx cte work =
     end
   done;
   let m = !m in
-  if m = 0 then cte
-  else
-    let cols =
-      Array.init (Colbatch.arity cb) (fun c ->
-          let cc = Colbatch.col cb c and wc = Colbatch.col wb c in
-          if c = key_idx && identical_keys cc wc pos src m then cc
-          else overwrite ~n cc wc pos src m)
-    in
-    Relation.of_batch (Relation.schema cte) (Colbatch.make ~len:n cols)
+  let merged =
+    if m = 0 then cte
+    else
+      let cols =
+        Array.init (Colbatch.arity cb) (fun c ->
+            let cc = Colbatch.col cb c and wc = Colbatch.col wb c in
+            if c = key_idx && identical_keys cc wc pos src m then cc
+            else overwrite ~n cc wc pos src m)
+      in
+      Relation.of_batch (Relation.schema cte) (Colbatch.make ~len:n cols)
+  in
+  st.m_changes <-
+    (if Option.is_none st.d_prev_cte && Option.is_none st.snapshot then None
+     else begin
+       (* Keep the matched positions whose row changed, in place. *)
+       let eq =
+         Keyhash.row_equal (Colbatch.cols cb)
+           (Colbatch.cols (Relation.columnar merged))
+       in
+       let c = ref 0 in
+       for k = 0 to m - 1 do
+         if not (eq pos.(k) pos.(k)) then begin
+           pos.(!c) <- pos.(k);
+           incr c
+         end
+       done;
+       Some { mc_input = cte; mc_output = merged; mc_pos = Array.sub pos 0 !c }
+     end);
+  merged
 
 let step m =
   let b = m.backend and stats = m.stats in
@@ -871,7 +1024,7 @@ let step m =
     stats.Stats.renames <- stats.Stats.renames + 1
   | Program.Drop_temp name -> b.drop name
   | Program.Assert_unique_key { temp; key_idx } ->
-    ignore (keyed_table (b.gather (find_temp m temp)) ~key_idx)
+    m.last_check <- Some (key_index (b.gather (find_temp m temp)) ~key_idx)
   | Program.Init_loop { loop_id; termination; cte; key_idx; guard } ->
     Hashtbl.replace m.loops loop_id
       {
@@ -886,7 +1039,14 @@ let step m =
         d_prev_cte = None;
         d_prev_work = None;
         d_cutoff_streak = 0;
-        m_index = None;
+        (* R0's key check, which a loop's program runs just before
+           this step, hands its index to the loop; [merge] and
+           [delta_eval] use it only while it indexes the CTE. *)
+        m_index =
+          (match m.last_check with
+          | Some ix when ix.ki_key = key_idx -> m.last_check
+          | _ -> None);
+        m_changes = None;
       }
   | Program.Snapshot { loop_id } -> (
     let st = find_loop m "Snapshot" loop_id in
@@ -1009,7 +1169,10 @@ let run_program ?parallel ?(stats = Stats.create ()) ?(guards = Guards.none)
         run_recursive ?parallel ?cache ?guards:gopt ~columnar ~stats catalog;
     }
   in
-  let m = start backend ~stats ~guards ?trace program in
+  let eval_indexed index =
+    run_plan ?parallel ?cache ?guards:gopt ~columnar ~index ~stats catalog
+  in
+  let m = start ~eval_indexed backend ~stats ~guards ?trace program in
   while not (halted m) do
     step m
   done;

@@ -10,6 +10,16 @@ module Program = Dbspinner_plan.Program
 
 exception Execution_error of string
 
+(** The checked index of a keyed relation's key column: each key
+    once, none NULL. It serves every relation whose key column is
+    physically the column it was built over. *)
+type key_index
+
+(** [key_index rel ~key_idx] — the index of column [key_idx] of [rel].
+    @raise Execution_error with the §II text of {!assert_unique_key}
+    when a key is NULL or repeated. *)
+val key_index : Relation.t -> key_idx:int -> key_index
+
 (** Evaluate one logical plan. Scans resolve through the catalog with
     temps shadowing base tables. [?parallel] enables chunk-parallel
     filter/project/hash-probe; results and logical stats counters are
@@ -20,12 +30,25 @@ exception Execution_error of string
     vectorized batch paths ({!Vec_eval} kernels over
     {!Dbspinner_storage.Colbatch} columns under selection vectors);
     results and logical stats are bit-identical to the row engine.
+
+    [?index] serves two shapes over a scan whose relation it indexes
+    (any other scan, or a relation whose key column is another
+    physical column, runs as without it):
+    - [SemiJoin (IN $k) (Scan cte) sub], [k] the index's key column,
+      looks [sub]'s keys up ({!Operators.index_semijoin});
+    - an inner or left-outer join whose right input is [Scan cte] or
+      [Filter (p, Scan cte)] and whose only equi-key is the CTE key
+      probes the index ({!Operators.index_join}).
+    Rows and their order are those of the plan run without it. A
+    program passes it only to a semi-naive iteration's restricted
+    plan.
     @raise Execution_error on missing relations or runtime failures. *)
 val run_plan :
   ?parallel:Parallel.ctx ->
   ?cache:Cache.t ->
   ?guards:Guards.t ->
   ?columnar:bool ->
+  ?index:key_index ->
   stats:Stats.t ->
   Catalog.t ->
   Logical.t ->
@@ -102,8 +125,12 @@ type 't machine
 
 (** Begin a program at its first step. [stats], [guards] and [trace]
     are those {!run_program} documents; the Program span's clock starts
-    here. *)
+    here. [eval_indexed ix plan] runs a semi-naive iteration's
+    restricted plan with the CTE's carried index ({!run_plan}'s
+    [?index]); without it, that plan runs through the backend's
+    [eval]. *)
 val start :
+  ?eval_indexed:(key_index -> Logical.t -> 't) ->
   't backend ->
   stats:Stats.t ->
   guards:Guards.t ->

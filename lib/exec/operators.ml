@@ -850,6 +850,93 @@ let hash_join_probe ?parallel ?cache ?guards ?(columnar = false) ?site
   Relation.make_trusted schema rows
   end
 
+(* The row of [right] that [index] numbers as group [g]: a unique
+   index gives every row its own group. *)
+let index_rows index groups =
+  let reps = Keyhash.reps index in
+  Array.map (fun g -> if g < 0 then -1 else reps.(g)) groups
+
+(** The rows of [right] whose key equals some key in column 0 of
+    [keys], each once, in [right]'s order. [index] numbers [right]'s
+    key column and has no NULL key, so a NULL in [keys] matches
+    nothing. *)
+let index_semijoin ~(stats : Stats.t) ~index (keys : Relation.t)
+    (right : Relation.t) : Relation.t =
+  Stats.timed stats Stats.Op_setop @@ fun () ->
+  let kb = Relation.columnar keys in
+  let pos =
+    index_rows index
+      (Keyhash.probe index [| Colbatch.col kb 0 |] (Colbatch.length kb))
+  in
+  Array.sort Int.compare pos;
+  let n = Array.length pos in
+  let sel =
+    select n (fun i -> pos.(i) >= 0 && (i = 0 || pos.(i) <> pos.(i - 1)))
+  in
+  Relation.of_batch (Relation.schema right)
+    (Colbatch.gather (Relation.columnar right) (Array.map (Array.get pos) sel))
+
+(** An inner or left-outer join of [left] to [right] through a unique
+    index of [right]'s key: each left row's [probe] key is looked up in
+    [index], the matched row must pass [filter] (over [right]'s row)
+    and then every [residual] conjunct (over the joined row), and rows
+    come out in left order, a left-outer miss padded with NULLs. No
+    table is built, and [filter] and [residual] see matched rows only.
+    Keys compare as the hash join compares them, so rows and order are
+    the hash join's over [Filter (filter, right)]. *)
+let index_join ?cache ?guards ~(stats : Stats.t) kind ~probe ~index ~filter
+    ~residual (left : Relation.t) (right : Relation.t) schema : Relation.t =
+  Stats.timed stats Stats.Op_join @@ fun () ->
+  let lbatch = Relation.columnar left and rbatch = Relation.columnar right in
+  let n = Colbatch.length lbatch in
+  stats.Stats.join_probes <- stats.Stats.join_probes + n;
+  Guards.tick_n guards (Guards.probe ()) ~stats n;
+  let hits =
+    index_rows index
+      (Keyhash.probe index [| compiled_kernel ?cache ~stats probe lbatch |] n)
+  in
+  let lsel = select n (fun j -> hits.(j) >= 0) in
+  let rsel = Array.map (Array.get hits) lsel in
+  (* Narrow the matched pairs by one predicate over [batch], a batch
+     of one row per pair. *)
+  let narrow (lsel, rsel) pred batch =
+    let keep =
+      Vec_eval.truthy_sel
+        (compiled_kernel ?cache ~stats pred batch)
+        (Array.length lsel)
+    in
+    (Array.map (Array.get lsel) keep, Array.map (Array.get rsel) keep)
+  in
+  let pairs =
+    match filter with
+    | None -> (lsel, rsel)
+    | Some p ->
+      stats.Stats.rows_filtered <-
+        stats.Stats.rows_filtered + Array.length rsel;
+      narrow (lsel, rsel) p (Colbatch.gather rbatch rsel)
+  in
+  let lsel, rsel =
+    List.fold_left
+      (fun ((l, r) as pairs) conj ->
+        narrow pairs conj
+          (Colbatch.hstack (Colbatch.gather lbatch l)
+             (Colbatch.gather rbatch r)))
+      pairs residual
+  in
+  let lsel, rsel, padded =
+    match kind with
+    | Logical.Left_outer when Array.length lsel < n ->
+      let r = Array.make n (-1) in
+      Array.iteri (fun k j -> r.(j) <- rsel.(k)) lsel;
+      (Array.init n Fun.id, r, true)
+    | _ -> (lsel, rsel, false)
+  in
+  stats.Stats.rows_joined <- stats.Stats.rows_joined + Array.length lsel;
+  Relation.of_batch schema
+    (Colbatch.hstack
+       (Colbatch.gather lbatch lsel)
+       (Colbatch.gather_pad ~has_neg:padded rbatch rsel))
+
 (** Hash join over extracted keys: build on the right, probe with the
     left. *)
 let hash_join ?parallel ?cache ?guards ?columnar ~(stats : Stats.t) kind keys

@@ -168,6 +168,41 @@ val hash_join :
   Schema.t ->
   Relation.t
 
+(** [index_semijoin ~stats ~index keys right] — the rows of [right]
+    whose key equals some key in column 0 of [keys], each once, in
+    [right]'s order: [IN] over a relation keyed by one column, with
+    [index] the {!Dbspinner_storage.Keyhash} table of that column (one
+    group per row, no NULL key). Only the keys are looked up. *)
+val index_semijoin :
+  stats:Stats.t ->
+  index:Dbspinner_storage.Keyhash.t ->
+  Relation.t ->
+  Relation.t ->
+  Relation.t
+
+(** [index_join kind ~probe ~index ~filter ~residual left right schema]
+    — the inner or left-outer join [left JOIN Filter (filter, right) ON
+    probe = key AND residual], where [index] is the
+    {!Dbspinner_storage.Keyhash} table of [right]'s key column (one
+    group per row, no NULL key). Each left row's [probe] key is looked
+    up; [filter] and [residual] are evaluated on matched rows only and
+    no table is built. Rows, order and [join_probes]/[rows_joined] are
+    the hash join's; [rows_filtered] counts the matched rows [filter]
+    saw. *)
+val index_join :
+  ?cache:Cache.t ->
+  ?guards:Guards.t ->
+  stats:Stats.t ->
+  Logical.join_kind ->
+  probe:Bound_expr.t ->
+  index:Dbspinner_storage.Keyhash.t ->
+  filter:Bound_expr.t option ->
+  residual:Bound_expr.t list ->
+  Relation.t ->
+  Relation.t ->
+  Schema.t ->
+  Relation.t
+
 (** Nested-loop join for arbitrary (or absent) conditions. *)
 val nested_loop_join :
   ?cache:Cache.t ->

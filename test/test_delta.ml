@@ -11,6 +11,7 @@ module Engine = Dbspinner.Engine
 module Iterative_rewrite = Dbspinner_rewrite.Iterative_rewrite
 module Parser = Dbspinner_sql.Parser
 module Program = Dbspinner_plan.Program
+module Logical = Dbspinner_plan.Logical
 module Catalog = Dbspinner_storage.Catalog
 module Relation = Dbspinner_storage.Relation
 module Table = Dbspinner_storage.Table
@@ -110,6 +111,29 @@ let test_sssp_on_off () =
   Alcotest.(check int) "every iteration ran" sssp_iterations
     s.Stats.loop_iterations;
   check_restricted "sssp" s ~cte_rows:(Relation.cardinality r)
+
+(** SSSP on a chain with an unreachable fan-in, the shape of the
+    frontier benchmark: a narrow frontier, so every iteration after
+    the first reads the CTE through the merge's carried index. The
+    answer is the reference's at one and at two workers, with the same
+    logical work. *)
+let test_frontier_sssp () =
+  let g =
+    Graph_gen.chain_with_fanin ~seed:3 ~num_nodes:200 ~shortcut_every:10
+      ~upstream:20 ~fanout:15
+  in
+  let e = Loader.engine_for g in
+  let p = compile e (Queries.sssp ~source:0 ~iterations:sssp_iterations ()) in
+  let seq, s_seq = run e p in
+  check_sssp_reference "1 worker" g seq;
+  check_restricted "frontier" s_seq ~cte_rows:(Relation.cardinality seq);
+  match Parallel.context ~chunk_rows:16 ~workers:2 () with
+  | None -> Alcotest.fail "no parallel context at 2 workers"
+  | Some parallel ->
+    let par, s_par = run ~parallel e p in
+    check_sssp_reference "2 workers" g par;
+    Alcotest.(check bool) "2 workers logical_equal" true
+      (Stats.logical_equal s_seq s_par)
 
 (* ------------------------------------------------------------------ *)
 (* FF: pointwise rename path, no join legs -> no affected plans        *)
@@ -698,6 +722,189 @@ let prop_diff_stitch =
          in
          match mismatch with None -> true | Some m -> Test.fail_report m))
 
+(* ------------------------------------------------------------------ *)
+(* The delta a merge supplies, against the diff of the same pair       *)
+
+(** Two iterations of a hand-built merge loop over [cte]: the first
+    evaluates [work] in full and merges it, the second reads the delta
+    off that merge. Traced, so [Snapshot] runs and each iteration's
+    update count is reported. *)
+let merge_loop ~cte ~work =
+  let schema = Relation.schema cte in
+  Program.make
+    [
+      Program.Materialize { target = "c"; plan = Logical.values cte };
+      Program.Init_loop
+        {
+          loop_id = 0;
+          termination = Program.Max_iterations 2;
+          cte = "c";
+          key_idx = 0;
+          guard = 10;
+        };
+      Program.Snapshot { loop_id = 0 };
+      Program.Delta_materialize
+        {
+          loop_id = 0;
+          target = "c#work";
+          cte = "c";
+          key_idx = 0;
+          full_plan = Logical.values work;
+          restricted_plan = Logical.values work;
+          affected_plans = [];
+          delta_name = "c#delta";
+          affected_name = "c#affected";
+        };
+      Program.Merge
+        {
+          loop_id = 0;
+          cte = "c";
+          work = "c#work";
+          target = "c#merge";
+          key_idx = 0;
+        };
+      Program.Rename { from_ = "c#merge"; into = "c" };
+      Program.Loop_end { loop_id = 0; body_start = 2 };
+      Program.Return (Logical.scan ~name:"c" ~schema);
+    ]
+    ~result_schema:schema
+
+(** Run {!merge_loop} on the single-node executor, recording every
+    relation bound under each temp name, in order. Returns those, the
+    stats and the update count of each iteration. *)
+let run_merge_loop ~cte ~work =
+  let catalog = Catalog.create () and stats = Stats.create () in
+  let bound = Hashtbl.create 8 in
+  let backend =
+    {
+      Executor.eval = Executor.run_plan ~stats catalog;
+      find = Catalog.find_temp_opt catalog;
+      bind =
+        (fun name r ->
+          Hashtbl.replace bound name
+            (r :: Option.value ~default:[] (Hashtbl.find_opt bound name));
+          Catalog.set_temp catalog name r);
+      rename = (fun ~from_ ~into -> Catalog.rename_temp catalog ~from_ ~into);
+      drop = Catalog.drop_temp catalog;
+      gather = Fun.id;
+      scatter = Fun.id;
+      cardinality = Relation.cardinality;
+      recursive_cte =
+        (fun ~name:_ ~work_name:_ ~base:_ ~step_plan:_ ~union_all:_
+             ~max_recursion:_ -> Alcotest.fail "no recursive CTE here");
+    }
+  in
+  let trace = Trace.create () in
+  let m =
+    Executor.start backend ~stats ~guards:Dbspinner_exec.Guards.none ~trace
+      (merge_loop ~cte ~work)
+  in
+  while not (Executor.halted m) do
+    Executor.step m
+  done;
+  ignore (Executor.finish m);
+  let bound name =
+    List.rev (Option.value ~default:[] (Hashtbl.find_opt bound name))
+  in
+  let counts =
+    List.map
+      (fun (sp : Trace.span) -> sp.Trace.delta)
+      (Trace.iteration_spans trace)
+  in
+  (bound, stats, counts)
+
+(** The second iteration's delta equals {!Relation.changed_rows} of the
+    CTE before and after the first merge — rows, order and cell
+    representations — or, at the cutoff, no delta and a full pass; the
+    first iteration's update count equals {!Relation.delta_count}. *)
+let check_merge_delta msg cte work =
+  let cte = relation_of Typed 2 cte and work = relation_of Typed 2 work in
+  let bound, stats, counts = run_merge_loop ~cte ~work in
+  let merged = List.hd (bound "c#merge") in
+  let cutoff = max 1 ((Relation.cardinality cte + 1) / 2) in
+  Alcotest.(check int) (msg ^ ": update count")
+    (Relation.delta_count ~key_idx:0 cte merged)
+    (List.hd counts);
+  let delta = bound "c#delta" in
+  match Relation.changed_rows_bounded ~key_idx:0 ~cutoff cte merged with
+  | None ->
+    Alcotest.(check int)
+      (msg ^ ": no delta at the cutoff")
+      0 (List.length delta);
+    Alcotest.(check int) (msg ^ ": the cutoff runs the full plan") 2
+      stats.Stats.full_reevals
+  | Some _ ->
+    Alcotest.(check int) (msg ^ ": one full pass") 1 stats.Stats.full_reevals;
+    (* An empty delta is never bound: the previous work output serves. *)
+    let got = match delta with [] -> [] | d :: _ -> rows_of d in
+    let want = rows_of (Relation.changed_rows ~key_idx:0 cte merged) in
+    if not (same_rows got want) then
+      Alcotest.failf "%s: delta\n%s\nchanged_rows\n%s" msg (show_rows got)
+        (show_rows want)
+
+let test_merge_delta () =
+  let cte =
+    kvs [ (1, vi 10); (2, vf 2.5); (3, vnull); (4, vi 40); (5, vi 50) ]
+  in
+  check_merge_delta "empty work" cte [];
+  check_merge_delta "work key absent from the CTE" cte
+    (kvs [ (7, vi 70); (2, vf 9.5) ]);
+  check_merge_delta "equal-value overwrites" cte
+    [ kv (vi 1) (vf 10.0); kv (vf 4.0) (vi 40) ];
+  check_merge_delta "zeros and NaNs"
+    (kvs [ (1, vf 0.0); (2, vf Float.nan); (3, vf (-0.0)) ])
+    (kvs [ (1, vf (-0.0)); (2, vf Float.nan); (3, vf 0.0) ]);
+  check_merge_delta "NULL to non-NULL and back" cte
+    (kvs [ (3, vi 30); (4, vnull) ]);
+  (* Five rows: the cutoff is 3 changed rows. *)
+  check_merge_delta "below the cutoff" cte (kvs [ (5, vi 1); (1, vi 2) ]);
+  check_merge_delta "at the cutoff" cte
+    (kvs [ (5, vi 1); (1, vi 2); (2, vi 3) ]);
+  (* Four rows: the cutoff is 2. *)
+  check_merge_delta "at the cutoff, even size"
+    (kvs [ (1, vi 1); (2, vi 2); (3, vi 3); (4, vi 4) ])
+    (kvs [ (4, vi 0); (2, vi 0) ])
+
+let prop_merge_count =
+  let open QCheck2 in
+  let payload =
+    Gen.oneofl
+      [ vnull; vi 0; vi 1; vf 1.0; vf 2.5; vf Float.nan; vf (-0.0); vf 0.0 ]
+  in
+  let key k = Gen.oneofl [ vi k; vf (float_of_int k) ] in
+  let keyed keys =
+    Gen.(flatten_l (List.map (fun k -> map2 kv (key k) payload) keys))
+  in
+  let unique_keys n =
+    Gen.(
+      list_size (int_range 0 n) (int_range 0 n)
+      >|= List.sort_uniq compare
+      >>= shuffle_l)
+  in
+  let gen =
+    Gen.(
+      let* cte = unique_keys 8 >>= keyed in
+      let* work = unique_keys 11 >>= keyed in
+      let* null_key = bool and* p = payload in
+      return (cte, if null_key then kv vnull p :: work else work))
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:300 ~name:"merge update count = delta_count"
+       ~print:(fun (cte, work) ->
+         Printf.sprintf "cte:\n%s\nwork:\n%s" (show_rows cte) (show_rows work))
+       gen
+       (fun (cte, work) ->
+         let cte = relation_of Typed 2 cte and work = relation_of Boxed 2 work in
+         let bound, _, counts = run_merge_loop ~cte ~work in
+         let merged = List.hd (bound "c#merge") in
+         let want = Relation.delta_count ~key_idx:0 cte merged in
+         match counts with
+         | got :: _ when got = want -> true
+         | got :: _ ->
+           Test.fail_reportf "merge count %d, delta_count %d" got want
+         | [] -> Test.fail_report "no iteration span"))
+
+
 let () =
   Alcotest.run "delta"
     [
@@ -705,6 +912,7 @@ let () =
         [
           Alcotest.test_case "sssp-on-off" `Quick test_sssp_on_off;
           Alcotest.test_case "ff-on-off" `Quick test_ff_on_off;
+          Alcotest.test_case "frontier-sssp" `Quick test_frontier_sssp;
           Alcotest.test_case "first-iteration-full" `Quick
             test_first_iteration_is_full;
         ] );
@@ -733,7 +941,8 @@ let () =
           Alcotest.test_case "unaligned-keys" `Quick test_diff_unaligned;
           Alcotest.test_case "cutoff-boundary" `Quick test_diff_cutoff;
           Alcotest.test_case "stitch" `Quick test_stitch_cases;
+          Alcotest.test_case "merge-delta" `Quick test_merge_delta;
           prop_diff_stitch;
         ] );
-      ("properties", [ prop_delta_on_off ]);
+      ("properties", [ prop_delta_on_off; prop_merge_count ]);
     ]

@@ -929,6 +929,147 @@ let test_merge_index_after_fallback () =
   Alcotest.(check (option string)) "merge 2 raises for key 2"
     (Some (duplicate_key_error "2")) error
 
+(* ------------------------------------------------------------------ *)
+(* Plans read through a carried key index                              *)
+
+let ck_schema = Schema.of_names [ "k"; "v" ]
+let scan_c = Logical.scan ~name:"c" ~schema:ck_schema
+
+(* A relation of the same rows over fresh columns: no index serves it. *)
+let unindexed r = Relation.make (Relation.schema r) (Relation.rows r)
+
+(** [plan] run with the index of [indexed] (key column 0) over a
+    catalog binding [bound] as [c], against [plan] run without an index
+    over a copy of [bound]: the same rows in the same order, cell for
+    cell. [served] says whether the index replaced a read of the whole
+    CTE, which shows as fewer rows scanned. *)
+let check_indexed ?indexed ~served msg ~bound ~temps plan =
+  let catalog c =
+    let catalog = Catalog.create () in
+    List.iter (fun (n, r) -> Catalog.set_temp catalog n r) (("c", c) :: temps);
+    catalog
+  in
+  let index =
+    Executor.key_index (Option.value indexed ~default:bound) ~key_idx:0
+  in
+  List.iter
+    (fun columnar ->
+      let msg = Printf.sprintf "%s (columnar %b)" msg columnar in
+      let s_ix = Stats.create () and s_plain = Stats.create () in
+      let got =
+        Executor.run_plan ~columnar ~index ~stats:s_ix (catalog bound) plan
+      in
+      let want =
+        Executor.run_plan ~columnar ~stats:s_plain
+          (catalog (unindexed bound)) plan
+      in
+      check_identical_rows msg (Array.to_list (Relation.rows want)) got;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: index served (rows scanned %d, without %d)" msg
+           s_ix.Stats.rows_scanned s_plain.Stats.rows_scanned)
+        served
+        (s_ix.Stats.rows_scanned < s_plain.Stats.rows_scanned))
+    [ false; true ]
+
+let cte_rows =
+  [ [ vi 1; vi 10 ]; [ vi 2; vnull ]; [ vi 3; vi 30 ]; [ vi 4; vf 4.5 ] ]
+let cte () = rel [ "k"; "v" ] cte_rows
+
+let test_index_semijoin () =
+  let semijoin keys =
+    let a = rel [ "key" ] (List.map (fun k -> [ k ]) keys) in
+    ( [ ("a", a) ],
+      Logical.subquery_filter ~anti:false ~key:(Some (Bound_expr.B_col 0)) scan_c
+        (Logical.scan ~name:"a" ~schema:(Relation.schema a)) )
+  in
+  let case msg keys =
+    let temps, plan = semijoin keys in
+    check_indexed ~served:true msg ~bound:(cte ()) ~temps plan
+  in
+  case "keys out of CTE order" [ vi 4; vi 1 ];
+  case "NULL, absent and repeated keys" [ vnull; vi 9; vi 3; vi 3; vnull ];
+  case "Float keys name Int keys" [ vf 2.0; vi 2; vf 3.5 ];
+  case "no affected key" [];
+  (* NOT IN and a probe other than the key column keep the plain
+     semijoin. *)
+  let temps, _ = semijoin [ vi 1 ] in
+  let a = Logical.scan ~name:"a" ~schema:(Schema.of_names [ "key" ]) in
+  check_indexed ~served:false "NOT IN" ~bound:(cte ()) ~temps
+    (Logical.subquery_filter ~anti:true
+       ~key:(Some (Bound_expr.B_col 0))
+       scan_c a);
+  check_indexed ~served:false "probe on a payload column" ~bound:(cte ()) ~temps
+    (Logical.subquery_filter ~anti:false
+       ~key:(Some (Bound_expr.B_col 1))
+       scan_c a)
+
+let test_index_join_leg () =
+  let col i = Bound_expr.B_col i and lit v = Bound_expr.B_lit v in
+  let eq a b = Bound_expr.B_binop (Ast.Eq, a, b) in
+  let p_schema = Schema.of_names [ "x"; "y" ] in
+  let probes =
+    rel [ "x"; "y" ]
+      [
+        [ vi 3; vi 1 ]; [ vnull; vi 2 ]; [ vf 2.0; vi 3 ]; [ vi 7; vi 4 ];
+        [ vi 1; vi 5 ]; [ vf 4.0; vi 6 ]; [ vi 3; vi 7 ];
+      ]
+  in
+  let join ?residual kind right =
+    let cond =
+      match residual with
+      | None -> eq (col 0) (col 2)
+      | Some r -> Bound_expr.B_binop (Ast.And, eq (col 0) (col 2), r)
+    in
+    Logical.join kind ~cond (Logical.scan ~name:"p" ~schema:p_schema) right
+  in
+  let temps = [ ("p", probes) ] in
+  let filtered =
+    Logical.filter (Bound_expr.B_binop (Ast.Neq, col 1, lit (vi 30))) scan_c
+  in
+  List.iter
+    (fun (kname, kind) ->
+      let case ?residual msg right =
+        check_indexed ~served:true (kname ^ ": " ^ msg) ~bound:(cte ()) ~temps
+          (join ?residual kind right)
+      in
+      case "NULL and Float probe keys" scan_c;
+      case "filter rejects matched rows" filtered;
+      let residual = Bound_expr.B_binop (Ast.Gt, col 1, lit (vi 5)) in
+      case "residual over the joined row" ~residual scan_c;
+      case "filter and residual" ~residual filtered;
+      check_indexed ~served:true (kname ^ ": no probe row") ~bound:(cte ())
+        ~temps:[ ("p", rel [ "x"; "y" ] []) ]
+        (join kind filtered))
+    [ ("inner", Logical.Inner); ("left", Logical.Left_outer) ];
+  (* A right-outer join, and a key pair on a payload column, keep the
+     hash join. *)
+  check_indexed ~served:false "right outer" ~bound:(cte ()) ~temps
+    (join Logical.Right_outer scan_c);
+  check_indexed ~served:false "payload key" ~bound:(cte ()) ~temps
+    (Logical.join Logical.Inner ~cond:(eq (col 0) (col 3))
+       (Logical.scan ~name:"p" ~schema:p_schema) scan_c)
+
+(** The index of one CTE version does not serve another whose key
+    column was rewritten, here by float keys equal to the old ones. *)
+let test_index_fallback () =
+  let floats =
+    rel [ "k"; "v" ]
+      (List.map
+         (fun r -> Value.Float (Value.to_float (List.hd r)) :: List.tl r)
+         cte_rows)
+  in
+  let a = rel [ "key" ] [ [ vi 2 ]; [ vi 4 ] ] in
+  check_indexed ~served:false "semijoin" ~indexed:(cte ()) ~bound:floats
+    ~temps:[ ("a", a) ]
+    (Logical.subquery_filter ~anti:false ~key:(Some (Bound_expr.B_col 0)) scan_c
+       (Logical.scan ~name:"a" ~schema:(Relation.schema a)));
+  check_indexed ~served:false "join leg" ~indexed:(cte ()) ~bound:floats
+    ~temps:[ ("a", a) ]
+    (Logical.join Logical.Left_outer
+       ~cond:
+         (Bound_expr.B_binop (Ast.Eq, Bound_expr.B_col 0, Bound_expr.B_col 1))
+       (Logical.scan ~name:"a" ~schema:(Relation.schema a)) scan_c)
+
 let () =
   Alcotest.run "exec"
     [
@@ -980,5 +1121,11 @@ let () =
           Alcotest.test_case "carried-index" `Quick test_merge_carried_index;
           Alcotest.test_case "index-after-fallback" `Quick
             test_merge_index_after_fallback;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "semijoin" `Quick test_index_semijoin;
+          Alcotest.test_case "join-leg" `Quick test_index_join_leg;
+          Alcotest.test_case "rewritten-keys" `Quick test_index_fallback;
         ] );
     ]
